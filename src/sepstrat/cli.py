@@ -49,6 +49,13 @@ def _read(path: str) -> str:
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _CliError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load_signature(cfg: RunConfig) -> Signature:
     return parse_signature(_read(cfg.signature_path), cfg.signature_path)
 
@@ -78,7 +85,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output_path is None:
         sys.stdout.write(text)
     else:
-        Path(cfg.output_path).write_text(text)
+        _write(cfg.output_path, text)
 
 
 def _run_entailments(cfg: RunConfig, *, frame_mode: bool) -> int:
@@ -107,7 +114,7 @@ def _run_entailments(cfg: RunConfig, *, frame_mode: bool) -> int:
 
     if cfg.trace_output_path is not None:
         doc = engine.traces_to_document(traces)
-        Path(cfg.trace_output_path).write_text(engine.document_to_json(doc))
+        _write(cfg.trace_output_path, engine.document_to_json(doc))
     return 0 if ok == len(traces) else 1
 
 

@@ -328,24 +328,38 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _field(obj, key: str, where: str):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise ReplayError(f"{where}: missing {key!r}") from None
+
+
 def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     """Re-execute every step of a trace document; raises ReplayError on any
-    divergence from the recorded entailments or verdicts."""
+    divergence from the recorded entailments or verdicts.
+
+    Each trace's input is parsed once; every recorded entailment, side
+    condition goal and frame must equal the printer's text for what replay
+    computes."""
     if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
     for t_idx, tr in enumerate(doc.get("traces", [])):
+        source = _field(tr, "input", f"trace {t_idx}")
         try:
-            cur = parse_entailment(tr["input"], sig)
+            cur = parse_entailment(source, sig)
         except Exception as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
         for s_idx, st in enumerate(tr.get("steps", [])):
             where = f"trace {t_idx} step {s_idx}"
-            s = prog.by_name(st["strategy"])
+            name = _field(st, "strategy", where)
+            substitution = _field(st, "substitution", where)
+            recorded_after = _field(st, "entailment_after", where)
+            s = prog.by_name(name)
             if s is None:
-                raise ReplayError(f"{where}: unknown strategy {st['strategy']!r}")
+                raise ReplayError(f"{where}: unknown strategy {name!r}")
             try:
-                binding = {x: parse_term(text, sig) for x, text in st["substitution"].items()}
-                expected = parse_entailment(st["entailment_after"], sig)
+                binding = {x: parse_term(text, sig) for x, text in substitution.items()}
             except Exception as exc:
                 raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
             pattern_vars = {b for p in s.patterns for b in p.atom.binders}
@@ -364,23 +378,36 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             if len(recorded) != len(conditions):
                 raise ReplayError(f"{where}: side condition count differs")
             for rec, got in zip(recorded, conditions):
-                if rec["goal"] != print_pure(got.goal) or rec["status"] != got.status.value:
-                    raise ReplayError(f"{where}: side condition diverges on {rec['goal']!r}")
+                goal = _field(rec, "goal", where)
+                if goal != print_pure(got.goal) or _field(rec, "status", where) != got.status.value:
+                    raise ReplayError(f"{where}: side condition diverges on {goal!r}")
             applied = apply_action(s, binding, cur)
             if applied is None:
                 raise ReplayError(f"{where}: action of {s.name} fails on replay")
             cur = applied[0]
-            if cur != expected:
+            got_after = print_entailment(cur)
+            if got_after != recorded_after:
                 raise ReplayError(
-                    f"{where}: entailment diverges:\n  got      {print_entailment(cur)}\n"
-                    f"  recorded {print_entailment(expected)}"
+                    f"{where}: entailment diverges:\n  got      {got_after}\n"
+                    f"  recorded {recorded_after}"
                 )
-        final_purified = not cur.lhs.spatials and not cur.rhs.spatials
-        verdict = tr.get("verdict")
-        if verdict == Verdict.PURIFIED.value and not final_purified:
-            raise ReplayError(f"trace {t_idx}: verdict claims purified but spatial conjuncts remain")
-        if verdict == Verdict.FRAME_INFERRED.value:
-            if cur.rhs.spatials or not cur.lhs.spatials:
-                raise ReplayError(f"trace {t_idx}: verdict claims frame_inferred but the final shape disagrees")
-            if tr.get("frame") != print_heap(cur.lhs):
-                raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")
+        claimed = tr.get("verdict")
+        try:
+            verdict = Verdict(claimed)
+        except ValueError:
+            raise ReplayError(f"trace {t_idx}: unknown verdict {claimed!r}") from None
+        match verdict:
+            case Verdict.PURIFIED:
+                if cur.lhs.spatials or cur.rhs.spatials:
+                    raise ReplayError(f"trace {t_idx}: verdict claims purified but spatial conjuncts remain")
+            case Verdict.FRAME_INFERRED:
+                if cur.rhs.spatials or not cur.lhs.spatials:
+                    raise ReplayError(f"trace {t_idx}: verdict claims frame_inferred but the final shape disagrees")
+                if tr.get("frame") != print_heap(cur.lhs):
+                    raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")
+            case Verdict.STUCK:
+                if step(prog, cur) is not None:
+                    raise ReplayError(f"trace {t_idx}: verdict claims stuck but a step still applies")
+            case Verdict.STEP_LIMIT:
+                if step(prog, cur) is None:
+                    raise ReplayError(f"trace {t_idx}: verdict claims step_limit but no step applies")

@@ -1046,7 +1046,7 @@ def _pt(t: Term, level: int) -> str:
             return f"field_addr({_pt(base, 0)}, {fld})"
         case Apply(fn, args):
             return f"{fn}({', '.join(_pt(a, 0) for a in args)})"
-        case Arith("-", IntLit(0), r):
+        case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
             s = "-" + _pt(r, 2)
             return f"({s})" if level > 1 else s
         case Arith(op, l, r):
@@ -1153,7 +1153,7 @@ def _print_pattern_atom(p: PatternAtom) -> str:
                 return f"field_addr({term(base, 0)}, {fld})"
             case Apply(fn, args):
                 return f"{fn}({', '.join(term(x, 0) for x in args)})"
-            case Arith("-", IntLit(0), r):
+            case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
                 s = "-" + term(r, 2)
                 return f"({s})" if level > 1 else s
             case Arith(op, l, r):

@@ -181,7 +181,7 @@ def _gcd_normalize(coeffs: dict[int, int], k: int) -> tuple[dict[int, int], int]
         g = math.gcd(g, abs(c))
     if g > 1:
         coeffs = {v: c // g for v, c in coeffs.items()}
-        k = math.floor(k / g)
+        k = k // g
     return coeffs, k
 
 

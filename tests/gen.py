@@ -53,13 +53,6 @@ variables = st.sampled_from(VAR_NAMES).map(Var)
 int_lits = st.integers(min_value=-3, max_value=7).map(IntLit)
 
 
-def _arith(op, left, right):
-    # 0 - lit prints as a negative literal and would not re-parse to itself
-    if op == "-" and left == IntLit(0) and isinstance(right, IntLit):
-        left = IntLit(1)
-    return Arith(op, left, right)
-
-
 @st.composite
 def terms(draw, max_depth: int = 3):
     if max_depth <= 0 or draw(st.integers(0, 3)) == 0:
@@ -67,9 +60,7 @@ def terms(draw, max_depth: int = 3):
     kind = draw(st.sampled_from(["arith", "apply", "field"]))
     sub = terms(max_depth=max_depth - 1)
     if kind == "arith":
-        return _arith(
-            draw(st.sampled_from(["+", "-", "*"])), draw(sub), draw(sub)
-        )
+        return Arith(draw(st.sampled_from(["+", "-", "*"])), draw(sub), draw(sub))
     if kind == "apply":
         name = draw(st.sampled_from(sorted(FUNCS)))
         return Apply(name, tuple(draw(sub) for _ in range(FUNCS[name])))

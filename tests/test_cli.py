@@ -141,6 +141,20 @@ class TestPurify:
         err = capsys.readouterr().err
         assert rc == 2 and "no_such_file.sle" in err
 
+    @pytest.mark.parametrize("flag", ["-o", "--trace"])
+    def test_unwritable_output_path(self, flag, tmp_path, capsys):
+        target = str(tmp_path / "missing_dir" / "out.txt")
+        rc = run_cli(
+            "purify",
+            "--sig", corpus("sll.sig"),
+            "--strategies", corpus("sll.stg"),
+            "--input", corpus("sll_basic.sle"),
+            flag, target,
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"{target}: No such file or directory\n"
+
 
 class TestFrame:
     def test_frame_inference(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import gen
 from conftest import load_entailments, load_library
+from sepstrat import engine
 from sepstrat.core import Entailment, IntLit, SymbolicHeap, Var
 from sepstrat.engine import (
     ReplayError,
@@ -456,6 +457,79 @@ class TestReplay:
         doc["traces"][0]["frame"] = "emp"
         with pytest.raises(ReplayError, match="frame"):
             replay_document(doc, sig, prog)
+
+    def test_truncated_trace_relabelled_stuck(self, sll):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        tr = doc["traces"][0]
+        tr["steps"] = tr["steps"][:1]
+        tr["verdict"] = "stuck"
+        with pytest.raises(ReplayError, match="stuck but a step still applies"):
+            replay_document(doc, sig, prog)
+
+    def test_step_limit_replays(self, common):
+        sig, prog = common
+        (e,) = load_entailments("common_cells", sig)
+        tr = run(prog, e, max_steps=5)
+        assert tr.verdict is Verdict.STEP_LIMIT
+        replay_document(traces_to_document([tr]), sig, prog)
+
+    def test_finished_trace_relabelled_step_limit(self, sll):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        doc["traces"][0]["verdict"] = "step_limit"
+        with pytest.raises(ReplayError, match="step_limit but no step applies"):
+            replay_document(doc, sig, prog)
+
+    def test_unknown_verdict(self, sll):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        doc["traces"][0]["verdict"] = "bogus"
+        with pytest.raises(ReplayError, match="unknown verdict 'bogus'"):
+            replay_document(doc, sig, prog)
+
+    @pytest.mark.parametrize("key", ["input", "strategy", "substitution", "entailment_after"])
+    def test_missing_key(self, sll, key):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        tr = doc["traces"][0]
+        del (tr if key == "input" else tr["steps"][0])[key]
+        with pytest.raises(ReplayError, match=f"missing '{key}'"):
+            replay_document(doc, sig, prog)
+
+    def test_reformatted_entailment_rejected(self, sll):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        st = doc["traces"][0]["steps"][0]
+        spaced = st["entailment_after"].replace(" |-- ", "  |--  ")
+        assert parse_entailment(spaced, sig) == parse_entailment(st["entailment_after"], sig)
+        st["entailment_after"] = spaced
+        with pytest.raises(ReplayError, match="diverges"):
+            replay_document(doc, sig, prog)
+
+    def test_parses_each_input_once(self, array, monkeypatch):
+        sig, prog = array
+        ents = [e for name in ("array_basic", "array_frame", "array_obligations")
+                for e in load_entailments(name, sig)]
+        doc = traces_to_document([run(prog, e) for e in ents])
+        assert sum(len(tr["steps"]) for tr in doc["traces"]) > len(doc["traces"]) > 1
+        calls = []
+
+        def spy(text, sig):
+            calls.append(text)
+            return parse_entailment(text, sig)
+
+        monkeypatch.setattr(engine, "parse_entailment", spy)
+        replay_document(doc, sig, prog)
+        assert calls == [tr["input"] for tr in doc["traces"]]
+
+    def test_negated_literal_index_replays(self, array):
+        # i - x with i = x = 0 once printed as -0, which re-parses as 0
+        sig, prog = array
+        e = parse_entailment(
+            "forall a l n, 0 < n && store_array(a, 0, n, l) |-- exists v, data_at(a + 4 * 0, v)",
+            sig,
+        )
+        tr = run(prog, e)
+        assert tr.verdict is Verdict.FRAME_INFERRED
+        doc = traces_to_document([tr])
+        assert "nth(0 - 0, l)" in doc["traces"][0]["steps"][0]["entailment_after"]
+        replay_document(doc, sig, prog)
 
     def test_replay_does_not_mutate_document(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_basic")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import gen
 from sepstrat.core import (
@@ -270,6 +270,8 @@ class TestAssertions:
 
 @given(gen.terms())
 @settings(max_examples=80)
+@example(Arith("-", IntLit(0), IntLit(0)))
+@example(Arith("*", Arith("-", IntLit(0), IntLit(3)), Var("x")))
 def test_term_round_trip(t):
     assert parse_term(print_term(t), SIG) == t
 

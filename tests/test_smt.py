@@ -78,6 +78,12 @@ class TestLia:
         assert status(["x * y == 4"], "x * y == 4") == PROVEN
         assert status(["x * y == 4", "y * x == 4"], "x == 2") == UNKNOWN
 
+    def test_gcd_normalization_exact_above_float_precision(self):
+        # 2 * x <= 2**55 + 3 allows x == 2**54 + 1; float division rounded
+        # the bound down to 2**54
+        assert status(["2 * x <= 36028797018963971"], "x <= 18014398509481984") == UNKNOWN
+        assert status(["2 * x <= 36028797018963971"], "x <= 18014398509481985") == PROVEN
+
     def test_nonlinear_linearizes_after_constant_merge(self):
         assert status(["x * y == 4", "x == 2"], "y == 2") == PROVEN
 
