@@ -105,8 +105,14 @@ def _subst_formula(f: PureFormula | SpatialAtom, binding: Mapping[str, Term]):
     return substitute(f, binding)
 
 
-def run_checks(s: Strategy, binding: Mapping[str, Term], e: Entailment) -> list[SideCondition] | None:
-    """Evaluate the strategy's checks under the binding; None on failure."""
+def run_checks(
+    s: Strategy, binding: Mapping[str, Term], e: Entailment, memo: dict | None = None
+) -> list[SideCondition] | None:
+    """Evaluate the strategy's checks under the binding; None on failure.
+
+    `memo` maps (antecedent pures, goal) to an earlier `smt.infer` result;
+    a miss asks the solver and records the answer.  Without it every query
+    is solved afresh."""
     conditions: list[SideCondition] = []
     for c in s.checks:
         f = _subst_formula(c.formula, binding)
@@ -118,7 +124,13 @@ def run_checks(s: Strategy, binding: Mapping[str, Term], e: Entailment) -> list[
                 if f in e.rhs.pures:
                     return None
             case Infer():
-                res = smt.infer(e.lhs.pures, f)
+                if memo is None:
+                    res = smt.infer(e.lhs.pures, f)
+                else:
+                    key = (e.lhs.pures, f)
+                    res = memo.get(key)
+                    if res is None:
+                        res = memo[key] = smt.infer(*key)
                 conditions.append(
                     SideCondition(
                         hypothesis_pures=e.lhs.pures,
@@ -239,11 +251,10 @@ def _ordered(prog: Program) -> list[Strategy]:
     return [s for _, _, s in sorted((s.priority, i, s) for i, s in enumerate(prog.strategies))]
 
 
-def step(prog: Program, e: Entailment, *, _order: list[Strategy] | None = None) -> TraceStep | None:
-    """First applicable strategy application, or None when none applies."""
-    for s in _order if _order is not None else _ordered(prog):
+def _step(order: list[Strategy], memo: dict, e: Entailment) -> TraceStep | None:
+    for s in order:
         for m in match_strategy(s, e):
-            conditions = run_checks(s, m.bindings, e)
+            conditions = run_checks(s, m.bindings, e, memo)
             if conditions is None:
                 continue
             applied = apply_action(s, m.bindings, e)
@@ -259,6 +270,11 @@ def step(prog: Program, e: Entailment, *, _order: list[Strategy] | None = None) 
     return None
 
 
+def step(prog: Program, e: Entailment) -> TraceStep | None:
+    """First applicable strategy application, or None when none applies."""
+    return _step(_ordered(prog), {}, e)
+
+
 def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     """Iterate step up to max_steps times and classify the outcome."""
     if max_steps < 1:
@@ -266,10 +282,11 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     if not well_formed(e):
         raise ValueError("input entailment is not well-formed")
     order = _ordered(prog)
+    memo: dict = {}  # side-condition results, shared by every step of this run
     steps: list[TraceStep] = []
     cur = e
     while len(steps) < max_steps:
-        ts = step(prog, cur, _order=order)
+        ts = _step(order, memo, cur)
         if ts is None:
             break
         if ts.side_conditions:
@@ -284,7 +301,7 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     purified = not cur.lhs.spatials and not cur.rhs.spatials
     if purified:
         verdict = Verdict.PURIFIED
-    elif len(steps) == max_steps and step(prog, cur, _order=order) is not None:
+    elif len(steps) == max_steps and _step(order, memo, cur) is not None:
         verdict = Verdict.STEP_LIMIT
     elif not cur.rhs.spatials:
         verdict = Verdict.FRAME_INFERRED
@@ -328,32 +345,50 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _field(obj, key: str, where: str):
-    try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise ReplayError(f"{where}: missing {key!r}") from None
+_REQUIRED = object()
+_JSON_KINDS = {dict: "an object", list: "an array"}
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ReplayError(f"{where}: not a JSON object")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, kind: type | None = None, default=_REQUIRED):
+    """obj[key], which must be present unless a default is given and must be
+    of `kind` when one is given."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ReplayError(f"{where}: missing {key!r}")
+    if kind is not None and not isinstance(value, kind):
+        raise ReplayError(f"{where}: {key!r} is not {_JSON_KINDS[kind]}")
+    return value
 
 
 def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     """Re-execute every step of a trace document; raises ReplayError on any
-    divergence from the recorded entailments or verdicts.
+    divergence from the recorded entailments or verdicts, and on a document
+    of the wrong shape.
 
     Each trace's input is parsed once; every recorded entailment, side
     condition goal and frame must equal the printer's text for what replay
-    computes."""
+    computes.  Every side condition is solved afresh."""
+    _object(doc, "document")
     if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    for t_idx, tr in enumerate(doc.get("traces", [])):
+    for t_idx, tr in enumerate(_field(doc, "traces", "document", list, [])):
+        tr = _object(tr, f"trace {t_idx}")
         source = _field(tr, "input", f"trace {t_idx}")
         try:
             cur = parse_entailment(source, sig)
         except Exception as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
-        for s_idx, st in enumerate(tr.get("steps", [])):
+        for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
             where = f"trace {t_idx} step {s_idx}"
+            st = _object(st, where)
             name = _field(st, "strategy", where)
-            substitution = _field(st, "substitution", where)
+            substitution = _field(st, "substitution", where, dict)
             recorded_after = _field(st, "entailment_after", where)
             s = prog.by_name(name)
             if s is None:
@@ -374,10 +409,11 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             conditions = run_checks(s, binding, cur)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")
-            recorded = st.get("side_conditions", [])
+            recorded = _field(st, "side_conditions", where, list, [])
             if len(recorded) != len(conditions):
                 raise ReplayError(f"{where}: side condition count differs")
             for rec, got in zip(recorded, conditions):
+                rec = _object(rec, where)
                 goal = _field(rec, "goal", where)
                 if goal != print_pure(got.goal) or _field(rec, "status", where) != got.status.value:
                     raise ReplayError(f"{where}: side condition diverges on {goal!r}")
@@ -391,23 +427,40 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                     f"{where}: entailment diverges:\n  got      {got_after}\n"
                     f"  recorded {recorded_after}"
                 )
-        claimed = tr.get("verdict")
-        try:
-            verdict = Verdict(claimed)
-        except ValueError:
-            raise ReplayError(f"trace {t_idx}: unknown verdict {claimed!r}") from None
-        match verdict:
-            case Verdict.PURIFIED:
-                if cur.lhs.spatials or cur.rhs.spatials:
-                    raise ReplayError(f"trace {t_idx}: verdict claims purified but spatial conjuncts remain")
-            case Verdict.FRAME_INFERRED:
-                if cur.rhs.spatials or not cur.lhs.spatials:
-                    raise ReplayError(f"trace {t_idx}: verdict claims frame_inferred but the final shape disagrees")
-                if tr.get("frame") != print_heap(cur.lhs):
-                    raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")
-            case Verdict.STUCK:
-                if step(prog, cur) is not None:
-                    raise ReplayError(f"trace {t_idx}: verdict claims stuck but a step still applies")
-            case Verdict.STEP_LIMIT:
-                if step(prog, cur) is None:
-                    raise ReplayError(f"trace {t_idx}: verdict claims step_limit but no step applies")
+        _check_verdict(tr, t_idx, cur, prog)
+
+
+def _check_verdict(tr: dict, t_idx: int, cur: Entailment, prog: Program) -> None:
+    """The recorded verdict and frame must be what `run` gives a trace that
+    ends in `cur`; only the step bound itself is not recorded."""
+    claimed = tr.get("verdict")
+    try:
+        verdict = Verdict(claimed)
+    except ValueError:
+        raise ReplayError(f"trace {t_idx}: unknown verdict {claimed!r}") from None
+    frame = tr.get("frame")
+    if frame is not None and verdict is not Verdict.FRAME_INFERRED:
+        raise ReplayError(f"trace {t_idx}: a {verdict.value} trace records a frame")
+    claim = f"trace {t_idx}: verdict claims {verdict.value} but"
+    spatial_left = bool(cur.lhs.spatials or cur.rhs.spatials)
+    match verdict:
+        case Verdict.PURIFIED:
+            if spatial_left:
+                raise ReplayError(f"{claim} spatial conjuncts remain")
+        case Verdict.STEP_LIMIT:
+            if step(prog, cur) is None:
+                raise ReplayError(f"{claim} no step applies")
+            if not spatial_left:
+                raise ReplayError(f"{claim} no spatial conjuncts remain")
+        case Verdict.STUCK:
+            if not cur.rhs.spatials:
+                raise ReplayError(f"{claim} no spatial conjunct is left on the right")
+            if step(prog, cur) is not None:
+                raise ReplayError(f"{claim} a step still applies")
+        case Verdict.FRAME_INFERRED:
+            if cur.rhs.spatials or not cur.lhs.spatials:
+                raise ReplayError(f"{claim} the final shape disagrees")
+            if step(prog, cur) is not None:
+                raise ReplayError(f"{claim} a step still applies")
+            if frame != print_heap(cur.lhs):
+                raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")

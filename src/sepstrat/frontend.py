@@ -47,6 +47,11 @@ from . import core
 
 DEFAULT_PRIORITY = 50
 
+# How deeply constructs may nest: parentheses, prefix minus signs, the right
+# operands of `->` and `-*`, and assertion quantifiers.  The parser recurses
+# once per level, and the bound keeps it well inside Python's recursion limit.
+MAX_NESTING = 100
+
 SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
 CHECK_KEYWORDS = frozenset({"left_absent", "right_absent", "infer"})
 OP_KEYWORDS = frozenset(
@@ -83,6 +88,10 @@ class FrontendError(Exception):
 
 class ParseError(FrontendError):
     pass
+
+
+class _TooDeep(ParseError):
+    """Nesting beyond MAX_NESTING; backtracking never retries past it."""
 
 
 class DuplicateDeclarationError(FrontendError):
@@ -306,6 +315,7 @@ class _Parser:
         # Pattern mode: `?x` term primaries are legal and get recorded here.
         self.pattern_mode = False
         self.binder_acc: list[str] = []
+        self.depth = 0
 
     # -- token plumbing
 
@@ -330,7 +340,18 @@ class _Parser:
         if not self.at_punct(text):
             t = self.peek()
             raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", self.path, t.line, t.col)
-        return self.next()
+        tok = self.next()
+        if text == "(":
+            self.descend(tok)
+        elif text == ")":
+            self.depth -= 1
+        return tok
+
+    def descend(self, tok: Token) -> None:
+        """Enter one more nesting level, opened by tok; undone by `depth -= 1`."""
+        if self.depth == MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.col)
+        self.depth += 1
 
     def eat_ident(self, text: str | None = None) -> Token:
         t = self.peek()
@@ -385,12 +406,14 @@ class _Parser:
     def _multiplicative(self) -> Term:
         t = self._primary()
         while self.at_punct("*") and self._starts_term(self.peek(1)):
-            save = self.pos
+            save = self.pos, self.depth
             self.next()
             try:
                 t = Arith("*", t, self._primary())
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save
                 return t
         return t
 
@@ -400,13 +423,14 @@ class _Parser:
             self.next()
             return IntLit(int(t.text))
         if t.kind == "punct" and t.text == "-":
-            self.next()
+            self.descend(self.next())
             inner = self._primary()
+            self.depth -= 1
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return Arith("-", IntLit(0), inner)
         if t.kind == "punct" and t.text == "(":
-            self.next()
+            self.eat_punct("(")
             inner = self.parse_term()
             self.eat_punct(")")
             return inner
@@ -497,12 +521,14 @@ class _Parser:
             self.eat_punct(")")
             return Not(inner)
         if t.kind == "punct" and t.text == "(":
-            save = self.pos
+            save = self.pos, self.depth
             try:
                 return self._relational()
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = save
-            self.next()
+                self.pos, self.depth = save
+            self.eat_punct("(")
             inner = self.parse_pure_expr()
             self.eat_punct(")")
             return inner
@@ -534,8 +560,10 @@ class _Parser:
     def _pure_impl(self) -> PureFormula:
         l = self._pure_or()
         if self.at_punct("->"):
-            self.next()
-            return Bin("->", l, self._pure_impl())
+            self.descend(self.next())
+            r = self._pure_impl()
+            self.depth -= 1
+            return Bin("->", l, r)
         return l
 
     def _pure_or(self) -> PureFormula:
@@ -612,21 +640,22 @@ class _Parser:
     # -- assertion layer
 
     def parse_assertion(self) -> Assertion:
-        if self.at_ident("forall"):
-            self.next()
+        if self.at_ident("forall") or self.at_ident("exists"):
+            tok = self.next()
+            self.descend(tok)
             vs = self._binder_list()
-            return ForallA(vs, self.parse_assertion())
-        if self.at_ident("exists"):
-            self.next()
-            vs = self._binder_list()
-            return ExistsA(vs, self.parse_assertion())
+            body = self.parse_assertion()
+            self.depth -= 1
+            return (ForallA if tok.text == "forall" else ExistsA)(vs, body)
         return self._assert_wand()
 
     def _assert_wand(self) -> Assertion:
         l = self._assert_and()
         if self.at_punct("-*"):
-            self.next()
-            return Wand(l, self._assert_wand_rhs())
+            self.descend(self.next())
+            r = self._assert_wand_rhs()
+            self.depth -= 1
+            return Wand(l, r)
         return l
 
     def _assert_wand_rhs(self) -> Assertion:
@@ -650,14 +679,16 @@ class _Parser:
 
     def _assert_atom(self) -> Assertion:
         if self.at_punct("("):
-            save = self.pos
-            self.next()
+            save = self.pos, self.depth
+            self.eat_punct("(")
             try:
                 inner = self.parse_assertion()
                 self.eat_punct(")")
                 return inner
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save
         a = self.parse_atom()
         if isinstance(a, PureFormula):
             return PureA(a)

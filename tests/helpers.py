@@ -245,15 +245,17 @@ def find_grid_countermodel(
     goal: PureFormula,
     bound: int = 3,
     carrier: int = 3,
+    offset: int = 0,
 ) -> dict | None:
     """Search assignments where all hypotheses hold but the goal fails.
 
-    Unary applications are interpreted pointwise: for each variable
-    assignment, every distinct argument value gets each carrier value in
-    turn.  Nested applications are resolved innermost-first."""
+    Variables range over offset + [-bound, bound].  Unary applications are
+    interpreted pointwise: for each variable assignment, every distinct
+    argument value gets each carrier value in turn.  Nested applications
+    are resolved innermost-first."""
     formulas = list(hyps) + [goal]
     int_vars = sorted(set().union(*(_vars_of(f) for f in formulas)) if formulas else set())
-    rng = range(-bound, bound + 1)
+    rng = range(offset - bound, offset + bound + 1)
     for vals in itertools.product(rng, repeat=len(int_vars)):
         env = dict(zip(int_vars, vals))
         for fenv in _enumerate_fenvs(formulas, env, carrier):

@@ -10,6 +10,7 @@ import pytest
 from conftest import CORPUS, load_library
 from sepstrat.cli import main
 from sepstrat.engine import replay_document
+from sepstrat.frontend import MAX_NESTING
 
 
 def corpus(name):
@@ -283,6 +284,15 @@ class TestValidate:
         assert rc == 2
         assert re.match(rf"{re.escape(str(bad))}:\d+:\d+: ", err)
         assert "zz" in err
+
+    def test_deep_nesting_diagnostic(self, tmp_path, capsys):
+        deep = tmp_path / "deep.sle"
+        deep.write_text("forall x, " + "(" * 1500 + "0 < x" + ")" * 1500 + " |-- emp\n")
+        rc = run_cli("validate", "--sig", corpus("common.sig"), "--input", str(deep))
+        err = capsys.readouterr().err
+        assert rc == 2
+        col = len("forall x, ") + MAX_NESTING + 1
+        assert err == f"{deep}:1:{col}: nesting deeper than {MAX_NESTING} levels\n"
 
     def test_without_input(self, capsys):
         rc = run_cli("validate", "--sig", corpus("array.sig"), "--strategies", corpus("array.stg"))

@@ -6,9 +6,10 @@ import pytest
 
 import gen
 from conftest import load_entailments, load_library
-from sepstrat import engine
+from sepstrat import engine, smt
 from sepstrat.core import Entailment, IntLit, SymbolicHeap, Var
 from sepstrat.engine import (
+    ReductionTrace,
     ReplayError,
     TRACE_SCHEMA_VERSION,
     Verdict,
@@ -28,6 +29,7 @@ from sepstrat.frontend import (
     RightErase,
     parse_entailment,
     parse_strategies,
+    print_pure,
 )
 from sepstrat.matcher import match_strategy
 from sepstrat.smt import ProofStatus
@@ -45,6 +47,35 @@ def ent(text):
 
 def first_binding(s, e):
     return next(iter(match_strategy(s, e))).bindings
+
+
+def arrays_goal(sig, k, bound):
+    """k arrays a_j read at i_j, with 0 <= i_1, i_{j+1} == i_j + 1 and
+    i_bound < n: every read past i_bound has an unprovable i_j < n, so the
+    goal is stuck when bound < k and frames the holes when bound == k."""
+    idx = range(1, k + 1)
+    universals = " ".join(["n"] + [f"a{j} l{j} i{j}" for j in idx])
+    pures = ["0 <= i1"] + [f"i{j + 1} == i{j} + 1" for j in idx[:-1]] + [f"i{bound} < n"]
+    arrays = " * ".join(f"store_array(a{j}, 0, n, l{j})" for j in idx)
+    reads = " * ".join(f"data_at(a{j} + 4 * i{j}, v{j})" for j in reversed(idx))
+    values = " ".join(f"v{j}" for j in idx)
+    return parse_entailment(
+        f"forall {universals}, {' && '.join(pures)} && {arrays} |-- exists {values}, {reads}", sig
+    )
+
+
+@pytest.fixture
+def infer_calls(monkeypatch):
+    """Every (hypotheses, goal) that reaches smt.infer, in call order."""
+    calls = []
+    real = smt.infer
+
+    def counting(hyps, goal):
+        calls.append((tuple(hyps), goal))
+        return real(hyps, goal)
+
+    monkeypatch.setattr(smt, "infer", counting)
+    return calls
 
 
 class TestRunChecks:
@@ -334,6 +365,77 @@ class TestVerdicts:
         assert tr.final == parse_entailment("forall v, emp |-- v == v && v == v", sig)
 
 
+def stepped(prog, e, max_steps=1000):
+    """run() rebuilt from calls of the public step, each with its own memo."""
+    steps = []
+    cur = e
+    while len(steps) < max_steps and (ts := step(prog, cur)) is not None:
+        steps.append(ts)
+        cur = ts.entailment_after
+    if not cur.lhs.spatials and not cur.rhs.spatials:
+        verdict = Verdict.PURIFIED
+    elif len(steps) == max_steps and step(prog, cur) is not None:
+        verdict = Verdict.STEP_LIMIT
+    elif not cur.rhs.spatials:
+        verdict = Verdict.FRAME_INFERRED
+    else:
+        verdict = Verdict.STUCK
+    frame = cur.lhs if verdict is Verdict.FRAME_INFERRED else None
+    return ReductionTrace(input=e, steps=tuple(steps), verdict=verdict, frame=frame)
+
+
+def trace_json(tr):
+    return document_to_json(traces_to_document([tr]))
+
+
+class TestInferMemo:
+    def test_run_solves_each_distinct_query_once(self, array, infer_calls):
+        sig, prog = array
+        e = arrays_goal(sig, 4, 2)
+        tr = run(prog, e)
+        assert tr.verdict is Verdict.STUCK
+        assert infer_calls and len(infer_calls) == len(set(infer_calls))
+        solved = list(infer_calls)
+        # stepping with a fresh memo per step asks the same questions again
+        infer_calls.clear()
+        assert trace_json(stepped(prog, e)) == trace_json(tr)
+        assert set(infer_calls) == set(solved) and len(infer_calls) > len(solved)
+
+    def test_no_state_survives_a_run(self, array, infer_calls):
+        sig, prog = array
+        e = arrays_goal(sig, 4, 2)
+        first = trace_json(run(prog, e))
+        solved = len(infer_calls)
+        assert trace_json(run(prog, e)) == first
+        assert len(infer_calls) == 2 * solved
+
+    @pytest.mark.parametrize(
+        "lib,name,max_steps",
+        [
+            ("sll", "sll_basic", 1000),
+            ("sll", "sll_cycle_guard", 1000),
+            ("array", "array_basic", 1000),
+            ("array", "array_frame", 1000),
+            ("array", "array_obligations", 1000),
+            ("array", "array_obligations", 2),
+            ("common", "common_cells", 1000),
+            ("common", "common_cells", 5),
+        ],
+    )
+    def test_run_matches_stepping_on_corpus(self, lib, name, max_steps, request):
+        sig, prog = request.getfixturevalue(lib)
+        for e in load_entailments(name, sig):
+            assert trace_json(run(prog, e, max_steps)) == trace_json(stepped(prog, e, max_steps))
+
+    @pytest.mark.parametrize("k,bound", [(5, 5), (5, 2), (6, 1)])
+    def test_run_matches_stepping_on_generated_arrays(self, array, k, bound):
+        sig, prog = array
+        e = arrays_goal(sig, k, bound)
+        tr = run(prog, e)
+        assert tr.verdict is (Verdict.FRAME_INFERRED if bound == k else Verdict.STUCK)
+        assert trace_json(tr) == trace_json(stepped(prog, e))
+
+
 class TestConservation:
     def test_each_step_rewrites_only_declared_conjuncts(self, sll):
         sig, prog = sll
@@ -530,6 +632,90 @@ class TestReplay:
         doc = traces_to_document([tr])
         assert "nth(0 - 0, l)" in doc["traces"][0]["steps"][0]["entailment_after"]
         replay_document(doc, sig, prog)
+
+    def test_replay_solves_every_recorded_side_condition(self, array, infer_calls):
+        # array_frame records the same query for both arrays; replay asks it twice
+        sig, prog = array
+        ents = load_entailments("array_frame", sig) + [arrays_goal(sig, 3, 3), arrays_goal(sig, 3, 1)]
+        repeated = False
+        for e in ents:
+            tr = run(prog, e)
+            doc = traces_to_document([tr])
+            recorded = [c["goal"] for st in doc["traces"][0]["steps"] for c in st["side_conditions"]]
+            queries = [(c.hypothesis_pures, c.goal) for ts in tr.steps for c in ts.side_conditions]
+            repeated |= len(set(queries)) < len(queries)
+            infer_calls.clear()
+            step(prog, tr.final)
+            final_check = len(infer_calls)
+            infer_calls.clear()
+            replay_document(doc, sig, prog)
+            assert [print_pure(g) for _, g in infer_calls[: len(recorded)]] == recorded
+            assert len(infer_calls) == len(recorded) + final_check
+        assert repeated
+
+    def test_stuck_needs_spatial_conjuncts_on_the_right(self, common):
+        sig, prog = common
+        tr = {"input": "forall p v, data_at(p, v) |-- 0 <= 1", "steps": [], "verdict": "stuck", "frame": None}
+        with pytest.raises(ReplayError, match="stuck but no spatial conjunct is left on the right"):
+            replay_document({"schema_version": 1, "traces": [tr]}, sig, prog)
+
+    def test_step_limit_needs_spatial_conjuncts(self, common):
+        sig, prog = common
+        e = parse_entailment("forall v, emp |-- exists a b, a == v && b == v", sig)
+        tr = run(prog, e, max_steps=1)
+        assert tr.verdict is Verdict.PURIFIED and step(prog, tr.final) is not None
+        doc = traces_to_document([tr])
+        doc["traces"][0]["verdict"] = "step_limit"
+        with pytest.raises(ReplayError, match="step_limit but no spatial conjuncts remain"):
+            replay_document(doc, sig, prog)
+
+    def test_frame_inferred_needs_no_step_left(self, common):
+        sig, prog = common
+        tr = {
+            "input": "forall p q v w, data_at(p, v) * data_at(q, w) |-- emp",
+            "steps": [],
+            "verdict": "frame_inferred",
+            "frame": "data_at(p, v) * data_at(q, w)",
+        }
+        with pytest.raises(ReplayError, match="frame_inferred but a step still applies"):
+            replay_document({"schema_version": 1, "traces": [tr]}, sig, prog)
+
+    @pytest.mark.parametrize("lib,name", [("common", "common_cells"), ("sll", "sll_cycle_guard"), ("sll", "sll_basic")])
+    def test_frame_only_on_frame_inferred(self, lib, name, request):
+        doc, sig, prog = self.replayable(request.getfixturevalue(lib), name)
+        tr = doc["traces"][0]
+        if tr["verdict"] == "frame_inferred":
+            tr["verdict"] = "step_limit"
+        else:
+            tr["frame"] = "garbage"
+        with pytest.raises(ReplayError, match=f"a {tr['verdict']} trace records a frame"):
+            replay_document(doc, sig, prog)
+
+    @pytest.mark.parametrize(
+        "path,value,match",
+        [
+            ((), [], "document: not a JSON object"),
+            (("traces",), 5, "document: 'traces' is not an array"),
+            (("traces", 0), [], "trace 0: not a JSON object"),
+            (("traces", 0, "steps"), 5, "trace 0: 'steps' is not an array"),
+            (("traces", 0, "steps", 0), "x", "trace 0 step 0: not a JSON object"),
+            (("traces", 0, "steps", 0, "substitution"), ["p"], "step 0: 'substitution' is not an object"),
+            (("traces", 0, "steps", 0, "side_conditions"), {}, "step 0: 'side_conditions' is not an array"),
+            (("traces", 0, "steps", 0, "side_conditions", 0), "0 <= i", "trace 0 step 0: not a JSON object"),
+        ],
+    )
+    def test_malformed_document(self, array, path, value, match):
+        doc, sig, prog = self.replayable(array, "array_basic")
+        if path:
+            *parents, last = path
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            doc = value
+        with pytest.raises(ReplayError, match=match):
+            replay_document(doc, sig, prog)
 
     def test_replay_does_not_mutate_document(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_basic")

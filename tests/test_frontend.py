@@ -17,6 +17,7 @@ from sepstrat.core import (
     Var,
 )
 from sepstrat.frontend import (
+    MAX_NESTING,
     ArityMismatchError,
     DuplicateDeclarationError,
     FrontendError,
@@ -244,6 +245,38 @@ class TestStrategies:
         text = print_strategy(prog.strategies[0])
         assert "lseg(?p, ?q, ?l1)" in text
         assert "listrep(p, ?l2)" in text
+
+
+class TestNestingLimit:
+    # name -> (parse, head, opener, body, closer, tail, column of the
+    # opening token within the opener)
+    CASES = {
+        "formula parentheses": (parse_entailments, "forall x, ", "(", "0 < x", ")", " |-- emp", 0),
+        "term parentheses": (parse_entailments, "forall x, 0 < ", "(", "x", ")", " |-- emp", 0),
+        "negation": (parse_entailments, "forall x, ", "!(", "0 < x", ")", " |-- emp", 1),
+        "function arguments": (parse_entailments, "forall x l, 0 < ", "nth(", "x", ", l)", " |-- emp", 3),
+        "prefix minus": (parse_entailments, "forall x, 0 < ", "- ", "x", "", " |-- emp", 0),
+        "product operand": (parse_entailments, "forall x, 0 < ", "x * (", "x", ")", " |-- emp", 4),
+        "quantifiers": (parse_assertion, "", "forall x, ", "emp", "", "", 0),
+        "wands": (parse_assertion, "", "emp -* ", "emp", "", "", 4),
+    }
+
+    def nested(self, case, depth):
+        parse, head, opener, body, closer, tail, at = self.CASES[case]
+        text = head + opener * depth + body + closer * depth + tail
+        return parse, text, len(head) + (depth - 1) * len(opener) + at + 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_limit_accepted(self, case):
+        parse, text, _ = self.nested(case, MAX_NESTING)
+        parse(text, SIG, "deep.sle")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_level_more_rejected_at_its_opening_token(self, case):
+        parse, text, col = self.nested(case, MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse(text, SIG, "deep.sle")
+        assert str(info.value) == f"deep.sle:1:{col}: nesting deeper than {MAX_NESTING} levels"
 
 
 class TestAssertions:

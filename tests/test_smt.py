@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 import helpers
-from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, PredP, Rel, TrueF, Var
+from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, PredP, Rel, TrueF, Var, free_vars, substitute
 from sepstrat.frontend import parse_pure
 from sepstrat.smt import ProofStatus, QueryResult, infer
 
@@ -234,4 +234,42 @@ def test_no_grid_countermodel():
             continue
         proven += 1
         cm = helpers.find_grid_countermodel(hyps, goal, bound=3, carrier=3)
+        assert cm is None, (hyps, goal, cm)
+
+
+# ---------------------------------------------------------------------------
+# Big constants: each query with every variable x replaced by x - 2**60, so
+# every model value shifts by 2**60 and every linear constant by a multiple
+# of it, far past float precision.  The query means the same, so a Proven
+# answer must have no countermodel on the grid shifted by 2**60.
+
+BIG = 2**60
+
+
+def _scaled_bound_query(rng):
+    """g * x <= k |= x <= d, which holds exactly when d >= k // g; the
+    solver's gcd rounding decides it."""
+    g, k = rng.randint(2, 3), rng.randint(-7, 7)
+    x = Var(rng.choice(GRID_VARS))
+    d = k // g + rng.randint(-1, 1)
+    return [Rel("<=", Arith("*", IntLit(g), x), IntLit(k))], Rel("<=", x, IntLit(d))
+
+
+def _translated(f):
+    return substitute(f, {v: Arith("-", Var(v), IntLit(BIG)) for v in free_vars(f)})
+
+
+def test_no_shifted_grid_countermodel_with_big_constants():
+    rng = random.Random(0xB16)
+    proven = 0
+    attempts = 0
+    while proven < 60:
+        attempts += 1
+        assert attempts < 5000, "query generator failed to produce enough Proven cases"
+        hyps, goal = (_scaled_bound_query if rng.random() < 0.4 else _biased_query)(rng)
+        hyps, goal = [_translated(h) for h in hyps], _translated(goal)
+        if infer(hyps, goal).status != PROVEN:
+            continue
+        proven += 1
+        cm = helpers.find_grid_countermodel(hyps, goal, bound=3, carrier=3, offset=BIG)
         assert cm is None, (hyps, goal, cm)
