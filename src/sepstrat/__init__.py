@@ -11,7 +11,6 @@ from .core import (
     Apply,
     Arith,
     Assertion,
-    CaptureError,
     DataAt,
     DuplicateDeclarationError,
     Emp,

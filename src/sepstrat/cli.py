@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, soundness
-from .core import DuplicateDeclarationError, Signature
+from .core import Signature
 from .engine import Verdict
 from .frontend import (
     FrontendError,
@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _COMMANDS[cfg.mode](cfg)
-    except (FrontendError, DuplicateDeclarationError, _CliError) as exc:
+    except (FrontendError, _CliError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -9,7 +9,7 @@ keep insertion order so that matching and printing stay deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
 ARITH_OPS = ("+", "-", "*")
@@ -25,12 +25,22 @@ FUNC = "func"
 RESERVED = frozenset({"emp", "true", "data_at", "field_addr"})
 
 
-class CaptureError(Exception):
-    """A substitution would capture a free variable under a binder."""
+class FrontendError(Exception):
+    """An error in some input text, reported at its path:line:col."""
+
+    def __init__(self, message: str, path: str = "<input>", line: int = 0, col: int = 0) -> None:
+        super().__init__(message)
+        self.message = message
+        self.path = path
+        self.line = line
+        self.col = col
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.message}"
 
 
-class DuplicateDeclarationError(Exception):
-    """A signature entry clashes with an earlier or built-in declaration."""
+class DuplicateDeclarationError(FrontendError):
+    """A declaration clashes with an earlier or built-in one."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +175,6 @@ class SymbolicHeap:
             self, "spatials", tuple(s for s in self.spatials if not isinstance(s, Emp))
         )
 
-    @property
-    def empty(self) -> bool:
-        return not self.pures and not self.spatials
-
 
 @dataclass(frozen=True, slots=True)
 class Entailment:
@@ -251,6 +257,71 @@ Syntax = Union[Term, PureFormula, SpatialAtom, SymbolicHeap, Assertion]
 
 
 # ---------------------------------------------------------------------------
+# Node shapes
+
+# The child fields of every node class, in printing order.  A child field
+# holds one node or a tuple of nodes; every other field is a label (operator,
+# symbol, literal, binder names) that traversals copy or compare.  Recursive
+# traversals loop over children rather than use comprehensions, which are
+# frames of their own before Python 3.12: one frame per tree level lets them
+# reach the depth the parser admits (frontend.MAX_DEPTH).
+_KIDS: dict[type, tuple[str, ...]] = {
+    IntLit: (),
+    Var: (),
+    FieldAddr: ("base",),
+    Apply: ("args",),
+    Arith: ("left", "right"),
+    TrueF: (),
+    Eq: ("left", "right"),
+    Rel: ("left", "right"),
+    Not: ("inner",),
+    Bin: ("left", "right"),
+    PredP: ("args",),
+    Emp: (),
+    DataAt: ("addr", "value"),
+    PredS: ("args",),
+    SymbolicHeap: ("pures", "spatials"),
+    PureA: ("formula",),
+    SpatialA: ("atom",),
+    SepConj: ("parts",),
+    AndA: ("parts",),
+    Wand: ("left", "right"),
+    ForallA: ("body",),
+    ExistsA: ("body",),
+}
+
+# Every field of every node class in declaration order, as (name, is a child).
+_FIELDS = {cls: tuple((f.name, f.name in kids) for f in fields(cls)) for cls, kids in _KIDS.items()}
+
+
+def _children(x: Syntax) -> list[Syntax]:
+    """The child nodes of x in printing order, tuple fields spliced in."""
+    out: list[Syntax] = []
+    for name in _KIDS[type(x)]:
+        c = getattr(x, name)
+        if type(c) is tuple:
+            out.extend(c)
+        else:
+            out.append(c)
+    return out
+
+
+def rebuild(x: Syntax, kids: list) -> Syntax:
+    """A node like x whose child fields, in _KIDS order, take the values kids."""
+    it = iter(kids)
+    return type(x)(*[next(it) if kid else getattr(x, name) for name, kid in _FIELDS[type(x)]])
+
+
+def height(x: Syntax) -> int:
+    """Nodes on the longest downward path from x, counted without recursion."""
+    h, level = 0, [x]
+    while level:
+        h += 1
+        level = [k for y in level for k in _children(y)]
+    return h
+
+
+# ---------------------------------------------------------------------------
 # Signature
 
 
@@ -287,89 +358,33 @@ class Signature:
 # Free variables
 
 
+def _occurs(x: Syntax, out: dict[str, None]) -> None:
+    """Add x's free variables to out, an ordered set, in first-occurrence order."""
+    cls = type(x)
+    if cls is Var:
+        out[x.name] = None
+    elif cls is ForallA or cls is ExistsA:
+        inner: dict[str, None] = {}
+        _occurs(x.body, inner)
+        for v in x.vars:
+            inner.pop(v, None)
+        out.update(inner)
+    else:
+        for y in _children(x):
+            _occurs(y, out)
+
+
 def free_vars(x: Syntax) -> set[str]:
-    match x:
-        case IntLit():
-            return set()
-        case Var(name):
-            return {name}
-        case FieldAddr(base, _):
-            return free_vars(base)
-        case Apply(_, args) | PredP(_, args) | PredS(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Arith(_, l, r) | Eq(l, r) | Rel(_, l, r) | DataAt(l, r):
-            return free_vars(l) | free_vars(r)
-        case TrueF() | Emp():
-            return set()
-        case Not(inner):
-            return free_vars(inner)
-        case Bin(_, l, r):
-            return free_vars(l) | free_vars(r)
-        case SymbolicHeap(pures, spatials):
-            out = set()
-            for f in itertools.chain(pures, spatials):
-                out |= free_vars(f)
-            return out
-        case PureA(f):
-            return free_vars(f)
-        case SpatialA(s):
-            return free_vars(s)
-        case SepConj(parts) | AndA(parts):
-            out = set()
-            for p in parts:
-                out |= free_vars(p)
-            return out
-        case Wand(l, r):
-            return free_vars(l) | free_vars(r)
-        case ForallA(vs, body) | ExistsA(vs, body):
-            return free_vars(body) - set(vs)
-    raise TypeError(f"free_vars: unsupported value {x!r}")
+    out: dict[str, None] = {}
+    _occurs(x, out)
+    return set(out)
 
 
 def occurring_vars(x: Syntax) -> list[str]:
     """Free variables in first-occurrence order (left-to-right traversal)."""
-    seen: list[str] = []
-
-    def walk(y: Syntax, bound: frozenset[str]) -> None:
-        match y:
-            case IntLit() | TrueF() | Emp():
-                return
-            case Var(name):
-                if name not in bound and name not in seen:
-                    seen.append(name)
-            case FieldAddr(base, _):
-                walk(base, bound)
-            case Apply(_, args) | PredP(_, args) | PredS(_, args):
-                for a in args:
-                    walk(a, bound)
-            case Arith(_, l, r) | Eq(l, r) | Rel(_, l, r) | DataAt(l, r) | Bin(_, l, r):
-                walk(l, bound)
-                walk(r, bound)
-            case Not(inner):
-                walk(inner, bound)
-            case SymbolicHeap(pures, spatials):
-                for f in itertools.chain(pures, spatials):
-                    walk(f, bound)
-            case PureA(f):
-                walk(f, bound)
-            case SpatialA(s):
-                walk(s, bound)
-            case SepConj(parts) | AndA(parts):
-                for p in parts:
-                    walk(p, bound)
-            case Wand(l, r):
-                walk(l, bound)
-                walk(r, bound)
-            case ForallA(vs, body) | ExistsA(vs, body):
-                walk(body, bound | frozenset(vs))
-            case _:
-                raise TypeError(f"occurring_vars: unsupported value {y!r}")
-
-    walk(x, frozenset())
-    return seen
+    out: dict[str, None] = {}
+    _occurs(x, out)
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -392,75 +407,38 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 # Substitution
 
 
-def substitute(x: Syntax, mapping: Mapping[str, Term], *, rename_on_capture: bool = True) -> Syntax:
+def substitute(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
     """Capture-avoiding simultaneous substitution of terms for free variables.
 
-    Binders that would capture a substituted variable are alpha-renamed, or a
-    CaptureError is raised when rename_on_capture is False.
+    Binders that would capture a substituted variable are alpha-renamed.
     """
-    if not mapping:
-        return x
-    match x:
-        case IntLit() | TrueF() | Emp():
-            return x
-        case Var(name):
-            return mapping.get(name, x)
-        case FieldAddr(base, field):
-            return FieldAddr(substitute(base, mapping), field)
-        case Apply(fn, args):
-            return Apply(fn, tuple(substitute(a, mapping) for a in args))
-        case Arith(op, l, r):
-            return Arith(op, substitute(l, mapping), substitute(r, mapping))
-        case Eq(l, r):
-            return Eq(substitute(l, mapping), substitute(r, mapping))
-        case Rel(op, l, r):
-            return Rel(op, substitute(l, mapping), substitute(r, mapping))
-        case Not(inner):
-            return Not(substitute(inner, mapping, rename_on_capture=rename_on_capture))
-        case Bin(op, l, r):
-            return Bin(
-                op,
-                substitute(l, mapping, rename_on_capture=rename_on_capture),
-                substitute(r, mapping, rename_on_capture=rename_on_capture),
-            )
-        case PredP(name, args):
-            return PredP(name, tuple(substitute(a, mapping) for a in args))
-        case DataAt(addr, value):
-            return DataAt(substitute(addr, mapping), substitute(value, mapping))
-        case PredS(name, args):
-            return PredS(name, tuple(substitute(a, mapping) for a in args))
-        case SymbolicHeap(pures, spatials):
-            return SymbolicHeap(
-                tuple(substitute(p, mapping) for p in pures),
-                tuple(substitute(s, mapping) for s in spatials),
-            )
-        case PureA(f):
-            return PureA(substitute(f, mapping, rename_on_capture=rename_on_capture))
-        case SpatialA(s):
-            return SpatialA(substitute(s, mapping))
-        case SepConj(parts):
-            return SepConj(tuple(substitute(p, mapping, rename_on_capture=rename_on_capture) for p in parts))
-        case AndA(parts):
-            return AndA(tuple(substitute(p, mapping, rename_on_capture=rename_on_capture) for p in parts))
-        case Wand(l, r):
-            return Wand(
-                substitute(l, mapping, rename_on_capture=rename_on_capture),
-                substitute(r, mapping, rename_on_capture=rename_on_capture),
-            )
-        case ForallA(vs, body):
-            vs2, body2, live = _under_binders(vs, body, mapping, rename_on_capture)
-            return ForallA(vs2, substitute(body2, live, rename_on_capture=rename_on_capture)) if live else ForallA(vs2, body2)
-        case ExistsA(vs, body):
-            vs2, body2, live = _under_binders(vs, body, mapping, rename_on_capture)
-            return ExistsA(vs2, substitute(body2, live, rename_on_capture=rename_on_capture)) if live else ExistsA(vs2, body2)
-    raise TypeError(f"substitute: unsupported value {x!r}")
+    return _subst(x, mapping) if mapping else x
+
+
+def _subst(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
+    cls = type(x)
+    if cls is Var:
+        return mapping.get(x.name, x)
+    if cls is ForallA or cls is ExistsA:
+        vs, body, live = _under_binders(x.vars, x.body, mapping)
+        return cls(vs, _subst(body, live) if live else body)
+    kids = []
+    for name in _KIDS[cls]:
+        c = getattr(x, name)
+        if type(c) is tuple:
+            new = []
+            for y in c:
+                new.append(_subst(y, mapping))
+            kids.append(tuple(new))
+        else:
+            kids.append(_subst(c, mapping))
+    return rebuild(x, kids) if kids else x
 
 
 def _under_binders(
     vs: tuple[str, ...],
     body: Assertion,
     mapping: Mapping[str, Term],
-    rename_on_capture: bool,
 ) -> tuple[tuple[str, ...], Assertion, dict[str, Term]]:
     body_free = free_vars(body)
     live = {k: t for k, t in mapping.items() if k not in vs and k in body_free}
@@ -472,8 +450,6 @@ def _under_binders(
     captured = [v for v in vs if v in range_free]
     if not captured:
         return vs, body, live
-    if not rename_on_capture:
-        raise CaptureError(f"binder {captured[0]!r} captures a substituted term")
     avoid = body_free | range_free | set(vs) | set(live)
     renaming: dict[str, Term] = {}
     vs2: list[str] = []
@@ -485,7 +461,7 @@ def _under_binders(
             vs2.append(nv)
         else:
             vs2.append(v)
-    body2 = substitute(body, renaming, rename_on_capture=True)
+    body2 = substitute(body, renaming)
     return tuple(vs2), body2, live
 
 
@@ -573,69 +549,29 @@ def normalize(a: Assertion) -> Assertion:
 # Alpha-equivalence
 
 
-def _canon(a: Assertion, env: dict[str, int], ignore_order: bool):
-    def canon_term(t: Term):
-        match t:
-            case IntLit(v):
-                return ("lit", v)
-            case Var(name):
-                if name in env:
-                    return ("bv", env[name])
-                return ("fv", name)
-            case FieldAddr(base, field):
-                return ("fld", field, canon_term(base))
-            case Apply(fn, args):
-                return ("app", fn, tuple(canon_term(x) for x in args))
-            case Arith(op, l, r):
-                return ("arith", op, canon_term(l), canon_term(r))
-        raise TypeError(t)
-
-    def canon_pure(f: PureFormula):
-        match f:
-            case TrueF():
-                return ("true",)
-            case Eq(l, r):
-                return ("eq", canon_term(l), canon_term(r))
-            case Rel(op, l, r):
-                return ("rel", op, canon_term(l), canon_term(r))
-            case Not(inner):
-                return ("not", canon_pure(inner))
-            case Bin(op, l, r):
-                return ("bin", op, canon_pure(l), canon_pure(r))
-            case PredP(name, args):
-                return ("predp", name, tuple(canon_term(x) for x in args))
-        raise TypeError(f)
-
-    def canon_spatial(s: SpatialAtom):
-        match s:
-            case Emp():
-                return ("emp",)
-            case DataAt(addr, value):
-                return ("data_at", canon_term(addr), canon_term(value))
-            case PredS(name, args):
-                return ("preds", name, tuple(canon_term(x) for x in args))
-        raise TypeError(s)
-
-    match a:
-        case PureA(f):
-            return ("pure", canon_pure(f))
-        case SpatialA(s):
-            return ("spatial", canon_spatial(s))
-        case SepConj(parts):
-            keys = [_canon(p, env, ignore_order) for p in parts]
-            return ("sep", tuple(sorted(keys)) if ignore_order else tuple(keys))
-        case AndA(parts):
-            keys = [_canon(p, env, ignore_order) for p in parts]
-            return ("and", tuple(sorted(keys)) if ignore_order else tuple(keys))
-        case Wand(l, r):
-            return ("wand", _canon(l, env, ignore_order), _canon(r, env, ignore_order))
-        case ForallA(vs, body) | ExistsA(vs, body):
-            tag = "forall" if isinstance(a, ForallA) else "exists"
-            env2 = dict(env)
-            for v in vs:
-                env2[v] = len(env2)
-            return (tag, len(vs), _canon(body, env2, ignore_order))
-    raise TypeError(a)
+def _canon(x: Syntax, env: dict[str, int], ignore_order: bool) -> tuple:
+    """A key equal for two nodes exactly when they are alpha-equivalent."""
+    cls = type(x)
+    if cls is Var:
+        return ("bv", env[x.name]) if x.name in env else ("fv", x.name)
+    if cls is ForallA or cls is ExistsA:
+        env = dict(env)
+        for v in x.vars:
+            env[v] = len(env)
+        return (cls.__name__, len(x.vars), _canon(x.body, env, ignore_order))
+    key: list = [cls.__name__]
+    for name, kid in _FIELDS[cls]:
+        c = getattr(x, name)
+        if not kid:
+            key.append(c)
+        elif type(c) is tuple:
+            parts = []
+            for y in c:
+                parts.append(_canon(y, env, ignore_order))
+            key.append(tuple(sorted(parts) if ignore_order and cls in (SepConj, AndA) else parts))
+        else:
+            key.append(_canon(c, env, ignore_order))
+    return tuple(key)
 
 
 def alpha_equivalent(a: Assertion, b: Assertion, *, ignore_conjunct_order: bool = True) -> bool:

@@ -21,7 +21,6 @@ from .core import (
     Entailment,
     PureFormula,
     Signature,
-    SpatialAtom,
     SymbolicHeap,
     Term,
     Var,
@@ -38,7 +37,6 @@ from .frontend import (
     LeftAbsent,
     LeftAdd,
     LeftErase,
-    OpSeq,
     Program,
     RightAbsent,
     RightAdd,
@@ -101,10 +99,6 @@ class ReductionTrace:
 # Checks
 
 
-def _subst_formula(f: PureFormula | SpatialAtom, binding: Mapping[str, Term]):
-    return substitute(f, binding)
-
-
 def run_checks(
     s: Strategy, binding: Mapping[str, Term], e: Entailment, memo: dict | None = None
 ) -> list[SideCondition] | None:
@@ -115,7 +109,7 @@ def run_checks(
     is solved afresh."""
     conditions: list[SideCondition] = []
     for c in s.checks:
-        f = _subst_formula(c.formula, binding)
+        f = substitute(c.formula, binding)
         match c:
             case LeftAbsent():
                 if f in e.lhs.pures:
@@ -147,12 +141,6 @@ def run_checks(
 
 # ---------------------------------------------------------------------------
 # Actions
-
-
-def _entailment_names(e: Entailment) -> set[str]:
-    names = set(e.universals) | set(e.existentials)
-    names |= free_vars(e.lhs) | free_vars(e.rhs)
-    return names
 
 
 def _erase_one(items: list, f) -> bool:
@@ -207,7 +195,7 @@ def apply_action(
     for op in s.action.ops:
         match op:
             case LeftAdd(f) | RightAdd(f) | LeftErase(f) | RightErase(f):
-                g = _subst_formula(f, sigma)
+                g = substitute(f, sigma)
                 left = isinstance(op, (LeftAdd, LeftErase))
                 pure = isinstance(g, PureFormula)
                 target = (lp if pure else ls) if left else (rp if pure else rs)

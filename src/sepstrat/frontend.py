@@ -18,12 +18,14 @@ from .core import (
     Assertion,
     Bin,
     DataAt,
+    DuplicateDeclarationError,
     Emp,
     Entailment,
     Eq,
     ExistsA,
     FieldAddr,
     ForallA,
+    FrontendError,
     IntLit,
     Not,
     PredP,
@@ -52,6 +54,12 @@ DEFAULT_PRIORITY = 50
 # once per level, and the bound keeps it well inside Python's recursion limit.
 MAX_NESTING = 100
 
+# How tall the tree of an operator chain (`+`, `-`, `*`, `&&`, `||`, `<->`)
+# may grow, counting one more level for each construct the chain is nested
+# in.  The parser builds a chain in a loop, one tree level per operator, but
+# every later traversal recurses once per level, so the tree is bounded too.
+MAX_DEPTH = 850
+
 SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
 CHECK_KEYWORDS = frozenset({"left_absent", "right_absent", "infer"})
 OP_KEYWORDS = frozenset(
@@ -74,28 +82,13 @@ UNDECLARABLE = (
 # Errors
 
 
-class FrontendError(Exception):
-    def __init__(self, message: str, path: str = "<input>", line: int = 0, col: int = 0) -> None:
-        super().__init__(message)
-        self.message = message
-        self.path = path
-        self.line = line
-        self.col = col
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.message}"
-
-
 class ParseError(FrontendError):
     pass
 
 
 class _TooDeep(ParseError):
-    """Nesting beyond MAX_NESTING; backtracking never retries past it."""
-
-
-class DuplicateDeclarationError(FrontendError):
-    pass
+    """Nesting beyond MAX_NESTING or a tree beyond MAX_DEPTH; backtracking
+    never retries past it."""
 
 
 class UnknownIdentifierError(FrontendError):
@@ -353,6 +346,14 @@ class _Parser:
             raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.col)
         self.depth += 1
 
+    def chained(self, left, h: int, right, op: Token) -> int:
+        """Height of the node that op builds from left, of height h (0 when
+        not yet known), and right; an error when it passes MAX_DEPTH."""
+        h = 1 + max(h or core.height(left), core.height(right))
+        if h + self.depth > MAX_DEPTH:
+            raise _TooDeep(f"operator chain deeper than {MAX_DEPTH} levels", self.path, op.line, op.col)
+        return h
+
     def eat_ident(self, text: str | None = None) -> Token:
         t = self.peek()
         if t.kind != "ident" or (text is not None and t.text != text):
@@ -393,28 +394,29 @@ class _Parser:
 
     def _additive(self) -> Term:
         t = self._multiplicative()
-        while True:
-            if self.at_punct("+"):
-                self.next()
-                t = Arith("+", t, self._multiplicative())
-            elif self.at_punct("-") and not self.at_punct("-*"):
-                self.next()
-                t = Arith("-", t, self._multiplicative())
-            else:
-                return t
+        h = 0
+        while self.at_punct("+") or self.at_punct("-"):
+            op = self.next()
+            r = self._multiplicative()
+            h = self.chained(t, h, r, op)
+            t = Arith(op.text, t, r)
+        return t
 
     def _multiplicative(self) -> Term:
         t = self._primary()
+        h = 0
         while self.at_punct("*") and self._starts_term(self.peek(1)):
             save = self.pos, self.depth
-            self.next()
+            op = self.next()
             try:
-                t = Arith("*", t, self._primary())
+                r = self._primary()
             except _TooDeep:
                 raise
             except ParseError:
                 self.pos, self.depth = save
                 return t
+            h = self.chained(t, h, r, op)
+            t = Arith("*", t, r)
         return t
 
     def _primary(self) -> Term:
@@ -552,9 +554,12 @@ class _Parser:
 
     def _pure_iff(self) -> PureFormula:
         l = self._pure_impl()
+        h = 0
         while self.at_punct("<->"):
-            self.next()
-            l = Bin("<->", l, self._pure_impl())
+            tok = self.next()
+            r = self._pure_impl()
+            h = self.chained(l, h, r, tok)
+            l = Bin("<->", l, r)
         return l
 
     def _pure_impl(self) -> PureFormula:
@@ -568,16 +573,22 @@ class _Parser:
 
     def _pure_or(self) -> PureFormula:
         l = self._pure_and()
+        h = 0
         while self.at_punct("||"):
-            self.next()
-            l = Bin("||", l, self._pure_and())
+            tok = self.next()
+            r = self._pure_and()
+            h = self.chained(l, h, r, tok)
+            l = Bin("||", l, r)
         return l
 
     def _pure_and(self) -> PureFormula:
         l = self._pure_atom()
+        h = 0
         while self.at_punct("&&"):
-            self.next()
-            l = Bin("&&", l, self._pure_atom())
+            tok = self.next()
+            r = self._pure_atom()
+            h = self.chained(l, h, r, tok)
+            l = Bin("&&", l, r)
         return l
 
     def _pure_atom(self) -> PureFormula:
@@ -693,12 +704,6 @@ class _Parser:
         if isinstance(a, PureFormula):
             return PureA(a)
         return SpatialA(a)
-
-    def parse_assertion_entailment(self) -> tuple[Assertion, Assertion]:
-        hyp = self.parse_assertion()
-        self.eat_punct("|--")
-        concl = self.parse_assertion()
-        return hyp, concl
 
     # -- strategies
 
@@ -973,8 +978,8 @@ def parse_signature(text: str, path: str = "<input>") -> Signature:
             raise DuplicateDeclarationError(f"{name!r} is reserved and cannot be declared", path, name_tok.line, name_tok.col)
         try:
             sig.declare(name, kind, int(nat.text))
-        except core.DuplicateDeclarationError as exc:
-            raise DuplicateDeclarationError(str(exc), path, name_tok.line, name_tok.col) from None
+        except DuplicateDeclarationError as exc:
+            raise DuplicateDeclarationError(exc.message, path, name_tok.line, name_tok.col) from None
     return sig
 
 
@@ -1049,13 +1054,6 @@ def parse_assertion(text: str, sig: Signature, path: str = "<input>") -> Asserti
     a = p.parse_assertion()
     p.expect_eof()
     return a
-
-
-def parse_assertion_entailment(text: str, sig: Signature, path: str = "<input>") -> tuple[Assertion, Assertion]:
-    p = _Parser(text, sig, path)
-    pair = p.parse_assertion_entailment()
-    p.expect_eof()
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -1169,57 +1167,17 @@ def _pa(a: Assertion, level: int) -> str:
     raise TypeError(f"print_assertion: unsupported value {a!r}")
 
 
+class _FirstOccurrence(dict):
+    """A substitution that applies each of its entries once: `substitute`
+    looks variables up with `get` in printing order, and this `get` pops."""
+
+    def get(self, name, default=None):
+        return self.pop(name, default)
+
+
 def _print_pattern_atom(p: PatternAtom) -> str:
-    marked: set[str] = set()
-    binders = set(p.binders)
-
-    def term(t: Term, level: int) -> str:
-        match t:
-            case Var(name) if name in binders and name not in marked:
-                marked.add(name)
-                return f"?{name}"
-            case IntLit() | Var():
-                return _pt(t, level)
-            case FieldAddr(base, fld):
-                return f"field_addr({term(base, 0)}, {fld})"
-            case Apply(fn, args):
-                return f"{fn}({', '.join(term(x, 0) for x in args)})"
-            case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
-                s = "-" + term(r, 2)
-                return f"({s})" if level > 1 else s
-            case Arith(op, l, r):
-                if op == "*":
-                    s = f"{term(l, 1)} * {term(r, 2)}"
-                    return f"({s})" if level > 1 else s
-                s = f"{term(l, 0)} {op} {term(r, 1)}"
-                return f"({s})" if level > 0 else s
-        raise TypeError(t)
-
-    def pure(f: PureFormula) -> str:
-        match f:
-            case TrueF():
-                return "true"
-            case Eq(l, r):
-                return f"{term(l, 0)} == {term(r, 0)}"
-            case Rel(op, l, r):
-                return f"{term(l, 0)} {op} {term(r, 0)}"
-            case Not(inner):
-                return f"!({pure(inner)})"
-            case Bin(op, l, r):
-                return f"({pure(l)} {op} {pure(r)})"
-            case PredP(name, args):
-                return f"{name}({', '.join(term(x, 0) for x in args)})"
-        raise TypeError(f)
-
-    f = p.formula
-    if isinstance(f, PureFormula):
-        return pure(f)
-    match f:
-        case DataAt(addr, value):
-            return f"data_at({term(addr, 0)}, {term(value, 0)})"
-        case PredS(name, args):
-            return f"{name}({', '.join(term(x, 0) for x in args)})"
-    raise TypeError(f)
+    marked = _FirstOccurrence({b: Var(f"?{b}") for b in p.binders})
+    return print_conjunct(core.substitute(p.formula, marked))
 
 
 def print_strategy(s: Strategy) -> str:

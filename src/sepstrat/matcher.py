@@ -11,26 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .core import (
-    Apply,
-    Arith,
-    Bin,
-    DataAt,
-    Emp,
-    Entailment,
-    Eq,
-    FieldAddr,
-    IntLit,
-    Not,
-    PredP,
-    PredS,
-    PureFormula,
-    Rel,
-    SpatialAtom,
-    Term,
-    TrueF,
-    Var,
-)
+from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var
 from .frontend import Pattern, PatternAtom, Strategy
 
 LEFT = "left"
@@ -48,96 +29,35 @@ class PatternSubstitution:
     used_conjuncts: dict[int, tuple[str, str, int]]
 
 
-def _match_term(pat: Term, target: Term, m: dict[str, Term], binders: frozenset[str]) -> dict[str, Term] | None:
-    match pat:
-        case Var(name):
-            if name in m:
-                return m if m[name] == target else None
-            if name in binders:
-                m2 = dict(m)
-                m2[name] = target
-                return m2
-            return m if pat == target else None
-        case IntLit():
-            return m if pat == target else None
-        case FieldAddr(base, fld):
-            if isinstance(target, FieldAddr) and target.field == fld:
-                return _match_term(base, target.base, m, binders)
-            return None
-        case Apply(fn, args):
-            if isinstance(target, Apply) and target.fn == fn and len(target.args) == len(args):
-                return _match_seq(args, target.args, m, binders)
-            return None
-        case Arith(op, l, r):
-            if isinstance(target, Arith) and target.op == op:
-                m2 = _match_term(l, target.left, m, binders)
-                if m2 is None:
+def _match(pat, target, m: dict[str, Term], binders: frozenset[str]) -> dict[str, Term] | None:
+    """Extend m, in place, so that pat under m equals target; None when no
+    extension does.  A pattern variable in binders binds at its first
+    occurrence; every other node must agree in class, labels and arity."""
+    cls = type(pat)
+    if cls is Var:
+        name = pat.name
+        if name in m:
+            return m if m[name] == target else None
+        if name in binders:
+            m[name] = target
+            return m
+        return m if pat == target else None
+    if type(target) is not cls:
+        return None
+    for name, kid in _FIELDS[cls]:
+        p, t = getattr(pat, name), getattr(target, name)
+        if not kid:
+            if p != t:
+                return None
+        elif type(p) is tuple:
+            if len(p) != len(t):
+                return None
+            for a, b in zip(p, t):
+                if _match(a, b, m, binders) is None:
                     return None
-                return _match_term(r, target.right, m2, binders)
-            return None
-    raise TypeError(f"match: unsupported pattern term {pat!r}")
-
-
-def _match_seq(pats, targets, m: dict[str, Term], binders: frozenset[str]) -> dict[str, Term] | None:
-    for p, t in zip(pats, targets):
-        m = _match_term(p, t, m, binders)
-        if m is None:
+        elif _match(p, t, m, binders) is None:
             return None
     return m
-
-
-def _match_formula(
-    pat: PureFormula | SpatialAtom,
-    target: PureFormula | SpatialAtom,
-    m: dict[str, Term],
-    binders: frozenset[str],
-) -> dict[str, Term] | None:
-    match pat:
-        case TrueF():
-            return m if isinstance(target, TrueF) else None
-        case Eq(l, r):
-            if isinstance(target, Eq):
-                m2 = _match_term(l, target.left, m, binders)
-                if m2 is None:
-                    return None
-                return _match_term(r, target.right, m2, binders)
-            return None
-        case Rel(op, l, r):
-            if isinstance(target, Rel) and target.op == op:
-                m2 = _match_term(l, target.left, m, binders)
-                if m2 is None:
-                    return None
-                return _match_term(r, target.right, m2, binders)
-            return None
-        case Not(inner):
-            if isinstance(target, Not):
-                return _match_formula(inner, target.inner, m, binders)
-            return None
-        case Bin(op, l, r):
-            if isinstance(target, Bin) and target.op == op:
-                m2 = _match_formula(l, target.left, m, binders)
-                if m2 is None:
-                    return None
-                return _match_formula(r, target.right, m2, binders)
-            return None
-        case PredP(name, args):
-            if isinstance(target, PredP) and target.name == name and len(target.args) == len(args):
-                return _match_seq(args, target.args, m, binders)
-            return None
-        case Emp():
-            return m if isinstance(target, Emp) else None
-        case DataAt(addr, value):
-            if isinstance(target, DataAt):
-                m2 = _match_term(addr, target.addr, m, binders)
-                if m2 is None:
-                    return None
-                return _match_term(value, target.value, m2, binders)
-            return None
-        case PredS(name, args):
-            if isinstance(target, PredS) and target.name == name and len(target.args) == len(args):
-                return _match_seq(args, target.args, m, binders)
-            return None
-    raise TypeError(f"match: unsupported pattern formula {pat!r}")
 
 
 def match_atom(
@@ -147,9 +67,7 @@ def match_atom(
 ) -> dict[str, Term] | None:
     """Match one pattern conjunct against one conjunct occurrence, extending
     the partial binding.  Returns the extended mapping or None."""
-    if isinstance(pat.formula, PureFormula) != isinstance(target, PureFormula):
-        return None
-    return _match_formula(pat.formula, target, dict(partial), frozenset(pat.binders))
+    return _match(pat.formula, target, dict(partial), frozenset(pat.binders))
 
 
 def _candidates(e: Entailment, side: str, kind: str) -> tuple:

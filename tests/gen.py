@@ -10,6 +10,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from sepstrat.core import (
+    AndA,
     Apply,
     Arith,
     Bin,
@@ -17,16 +18,22 @@ from sepstrat.core import (
     Emp,
     Entailment,
     Eq,
+    ExistsA,
     FieldAddr,
+    ForallA,
     IntLit,
     Not,
     PredP,
     PredS,
+    PureA,
     Rel,
+    SepConj,
     Signature,
+    SpatialA,
     SymbolicHeap,
     TrueF,
     Var,
+    Wand,
     free_vars,
 )
 
@@ -108,6 +115,27 @@ def heaps(draw, max_conjuncts: int = 4):
     pures = draw(st.lists(pure_atoms(), max_size=max_conjuncts))
     spatials = draw(st.lists(spatial_atoms(), max_size=max_conjuncts))
     return SymbolicHeap(tuple(pures), tuple(spatials))
+
+
+@st.composite
+def assertions(draw, max_depth: int = 3):
+    """Assertions with binders that may shadow or capture VAR_NAMES."""
+    if max_depth <= 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(pure_formulas().map(PureA), spatial_atoms().map(SpatialA)))
+    sub = assertions(max_depth=max_depth - 1)
+    kind = draw(st.sampled_from(["sep", "and", "wand", "forall", "exists"]))
+    if kind == "sep":
+        return SepConj(tuple(draw(st.lists(sub, max_size=3))))
+    if kind == "and":
+        return AndA(tuple(draw(st.lists(sub, max_size=3))))
+    if kind == "wand":
+        return Wand(draw(sub), draw(sub))
+    vs = tuple(draw(st.lists(st.sampled_from(VAR_NAMES), min_size=1, max_size=2, unique=True)))
+    return (ForallA if kind == "forall" else ExistsA)(vs, draw(sub))
+
+
+# Every kind of node the traversals in core take.
+syntax = st.one_of(terms(), pure_formulas(), spatial_atoms(), heaps(), assertions())
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from conftest import CORPUS, load_library
 from sepstrat.cli import main
 from sepstrat.engine import replay_document
-from sepstrat.frontend import MAX_NESTING
+from sepstrat.frontend import MAX_DEPTH, MAX_NESTING
 
 
 def corpus(name):
@@ -158,6 +158,23 @@ class TestPurify:
 
 
 class TestFrame:
+    @pytest.mark.parametrize("op", ["+", "&&"])
+    def test_800_term_chain_frames(self, op, tmp_path, capsys):
+        long, trace = tmp_path / "long.sle", tmp_path / "trace.json"
+        body = "0 < " + " + ".join(["x"] * 800) if op == "+" else "(" + " && ".join(["0 < x"] * 800) + ")"
+        long.write_text(f"forall x, {body} && data_at(x, x) |-- emp\n")
+        rc = run_cli(
+            "frame",
+            "--sig", corpus("common.sig"),
+            "--strategies", corpus("common.stg"),
+            "--input", str(long),
+            "--trace", str(trace),
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("framed 1/1\n")
+        if op == "+":
+            replay_document(json.loads(trace.read_text()), *load_library("common"))
+
     def test_frame_inference(self, capsys):
         rc = run_cli(
             "frame",
@@ -293,6 +310,16 @@ class TestValidate:
         assert rc == 2
         col = len("forall x, ") + MAX_NESTING + 1
         assert err == f"{deep}:1:{col}: nesting deeper than {MAX_NESTING} levels\n"
+
+    @pytest.mark.parametrize("op", ["+", "&&"])
+    def test_long_chain_diagnostic(self, op, tmp_path, capsys):
+        long = tmp_path / "long.sle"
+        body = "0 < " + " + ".join(["x"] * 2000) if op == "+" else "(" + " && ".join(["0 < x"] * 2000) + ")"
+        long.write_text(f"forall x, {body} |-- emp\n")
+        rc = run_cli("validate", "--sig", corpus("common.sig"), "--input", str(long))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.fullmatch(rf"{re.escape(str(long))}:1:\d+: operator chain deeper than {MAX_DEPTH} levels\n", err)
 
     def test_without_input(self, capsys):
         rc = run_cli("validate", "--sig", corpus("array.sig"), "--strategies", corpus("array.stg"))

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepstrat.core import (
+    _KIDS,
     AndA,
     Apply,
     Arith,
-    CaptureError,
     DataAt,
     DuplicateDeclarationError,
     Emp,
@@ -19,23 +22,29 @@ from sepstrat.core import (
     IntLit,
     PredS,
     PureA,
+    PureFormula,
     Rel,
     SepConj,
     Signature,
     SpatialA,
+    SpatialAtom,
     SymbolicHeap,
+    Term,
     TrueF,
     Var,
     Wand,
     alpha_equivalent,
     free_vars,
     fresh_name,
+    height,
     normalize,
     occurring_vars,
+    rebuild,
     substitute,
     well_formed,
     well_formed_report,
 )
+from sepstrat.core import Assertion
 
 import gen
 
@@ -74,6 +83,48 @@ class TestSignature:
     def test_reserved_rejected(self, name):
         with pytest.raises(DuplicateDeclarationError):
             Signature().declare(name, "pure", 1)
+
+
+def _defined_subclasses(base):
+    """Subclasses reachable by name from their module: `slots=True` leaves
+    the class it replaces behind in `__subclasses__`."""
+    return [c for c in base.__subclasses__() if getattr(sys.modules[c.__module__], c.__qualname__, None) is c]
+
+
+class TestNodeShapes:
+    NODE_CLASSES = [c for base in (Term, PureFormula, SpatialAtom, Assertion) for c in _defined_subclasses(base)]
+
+    def test_every_node_class_has_an_entry(self):
+        assert set(_KIDS) == set(self.NODE_CLASSES) | {SymbolicHeap}
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES + [SymbolicHeap], ids=lambda c: c.__name__)
+    def test_children_are_the_node_fields_in_declaration_order(self, cls):
+        node_types = ("Term", "PureFormula", "SpatialAtom", "Assertion")
+        nodes = [f.name for f in dataclasses.fields(cls) if any(t in f.type for t in node_types)]
+        assert nodes == list(_KIDS[cls])
+
+    def test_height_counts_nodes_on_the_longest_path(self):
+        assert height(Var("x")) == 1
+        assert height(Eq(Var("x"), Arith("+", Var("x"), IntLit(1)))) == 3
+        assert height(SymbolicHeap((), (PredS("listrep", (Var("p"), Var("l"))),))) == 3
+
+
+@given(gen.syntax)
+@settings(max_examples=150)
+def test_rebuild_from_own_children_is_identity(x):
+    assert rebuild(x, [getattr(x, name) for name in _KIDS[type(x)]]) == x
+
+
+@given(gen.syntax)
+@settings(max_examples=150)
+def test_free_vars_are_the_occurring_vars(x):
+    assert free_vars(x) == set(occurring_vars(x))
+
+
+@given(gen.syntax)
+@settings(max_examples=150)
+def test_identity_substitution(x):
+    assert substitute(x, {v: Var(v) for v in free_vars(x)}) == x
 
 
 class TestVars:
@@ -118,11 +169,6 @@ class TestSubstitute:
         assert isinstance(got, ForallA)
         assert got.vars == ("v'1",)
         assert got.body == PureA(Eq(Var("v'1"), Var("v")))
-
-    def test_capture_error_when_renaming_disabled(self):
-        a = ForallA(("v",), PureA(Eq(Var("v"), Var("y"))))
-        with pytest.raises(CaptureError):
-            substitute(a, {"y": Var("v")}, rename_on_capture=False)
 
 
 class TestWellFormed:

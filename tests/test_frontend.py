@@ -16,7 +16,9 @@ from sepstrat.core import (
     SymbolicHeap,
     Var,
 )
+from sepstrat import core
 from sepstrat.frontend import (
+    MAX_DEPTH,
     MAX_NESTING,
     ArityMismatchError,
     DuplicateDeclarationError,
@@ -149,6 +151,13 @@ class TestSignatureFiles:
         with pytest.raises(DuplicateDeclarationError):
             parse_signature("func f/1;\nfunc f/1;\n")
 
+    def test_one_duplicate_declaration_error(self):
+        assert DuplicateDeclarationError is core.DuplicateDeclarationError
+        assert FrontendError is core.FrontendError
+        with pytest.raises(DuplicateDeclarationError) as info:
+            parse_signature("func f/1;\nfunc f/2;\n", "lib.sig")
+        assert str(info.value) == "lib.sig:2:6: f is already declared"
+
     @pytest.mark.parametrize("name", ["forall", "left_absent", "instantiate", "emp", "strategy"])
     def test_reserved_words_not_declarable(self, name):
         with pytest.raises(FrontendError):
@@ -277,6 +286,55 @@ class TestNestingLimit:
         with pytest.raises(ParseError) as info:
             parse(text, SIG, "deep.sle")
         assert str(info.value) == f"deep.sle:1:{col}: nesting deeper than {MAX_NESTING} levels"
+
+
+class TestChainLimit:
+    # name -> (head, operand, operator, tail, height of an operand, nesting
+    # depth of the chain)
+    CASES = {
+        "sum": ("forall x, 0 < ", "x", " + ", " |-- emp", 1, 0),
+        "difference": ("forall x, 0 < ", "x", " - ", " |-- emp", 1, 0),
+        "product": ("forall x, 0 < ", "x", " * ", " |-- emp", 1, 0),
+        "parenthesised sum": ("forall x, 0 < (", "x", " + ", ") |-- emp", 1, 1),
+        "conjunction": ("forall x, (", "0 < x", " && ", ") |-- emp", 2, 1),
+        "disjunction": ("forall x, (", "0 < x", " || ", ") |-- emp", 2, 1),
+        "equivalence": ("forall x, (", "0 < x", " <-> ", ") |-- emp", 2, 1),
+    }
+
+    def chain(self, case, extra):
+        """The longest chain the bound admits, plus extra operands, and the
+        column of its last operator."""
+        head, operand, op, tail, h, depth = self.CASES[case]
+        n = MAX_DEPTH + 1 - h - depth + extra
+        text = head + op.join([operand] * n) + tail
+        col = len(head) + (n - 1) * len(operand) + (n - 2) * len(op) + len(op) - len(op.lstrip()) + 1
+        return text, col
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_limit_accepted(self, case):
+        text, _ = self.chain(case, 0)
+        [e] = parse_entailments(text, SIG, "long.sle")
+        assert core.height(e.lhs) <= MAX_DEPTH + 2
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_operand_more_rejected_at_its_operator(self, case):
+        text, col = self.chain(case, 1)
+        with pytest.raises(ParseError) as info:
+            parse_entailments(text, SIG, "long.sle")
+        assert str(info.value) == f"long.sle:1:{col}: operator chain deeper than {MAX_DEPTH} levels"
+
+    def test_nesting_counts_toward_the_bound(self):
+        text, _ = self.chain("sum", 0)
+        with pytest.raises(ParseError, match="operator chain deeper"):
+            parse_entailments(text.replace("0 < ", "0 < nth(").replace(" |--", ", l) |--"), SIG)
+
+    @pytest.mark.parametrize("op", [" + ", " && "])
+    def test_long_chain_in_a_strategy(self, op):
+        operand = "x" if op == " + " else "0 < x"
+        chain = op.join([operand] * 2000)
+        text = f"strategy s\n  left: ?x == x\n  check: infer(({chain}) == 0);\n  action: left_erase(x == x);\n"
+        with pytest.raises(ParseError, match="operator chain deeper"):
+            parse_strategies(text, SIG)
 
 
 class TestAssertions:

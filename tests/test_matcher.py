@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import helpers
 from conftest import CORPUS
-from sepstrat.core import IntLit, Var
-from sepstrat.frontend import parse_entailment, parse_strategies
-from sepstrat.matcher import match_strategy
+from sepstrat.core import IntLit, Var, occurring_vars, substitute
+from sepstrat.frontend import PatternAtom, parse_entailment, parse_strategies
+from sepstrat.matcher import match_atom, match_strategy
 
 SIG = gen.test_signature()
 
@@ -164,3 +165,14 @@ LIBRARY = _library_strategies()
 def test_brute_force_equivalence(e):
     for s in LIBRARY:
         assert list(match_strategy(s, e)) == helpers.brute_match(s, e)
+
+
+@given(
+    st.one_of(gen.pure_formulas(), gen.spatial_atoms()),
+    st.fixed_dictionaries({v: gen.terms(max_depth=2) for v in gen.VAR_NAMES}),
+)
+@settings(max_examples=150)
+def test_pattern_of_every_variable_recovers_the_substitution(f, sigma):
+    vs = occurring_vars(f)
+    got = match_atom(PatternAtom(f, tuple(vs)), substitute(f, sigma), {})
+    assert got == {v: sigma[v] for v in vs}
