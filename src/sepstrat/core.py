@@ -4,11 +4,19 @@ Terms, pure formulas, spatial atoms, symbolic heaps, entailments and the
 assertion language (with separating conjunction, magic wand and quantifiers)
 are immutable dataclasses.  Conjunct collections have multiset semantics but
 keep insertion order so that matching and printing stay deterministic.
+
+Term, pure-formula, spatial-atom and assertion nodes are hash-consed
+(Filliâtre & Conchon 2006, "Type-safe modular hash-consing"): their
+constructors return one shared object per structure, so `==` and `hash` on
+nodes are object identity, O(1) whatever the depth.  Each node also carries
+its free variables, computed once when it is first built.  Symbolic heaps and
+entailments stay plain value dataclasses over such nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
@@ -44,39 +52,89 @@ class DuplicateDeclarationError(FrontendError):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+
+# Every live node, keyed by (class, field values).  Values are held weakly, so
+# a node leaves the table with its last user; the key holds the children,
+# which the node holds anyway.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+class _Interned(type):
+    """Metaclass of the node classes: calling a node class returns the one
+    node with those field values, building it only on the first call."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # dataclasses.replace and other keyword callers
+            made = super().__call__(*args, **kwargs)
+            args = tuple(getattr(made, name) for name in cls.__match_args__)
+        if cls._tuple_fields:
+            args = list(args)
+            for i in cls._tuple_fields:
+                args[i] = tuple(args[i])
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__call__(*args)
+            object.__setattr__(node, "_fv", _own_free_vars(node))
+            _NODES[key] = node
+        return node
+
+
+class _Node(metaclass=_Interned):
+    """Base of the four node kinds.  `_fv` holds the node's free variables;
+    `__weakref__` lets the table hold it weakly."""
+
+    __slots__ = ("__weakref__", "_fv")
+    _tuple_fields: tuple[int, ...] = ()  # positions of the tuple-valued fields
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so they
+        # return the canonical node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _node(cls):
+    """Declare a hash-consed node class: a frozen, slotted dataclass whose
+    equality and hash are those of object identity."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._tuple_fields = tuple(i for i, f in enumerate(fields(cls)) if str(f.type).startswith("tuple"))
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class IntLit(Term):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FieldAddr(Term):
     base: Term
     field: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Apply(Term):
     fn: str
     args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class Arith(Term):
     op: str  # one of ARITH_OPS
     left: Term
@@ -87,75 +145,69 @@ class Arith(Term):
 # Pure formulas
 
 
-class PureFormula:
+class PureFormula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TrueF(PureFormula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eq(PureFormula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Rel(PureFormula):
     op: str  # one of REL_OPS
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(PureFormula):
     inner: PureFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bin(PureFormula):
     op: str  # one of BIN_OPS
     left: PureFormula
     right: PureFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PredP(PureFormula):
     name: str
     args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 # ---------------------------------------------------------------------------
 # Spatial atoms
 
 
-class SpatialAtom:
+class SpatialAtom(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Emp(SpatialAtom):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class DataAt(SpatialAtom):
     addr: Term
     value: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PredS(SpatialAtom):
     name: str
     args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 # ---------------------------------------------------------------------------
@@ -192,58 +244,46 @@ class Entailment:
 # Assertions
 
 
-class Assertion:
+class Assertion(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PureA(Assertion):
     formula: PureFormula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SpatialA(Assertion):
     atom: SpatialAtom
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SepConj(Assertion):
     parts: tuple[Assertion, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class AndA(Assertion):
     parts: tuple[Assertion, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class Wand(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallA(Assertion):
     vars: tuple[str, ...]
     body: Assertion
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", tuple(self.vars))
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsA(Assertion):
     vars: tuple[str, ...]
     body: Assertion
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", tuple(self.vars))
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,10 +414,26 @@ def _occurs(x: Syntax, out: dict[str, None]) -> None:
             _occurs(y, out)
 
 
-def free_vars(x: Syntax) -> set[str]:
-    out: dict[str, None] = {}
-    _occurs(x, out)
-    return set(out)
+def _own_free_vars(x: Syntax) -> frozenset[str]:
+    """The free variables of a new node, from its children's cached ones."""
+    cls = type(x)
+    if cls is Var:
+        return frozenset((x.name,))
+    if cls is ForallA or cls is ExistsA:
+        return x.body._fv.difference(x.vars)
+    fv = _NO_VARS
+    for y in _children(x):
+        if not y._fv <= fv:
+            fv = fv | y._fv if fv else y._fv
+    return fv
+
+
+def free_vars(x: Syntax) -> frozenset[str]:
+    """The free variables of x.  For a node this is the node's own cached
+    set, shared by every caller."""
+    if type(x) is SymbolicHeap:
+        return _NO_VARS.union(*[f._fv for f in x.pures], *[a._fv for a in x.spatials])
+    return x._fv
 
 
 def occurring_vars(x: Syntax) -> list[str]:
@@ -410,13 +466,16 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 def substitute(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
     """Capture-avoiding simultaneous substitution of terms for free variables.
 
-    Binders that would capture a substituted variable are alpha-renamed.
+    Binders that would capture a substituted variable are alpha-renamed.  A
+    subtree with no free variable in the mapping is returned as it is.
     """
     return _subst(x, mapping) if mapping else x
 
 
 def _subst(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
     cls = type(x)
+    if cls is not SymbolicHeap and x._fv.isdisjoint(mapping):
+        return x
     if cls is Var:
         return mapping.get(x.name, x)
     if cls is ForallA or cls is ExistsA:
@@ -450,7 +509,7 @@ def _under_binders(
     captured = [v for v in vs if v in range_free]
     if not captured:
         return vs, body, live
-    avoid = body_free | range_free | set(vs) | set(live)
+    avoid = {*body_free, *range_free, *vs, *live}
     renaming: dict[str, Term] = {}
     vs2: list[str] = []
     for v in vs:

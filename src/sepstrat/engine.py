@@ -68,7 +68,6 @@ class ReplayError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class SideCondition:
-    hypothesis_pures: tuple[PureFormula, ...]
     goal: PureFormula
     status: ProofStatus
     strategy: str
@@ -127,7 +126,6 @@ def run_checks(
                         res = memo[key] = smt.infer(*key)
                 conditions.append(
                     SideCondition(
-                        hypothesis_pures=e.lhs.pures,
                         goal=f,
                         status=res.status,
                         strategy=s.name,
@@ -141,14 +139,6 @@ def run_checks(
 
 # ---------------------------------------------------------------------------
 # Actions
-
-
-def _erase_one(items: list, f) -> bool:
-    for i, g in enumerate(items):
-        if g == f:
-            del items[i]
-            return True
-    return False
 
 
 def apply_action(
@@ -185,12 +175,7 @@ def apply_action(
     existentials = list(e.existentials)
 
     def current_names() -> set[str]:
-        names = set(universals) | set(existentials)
-        for f in lp + rp:
-            names |= free_vars(f)
-        for a in ls + rs:
-            names |= free_vars(a)
-        return names
+        return set(universals).union(existentials, *map(free_vars, lp + ls + rp + rs))
 
     for op in s.action.ops:
         match op:
@@ -202,9 +187,10 @@ def apply_action(
                 if isinstance(op, (LeftAdd, RightAdd)):
                     if not isinstance(g, Emp):
                         target.append(g)
+                elif isinstance(g, Emp) or g not in target:
+                    return None
                 else:
-                    if isinstance(g, Emp) or not _erase_one(target, g):
-                        return None
+                    target.remove(g)
             case ForallAdd(x) | ExistAdd(x):
                 seeded = sigma.get(x)
                 if seeded is not None:
@@ -214,9 +200,7 @@ def apply_action(
                     if name in current_names():
                         return None
                 else:
-                    avoid = current_names()
-                    for t in sigma.values():
-                        avoid |= free_vars(t)
+                    avoid = current_names().union(*map(free_vars, sigma.values()))
                     name = fresh_name(x, avoid)
                     sigma[x] = Var(name)
                 (universals if isinstance(op, ForallAdd) else existentials).append(name)

@@ -1098,7 +1098,14 @@ def print_pure(f: PureFormula) -> str:
         case Not(inner):
             return f"!({print_pure(inner)})"
         case Bin(op, l, r):
-            return f"({print_pure(l)} {op} {print_pure(r)})"
+            # A left-nested chain of `&&`, `||` or `<->` prints flat, inside
+            # one pair of parentheses, as the parser builds it back.
+            operands = [r]
+            while op != "->" and type(l) is Bin and l.op == op:
+                operands.append(l.right)
+                l = l.left
+            operands.append(l)
+            return f"({f' {op} '.join(print_pure(x) for x in reversed(operands))})"
         case PredP(name, args):
             return f"{name}({', '.join(print_term(a) for a in args)})"
     raise TypeError(f"print_pure: unsupported value {f!r}")

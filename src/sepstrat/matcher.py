@@ -32,16 +32,17 @@ class PatternSubstitution:
 def _match(pat, target, m: dict[str, Term], binders: frozenset[str]) -> dict[str, Term] | None:
     """Extend m, in place, so that pat under m equals target; None when no
     extension does.  A pattern variable in binders binds at its first
-    occurrence; every other node must agree in class, labels and arity."""
+    occurrence; every other node must agree in class, labels and arity.
+    Nodes are hash-consed, so `is` compares terms structurally."""
     cls = type(pat)
     if cls is Var:
         name = pat.name
         if name in m:
-            return m if m[name] == target else None
+            return m if m[name] is target else None
         if name in binders:
             m[name] = target
             return m
-        return m if pat == target else None
+        return m if pat is target else None
     if type(target) is not cls:
         return None
     for name, kid in _FIELDS[cls]:

@@ -175,6 +175,44 @@ class TestFrame:
         if op == "+":
             replay_document(json.loads(trace.read_text()), *load_library("common"))
 
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_200_operand_chain_replays(self, op, tmp_path, capsys):
+        src, trace = tmp_path / "chain.sle", tmp_path / "trace.json"
+        chain = "(" + f" {op} ".join(["0 < x"] * 200) + ")"
+        src.write_text(f"forall x, {chain} && data_at(x, x) |-- emp\n")
+        rc = run_cli(
+            "frame",
+            "--sig", corpus("common.sig"),
+            "--strategies", corpus("common.stg"),
+            "--input", str(src),
+            "--trace", str(trace),
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("framed 1/1\n")
+        doc = json.loads(trace.read_text())
+        assert doc["traces"][0]["input"] == f"forall x, {chain} && data_at(x, x) |-- emp"
+        replay_document(doc, *load_library("common"))
+
+    @pytest.mark.parametrize("zeros", [500, 840])
+    def test_deep_antecedent_term_frames_and_replays(self, zeros, tmp_path, capsys):
+        src, trace = tmp_path / "deep.sle", tmp_path / "trace.json"
+        bound = "n" + " + 0" * zeros
+        src.write_text(
+            f"forall a l n i, 0 <= i && i < {bound} && store_array(a, 0, n, l)"
+            " |-- exists v, data_at(a + 4 * i, v)\n"
+        )
+        rc = run_cli(
+            "frame",
+            "--sig", corpus("array.sig"),
+            "--strategies", corpus("array.stg"),
+            "--input", str(src),
+            "--trace", str(trace),
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"frame: 0 <= i && i < {bound} && ") and out.endswith("framed 1/1\n")
+        replay_document(json.loads(trace.read_text()), *load_library("array"))
+
     def test_frame_inference(self, capsys):
         rc = run_cli(
             "frame",

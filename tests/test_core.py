@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
+import pickle
 import sys
 
 import pytest
@@ -44,7 +47,8 @@ from sepstrat.core import (
     well_formed,
     well_formed_report,
 )
-from sepstrat.core import Assertion
+from sepstrat.core import _NODES, Assertion
+from sepstrat.frontend import parse_heap, parse_term, print_heap, print_term
 
 import gen
 
@@ -279,3 +283,77 @@ def _as_assertion(h: SymbolicHeap):
 def test_normalize_idempotent(h):
     a = _as_assertion(h)
     assert normalize(normalize(a)) == normalize(a)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+nodes = st.one_of(gen.terms(), gen.pure_formulas(), gen.spatial_atoms(), gen.assertions())
+SIG = gen.test_signature()
+
+
+def _built_afresh(x):
+    """x built again bottom up through the constructors, tuple fields passed
+    as lists."""
+    kids = []
+    for name in _KIDS[type(x)]:
+        c = getattr(x, name)
+        kids.append([_built_afresh(y) for y in c] if type(c) is tuple else _built_afresh(c))
+    return rebuild(x, kids)
+
+
+class TestInterning:
+    @given(nodes)
+    @settings(max_examples=150)
+    def test_structurally_equal_nodes_are_one_object(self, x):
+        assert _built_afresh(x) is x
+        assert rebuild(x, [getattr(x, name) for name in _KIDS[type(x)]]) is x
+
+    @given(gen.terms(), gen.heaps())
+    @settings(max_examples=150)
+    def test_parsing_the_printed_node_returns_it(self, t, h):
+        assert parse_term(print_term(t), SIG) is t
+        back = parse_heap(print_heap(h), SIG)
+        conjuncts = h.pures + h.spatials
+        assert len(back.pures + back.spatials) == len(conjuncts)
+        assert all(a is b for a, b in zip(back.pures + back.spatials, conjuncts))
+
+    @given(nodes)
+    @settings(max_examples=100)
+    def test_copies_are_the_canonical_node(self, x):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert dataclasses.replace(x) is x
+
+    def test_unused_nodes_leave_the_table(self):
+        name = "node_built_by_this_test_only"
+        x = Apply(name, (Var(name),))
+        assert (Var, name) in _NODES and (Apply, name, x.args) in _NODES
+        del x
+        gc.collect()
+        assert (Var, name) not in _NODES
+        assert not [k for k in list(_NODES.keys()) if k[0] is Apply and k[1] == name]
+
+    @given(nodes, st.dictionaries(st.sampled_from(gen.VAR_NAMES), gen.terms(), max_size=4))
+    @settings(max_examples=150)
+    def test_substitution_disjoint_from_the_free_variables_returns_the_node(self, x, m):
+        m = {v: t for v, t in m.items() if v not in free_vars(x)}
+        assert substitute(x, m) is x
+
+    def test_deep_terms_hash_and_compare_without_recursion(self):
+        def chain(depth):
+            t = Var("n")
+            for _ in range(depth):
+                t = Arith("+", t, IntLit(0))
+            return t
+
+        deep = chain(600)
+        assert hash(deep) == hash(chain(600))
+        assert deep == chain(600) and deep != chain(599)
+        assert free_vars(deep) == {"n"}
+
+    def test_free_variables_are_cached(self):
+        f = Eq(Apply("app", (Var("x"), Var("y"))), Var("x"))
+        assert free_vars(f) is free_vars(f) and isinstance(free_vars(f), frozenset)
+        assert free_vars(ForallA(("x",), PureA(f))) == {"y"}

@@ -123,7 +123,6 @@ class TestRunChecks:
         c = conds[0]
         assert c.status is ProofStatus.PROVEN
         assert c.goal == ent("forall v, 0 <= v |-- emp").lhs.pures[0]
-        assert c.hypothesis_pures == e.lhs.pures
         assert c.strategy == "s" and c.step_index == -1
 
     def test_infer_failure_rejects(self):
@@ -642,7 +641,8 @@ class TestReplay:
             tr = run(prog, e)
             doc = traces_to_document([tr])
             recorded = [c["goal"] for st in doc["traces"][0]["steps"] for c in st["side_conditions"]]
-            queries = [(c.hypothesis_pures, c.goal) for ts in tr.steps for c in ts.side_conditions]
+            before = [tr.input] + [ts.entailment_after for ts in tr.steps]
+            queries = [(b.lhs.pures, c.goal) for b, ts in zip(before, tr.steps) for c in ts.side_conditions]
             repeated |= len(set(queries)) < len(queries)
             infer_calls.clear()
             step(prog, tr.final)

@@ -1,26 +1,33 @@
 """Byte goldens for what the CLI and the printers produce on the corpus.
 
 For each `corpus/*.sle` input, `sepstrat frame --trace` stdout and trace JSON;
-for each corpus library, `print_program` of its parsed strategies.  Any
-change to the bytes is a change to the CLI output, the trace format or the
-printers, and needs a deliberate regeneration:
+for each corpus library, `print_program` of its parsed strategies; for the
+perfbench workloads at two seeds, the sha256 and byte length of the trace JSON
+of the whole batch.  Any change to the bytes is a change to the CLI output,
+the trace format, the printers or the rewriting itself, and needs a
+deliberate regeneration:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, GOLDENS, load_library
+from sepstrat import engine
 from sepstrat.cli import main
-from sepstrat.frontend import print_program
+from sepstrat.frontend import parse_entailments, print_program
 
 INPUTS = sorted(p.stem for p in CORPUS.glob("*.sle"))
 LIBRARIES = sorted(p.stem for p in CORPUS.glob("*.stg"))
+PERFBENCH = CORPUS.parent / "perfbench" / "workloads.py"
+PERFBENCH_RUNS = [(w, seed) for w in ("cells", "sll", "arrays") for seed in (1, 7)]
 
 
 def _frame(name: str, tmp: Path) -> tuple[bytes, bytes]:
@@ -44,6 +51,27 @@ def _program(lib: str) -> bytes:
     return print_program(load_library(lib)[1]).encode()
 
 
+def _load_workloads() -> dict:
+    """The generators of perfbench/workloads.py, which is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+def _perfbench_trace(workload: str, seed: int) -> str:
+    """`<workload> <seed> <sha256> <bytes>` of the batch's trace JSON."""
+    batch = WORKLOADS[workload](seed)
+    sig, prog = load_library(batch.library)
+    ents = parse_entailments(batch.text, sig, f"{workload}.sle")
+    doc = engine.traces_to_document(engine.run(prog, e) for e in ents)
+    data = engine.document_to_json(doc).encode()
+    return f"{workload} {seed} {hashlib.sha256(data).hexdigest()} {len(data)}"
+
+
 def test_corpus_is_covered():
     assert len(INPUTS) == 6 and LIBRARIES == ["array", "common", "sll"]
 
@@ -60,6 +88,12 @@ def test_print_program(lib):
     assert _program(lib) == (GOLDENS / f"program_{lib}.stg").read_bytes()
 
 
+@pytest.mark.parametrize("workload, seed", PERFBENCH_RUNS)
+def test_perfbench_trace(workload, seed):
+    pinned = {tuple(line.split()[:2]): line for line in (GOLDENS / "perfbench_traces.txt").read_text().splitlines()}
+    assert _perfbench_trace(workload, seed) == pinned[workload, str(seed)]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -70,4 +104,6 @@ if __name__ == "__main__":
             (GOLDENS / f"frame_{name}.trace.json").write_bytes(trace)
     for lib in LIBRARIES:
         (GOLDENS / f"program_{lib}.stg").write_bytes(_program(lib))
-    print(f"wrote {2 * len(INPUTS) + len(LIBRARIES)} goldens to {GOLDENS}", file=sys.stderr)
+    lines = [_perfbench_trace(w, seed) for w, seed in PERFBENCH_RUNS]
+    (GOLDENS / "perfbench_traces.txt").write_text("\n".join(lines) + "\n")
+    print(f"wrote {2 * len(INPUTS) + len(LIBRARIES) + 1} goldens to {GOLDENS}", file=sys.stderr)
