@@ -1,8 +1,10 @@
 """Strategy application and the priority-driven reduction loop.
 
 A step picks the first applicable (strategy, match) pair: strategies ordered
-by (priority, declaration index), matches in the matcher's order.  Checks and
-the action run per candidate match; a failure moves on to the next candidate.
+by (priority, declaration index), matches in the matcher's order.  A run
+takes its matches from one `MatchStore`, which keeps them across steps.
+Checks and the action run per candidate match; a failure moves on to the
+next candidate.
 Applied steps are never undone.  Traces serialize to a versioned JSON
 document and can be replayed against it.
 """
@@ -49,7 +51,7 @@ from .frontend import (
     print_pure,
     print_term,
 )
-from .matcher import match_strategy
+from .matcher import MatchStore, match_strategy
 from .smt import ProofStatus
 
 TRACE_SCHEMA_VERSION = 1
@@ -223,9 +225,10 @@ def _ordered(prog: Program) -> list[Strategy]:
     return [s for _, _, s in sorted((s.priority, i, s) for i, s in enumerate(prog.strategies))]
 
 
-def _step(order: list[Strategy], memo: dict, e: Entailment) -> TraceStep | None:
+def _step(order: list[Strategy], memo: dict, store: MatchStore) -> TraceStep | None:
+    e = store.entailment
     for s in order:
-        for m in match_strategy(s, e):
+        for m in match_strategy(s, e, store):
             conditions = run_checks(s, m.bindings, e, memo)
             if conditions is None:
                 continue
@@ -244,7 +247,8 @@ def _step(order: list[Strategy], memo: dict, e: Entailment) -> TraceStep | None:
 
 def step(prog: Program, e: Entailment) -> TraceStep | None:
     """First applicable strategy application, or None when none applies."""
-    return _step(_ordered(prog), {}, e)
+    order = _ordered(prog)
+    return _step(order, {}, MatchStore(order, e))
 
 
 def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
@@ -255,10 +259,11 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
         raise ValueError("input entailment is not well-formed")
     order = _ordered(prog)
     memo: dict = {}  # side-condition results, shared by every step of this run
+    store = MatchStore(order, e)  # every strategy's matches, kept across steps
     steps: list[TraceStep] = []
     cur = e
     while len(steps) < max_steps:
-        ts = _step(order, memo, cur)
+        ts = _step(order, memo, store)
         if ts is None:
             break
         if ts.side_conditions:
@@ -270,10 +275,11 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
             )
         steps.append(ts)
         cur = ts.entailment_after
+        store.advance(cur)
     purified = not cur.lhs.spatials and not cur.rhs.spatials
     if purified:
         verdict = Verdict.PURIFIED
-    elif len(steps) == max_steps and _step(order, memo, cur) is not None:
+    elif len(steps) == max_steps and _step(order, memo, store) is not None:
         verdict = Verdict.STEP_LIMIT
     elif not cur.rhs.spatials:
         verdict = Verdict.FRAME_INFERRED
@@ -349,6 +355,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     _object(doc, "document")
     if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    order = _ordered(prog)
     for t_idx, tr in enumerate(_field(doc, "traces", "document", list, [])):
         tr = _object(tr, f"trace {t_idx}")
         source = _field(tr, "input", f"trace {t_idx}")
@@ -356,6 +363,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             cur = parse_entailment(source, sig)
         except Exception as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
+        store = MatchStore(order, cur)
         for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
             where = f"trace {t_idx} step {s_idx}"
             st = _object(st, where)
@@ -371,12 +379,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                 raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
             pattern_vars = {b for p in s.patterns for b in p.atom.binders}
             match_binding = {x: t for x, t in binding.items() if x in pattern_vars}
-            found = None
-            for m in match_strategy(s, cur):
-                if m.bindings == match_binding:
-                    found = m
-                    break
-            if found is None:
+            if not any(m.bindings == match_binding for m in match_strategy(s, cur, store)):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
             conditions = run_checks(s, binding, cur)
             if conditions is None:
@@ -393,18 +396,21 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             if applied is None:
                 raise ReplayError(f"{where}: action of {s.name} fails on replay")
             cur = applied[0]
+            store.advance(cur)
             got_after = print_entailment(cur)
             if got_after != recorded_after:
                 raise ReplayError(
                     f"{where}: entailment diverges:\n  got      {got_after}\n"
                     f"  recorded {recorded_after}"
                 )
-        _check_verdict(tr, t_idx, cur, prog)
+        _check_verdict(tr, t_idx, order, store)
 
 
-def _check_verdict(tr: dict, t_idx: int, cur: Entailment, prog: Program) -> None:
+def _check_verdict(tr: dict, t_idx: int, order: list[Strategy], store: MatchStore) -> None:
     """The recorded verdict and frame must be what `run` gives a trace that
-    ends in `cur`; only the step bound itself is not recorded."""
+    ends in the store's entailment; only the step bound itself is not
+    recorded."""
+    cur = store.entailment
     claimed = tr.get("verdict")
     try:
         verdict = Verdict(claimed)
@@ -420,19 +426,19 @@ def _check_verdict(tr: dict, t_idx: int, cur: Entailment, prog: Program) -> None
             if spatial_left:
                 raise ReplayError(f"{claim} spatial conjuncts remain")
         case Verdict.STEP_LIMIT:
-            if step(prog, cur) is None:
+            if _step(order, {}, store) is None:
                 raise ReplayError(f"{claim} no step applies")
             if not spatial_left:
                 raise ReplayError(f"{claim} no spatial conjuncts remain")
         case Verdict.STUCK:
             if not cur.rhs.spatials:
                 raise ReplayError(f"{claim} no spatial conjunct is left on the right")
-            if step(prog, cur) is not None:
+            if _step(order, {}, store) is not None:
                 raise ReplayError(f"{claim} a step still applies")
         case Verdict.FRAME_INFERRED:
             if cur.rhs.spatials or not cur.lhs.spatials:
                 raise ReplayError(f"{claim} the final shape disagrees")
-            if step(prog, cur) is not None:
+            if _step(order, {}, store) is not None:
                 raise ReplayError(f"{claim} a step still applies")
             if frame != print_heap(cur.lhs):
                 raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")

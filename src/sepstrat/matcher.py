@@ -2,22 +2,34 @@
 
 `?x` occurrences bind; bare occurrences must agree with the binding found so
 far.  No matching modulo arithmetic or commutativity: nth(i - 0, l) only
-matches nth(i - 0, l).  Enumeration is lazy and deterministic: patterns in
-declaration order, candidate conjuncts in heap insertion order.
+matches nth(i - 0, l).  Matches come out in a deterministic order: by the
+conjunct occurrence of the first pattern, then of the second, and so on, each
+in heap insertion order.
+
+A `MatchStore` keeps every strategy's matches of one entailment and updates
+them as the entailment is rewritten, in the manner of Rete (Forgy 1982) and
+TREAT (Miranker 1987).  Each conjunct occurrence carries a serial that
+follows its list order.  A step kills the matches that used an erased
+occurrence and joins only the new occurrences against the rest, so its cost
+follows the size of the change, not of the heap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var
-from .frontend import Pattern, PatternAtom, Strategy
+from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var, substitute
+from .frontend import LeftAbsent, PatternAtom, RightAbsent, Strategy
 
 LEFT = "left"
 RIGHT = "right"
 PURE = "pure"
 SPATIAL = "spatial"
+
+# The four conjunct lists of an entailment, as (side, kind), by list number.
+_LISTS = ((LEFT, PURE), (LEFT, SPATIAL), (RIGHT, PURE), (RIGHT, SPATIAL))
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,42 +83,274 @@ def match_atom(
     return _match(pat.formula, target, dict(partial), frozenset(pat.binders))
 
 
-def _candidates(e: Entailment, side: str, kind: str) -> tuple:
-    heap = e.lhs if side == LEFT else e.rhs
-    return heap.pures if kind == PURE else heap.spatials
+def _shape(f) -> tuple:
+    """(head, first child) of a conjunct: its class with its first label
+    (predicate name or operator), and its first argument."""
+    label = first = None
+    for name, kid in reversed(_FIELDS[type(f)]):  # so the first of each kind wins
+        v = getattr(f, name)
+        if not kid:
+            label = v
+        elif type(v) is not tuple:
+            first = v
+        elif v:
+            first = v[0]
+    return (type(f), label), first
 
 
-def match_strategy(s: Strategy, e: Entailment) -> Iterator[PatternSubstitution]:
-    """All substitutions matching the strategy's patterns against distinct
-    conjunct occurrences of the entailment, lazily, in deterministic order."""
-    patterns: list[Pattern] = list(s.patterns)
-    existential_names = set(e.existentials)
+class _Plan:
+    """A strategy compiled for the store: per pattern its list number, head,
+    formula and the variable of its first argument; the binders in pattern
+    order; the `*_absent` formulas with the pure list they look in."""
 
-    def ok_exists(m: dict[str, Term]) -> bool:
-        for p in patterns:
-            for b in p.exists_binders:
-                t = m.get(b)
-                if not (isinstance(t, Var) and t.name in existential_names):
-                    return False
-        return True
+    def __init__(self, s: Strategy) -> None:
+        self.pats = []
+        for p in s.patterns:
+            f = p.atom.formula
+            head, a = _shape(f)
+            li = 2 * (p.side == RIGHT) + (not isinstance(f, PureFormula))
+            self.pats.append((li, head, f, a.name if type(a) is Var else None))
+        self.order = tuple(dict.fromkeys(b for p in s.patterns for b in p.atom.binders))
+        self.binders = frozenset(self.order)
+        self.absent = tuple(
+            (0 if isinstance(c, LeftAbsent) else 2, c.formula)
+            for c in s.checks
+            if isinstance(c, (LeftAbsent, RightAbsent))
+        )
+        self.exists = tuple(b for p in s.patterns for b in p.exists_binders)
 
-    def go(i: int, m: dict[str, Term], used: dict[int, tuple[str, str, int]]) -> Iterator[PatternSubstitution]:
-        if i == len(patterns):
-            if ok_exists(m):
-                yield PatternSubstitution(dict(m), dict(used))
+
+class _Match:
+    __slots__ = ("bindings", "absent", "blocks")
+
+    def __init__(self, bindings: dict[str, Term], absent: tuple, blocks: int) -> None:
+        self.bindings = bindings
+        self.absent = absent  # distinct (list number, formula) pairs
+        self.blocks = blocks  # how many of them are present
+
+
+class MatchStore:
+    """The complete matches of each strategy against one entailment, kept up
+    to date by `advance` as the entailment is rewritten.
+
+    A strategy's matches are found the first time they are asked for and
+    kept from then on.  A match is keyed by the serials of the occurrences it
+    uses, so sorting the keys gives the matcher's order.  A match whose
+    `left_absent` or `right_absent` formula, under its bindings, is present
+    is held back until that formula is erased."""
+
+    def __init__(self, strategies, e: Entailment) -> None:
+        self.entailment = e
+        self._strategies = tuple(strategies)
+        self._number = {id(s): si for si, s in enumerate(self._strategies)}
+        n = len(self._strategies)
+        self._plans: list[_Plan | None] = [None] * n  # None until first asked for
+        self._listeners: dict[tuple, list[tuple[int, int]]] = {}  # (list, head) -> patterns
+        self._matches: list[dict[tuple, _Match]] = [{} for _ in range(n)]
+        self._ready: list[list[tuple]] = [[] for _ in range(n)]  # unblocked keys, sorted
+        self._users: dict[int, set] = {}  # serial -> matches using it
+        self._watch: dict[tuple, set] = {}  # (list number, formula) -> matches
+        self._present: dict[tuple, int] = {}  # (list number, pure) -> occurrences
+        self._occ: dict[int, tuple] = {}  # serial -> (list number, conjunct, head, first child)
+        # (list number, head) and (list number, head, first child) -> serials
+        self._buckets: dict[tuple, set[int]] = {}
+        self._lists: list[tuple] = [(), (), (), ()]
+        self._serials: list[list[int]] = [[], [], [], []]  # ascending, in list order
+        self._next = 0
+        self.advance(e)
+
+    # -- keeping up with the entailment
+
+    def advance(self, e: Entailment) -> None:
+        """Move the store to e, the entailment after a step."""
+        self.entailment = e
+        dead: list[int] = []
+        born: list[tuple[int, int, object]] = []
+        for li, new in enumerate((e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials)):
+            old = self._lists[li]
+            if old != new:
+                self._lists[li] = new
+                self._diff(li, old, new, dead, born)
+        for s in dead:
+            li, f, head, arg = self._occ.pop(s)
+            self._buckets[li, head].discard(s)
+            self._buckets[li, head, arg].discard(s)
+            for key in list(self._users.pop(s, ())):
+                self._kill(*key)
+            if li in (0, 2):
+                self._count((li, f), -1)
+        for li, s, f in born:
+            head, arg = _shape(f)
+            self._occ[s] = (li, f, head, arg)
+            self._buckets.setdefault((li, head), set()).add(s)
+            self._buckets.setdefault((li, head, arg), set()).add(s)
+            if li in (0, 2):
+                self._count((li, f), 1)
+        new = {s for _, s, _ in born}
+        for li, s, f in born:
+            for si, i in self._listeners.get((li, self._occ[s][2]), ()):
+                self._join(si, i, s, f, new)
+
+    def _diff(self, li: int, old: tuple, new: tuple, dead: list, born: list) -> None:
+        """Append to dead the serials of the occurrences that die, and to born
+        the (list number, serial, conjunct) of those born, when list li goes
+        from old to new.  An erased occurrence dies and an appended one gets
+        a new, higher serial.  When fewer occurrences change that way, a list
+        of unchanged length is read as rewritten in place, each replacement
+        keeping the serial of the conjunct it replaces."""
+        serials = self._serials[li]
+        lo, hi = 0, min(len(old), len(new))
+        if new[: len(old)] == old:  # appended only
+            lo = hi
+        while lo < hi:  # the longest common prefix, compared at C speed
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if old[:mid] == new[:mid] else (lo, mid - 1)
+        kept, erased, j = serials[:lo], [], lo
+        if lo < len(old) and old[lo + 1 :] == new[lo : len(old) - 1]:  # one erased
+            kept += serials[lo + 1 :]
+            erased, j = [serials[lo]], len(old) - 1
+        else:  # match the rest of old against new in order
+            for s, x in zip(serials[lo:], old[lo:]):
+                if j < len(new) and new[j] is x:
+                    kept.append(s)
+                    j += 1
+                else:
+                    erased.append(s)
+        if len(old) == len(new) and len(erased) > 1:
+            rewritten = [p for p, (x, y) in enumerate(zip(old, new)) if x is not y]
+            if len(rewritten) < len(erased):
+                dead += [serials[p] for p in rewritten]
+                born += [(li, serials[p], new[p]) for p in rewritten]
+                return
+        dead += erased
+        for f in new[j:]:
+            kept.append(self._next)
+            born.append((li, self._next, f))
+            self._next += 1
+        self._serials[li] = kept
+
+    def _count(self, a: tuple, d: int) -> None:
+        """Add d to the occurrences of pure a; a match is held back while any
+        of its absent formulas occurs."""
+        now = self._present.get(a, 0) + d
+        if now:
+            self._present[a] = now
+        else:
+            del self._present[a]
+        if now == (1 if d > 0 else 0):
+            for si, key in self._watch.get(a, ()):
+                m = self._matches[si][key]
+                m.blocks += d
+                if m.blocks == (1 if d > 0 else 0):
+                    self._set_ready(si, key, d < 0)
+
+    def _kill(self, si: int, key: tuple) -> None:
+        m = self._matches[si].pop(key)
+        if not m.blocks:
+            self._set_ready(si, key, False)
+        for s in key:
+            self._users.get(s, set()).discard((si, key))
+        for a in m.absent:
+            self._watch[a].discard((si, key))
+
+    def _set_ready(self, si: int, key: tuple, ready: bool) -> None:
+        keys = self._ready[si]
+        if ready:
+            insort(keys, key)
+        else:
+            del keys[bisect_left(keys, key)]
+
+    # -- the join
+
+    def _activate(self, si: int) -> _Plan:
+        """Compile strategy si, find its matches and keep them from now on."""
+        plan = self._plans[si] = _Plan(self._strategies[si])
+        for i, (li, head, _, _) in enumerate(plan.pats):
+            self._listeners.setdefault((li, head), []).append((si, i))
+        li, head = plan.pats[0][:2]
+        for s in list(self._buckets.get((li, head), ())):
+            self._join(si, 0, s, self._occ[s][1], ())
+        return plan
+
+    def _join(self, si: int, i: int, s: int, f, new) -> None:
+        """Record every match of strategy si that uses occurrence s for
+        pattern i and no new occurrence for an earlier pattern, so each new
+        match is found once, at the first pattern that uses a new occurrence."""
+        plan = self._plans[si]
+        m = _match(plan.pats[i][2], f, {}, plan.binders)
+        if m is None:
             return
-        p = patterns[i]
-        kind = PURE if isinstance(p.atom.formula, PureFormula) else SPATIAL
-        occupied = set(used.values())
-        for idx, conj in enumerate(_candidates(e, p.side, kind)):
-            occ = (p.side, kind, idx)
-            if occ in occupied:
-                continue
-            m2 = match_atom(p.atom, conj, m)
-            if m2 is None:
-                continue
-            used[i] = occ
-            yield from go(i + 1, m2, used)
-            del used[i]
+        slots: list[int | None] = [None] * len(plan.pats)
+        slots[i] = s
+        self._extend(si, plan, [j for j in range(len(plan.pats)) if j != i], m, slots, i, new)
 
-    return go(0, {}, {})
+    def _extend(self, si, plan, rest, m, slots, first, new) -> None:
+        """Match the patterns in rest, taking next the one with the fewest
+        candidates: conjuncts of its head, or of its head and first argument
+        once that argument's variable is bound."""
+        if not rest:
+            self._record(si, plan, tuple(slots), m)
+            return
+        best = bucket = None
+        for j in rest:
+            li, head, _, var = plan.pats[j]
+            b = self._buckets.get((li, head, m[var]) if var in m else (li, head))
+            if not b:
+                return
+            if bucket is None or len(b) < len(bucket):
+                best, bucket = j, b
+        f = plan.pats[best][2]
+        rest = [j for j in rest if j != best]
+        for c in bucket:
+            if c in slots or (best < first and c in new):
+                continue
+            m2 = _match(f, self._occ[c][1], dict(m), plan.binders)
+            if m2 is not None:
+                slots[best] = c
+                self._extend(si, plan, rest, m2, slots, first, new)
+        slots[best] = None
+
+    def _record(self, si: int, plan: _Plan, key: tuple, m: dict[str, Term]) -> None:
+        bindings = {b: m[b] for b in plan.order if b in m}
+        absent, blocks = (), 0
+        if plan.absent:
+            absent = tuple(dict.fromkeys((li, substitute(f, bindings)) for li, f in plan.absent))
+            blocks = sum(a in self._present for a in absent)
+        self._matches[si][key] = _Match(bindings, absent, blocks)
+        if not blocks:
+            self._set_ready(si, key, True)
+        for s in key:
+            self._users.setdefault(s, set()).add((si, key))
+        for a in absent:
+            self._watch.setdefault(a, set()).add((si, key))
+
+    # -- reading matches
+
+    def matches(self, s: Strategy, held: bool = False) -> Iterator[PatternSubstitution]:
+        """The matches of s in the matcher's order, without those held back
+        by a present `*_absent` formula unless `held` is set."""
+        si = self._number[id(s)]
+        plan = self._plans[si] or self._activate(si)
+        keys = sorted(self._matches[si]) if held else self._ready[si][:]
+        existentials = set(self.entailment.existentials) if plan.exists else ()
+        for key in keys:
+            bindings = self._matches[si][key].bindings
+            if any(type(t := bindings[b]) is not Var or t.name not in existentials for b in plan.exists):
+                continue
+            lists = (p[0] for p in plan.pats)
+            used = {j: (*_LISTS[li], bisect_left(self._serials[li], c)) for j, (li, c) in enumerate(zip(lists, key))}
+            yield PatternSubstitution(dict(bindings), used)
+
+
+def match_strategy(s: Strategy, e: Entailment, store: MatchStore | None = None) -> Iterator[PatternSubstitution]:
+    """Substitutions matching the strategy's patterns against distinct
+    conjunct occurrences of the entailment, in deterministic order.
+
+    With a store (which must be at e) the matches come from it, and those
+    held back by a present `*_absent` formula are left out; without one,
+    every match is given."""
+    if store is None:
+        return MatchStore((s,), e).matches(s, held=True)
+    if store.entailment is not e:
+        raise ValueError("match store is not at this entailment")
+    return store.matches(s)

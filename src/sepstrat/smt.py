@@ -62,6 +62,7 @@ class _CC:
         self.labels: list[tuple] = []
         self.kids: list[tuple[int, ...]] = []
         self.ids: dict[tuple, int] = {}
+        self.term_ids: dict[Term, int] = {}  # interned terms hash in O(1)
         self.parent: list[int] = []
         self.rank: list[int] = []
         self.class_lit: dict[int, int] = {}
@@ -106,18 +107,24 @@ class _CC:
         return n
 
     def add_term(self, t: Term) -> int:
+        n = self.term_ids.get(t)
+        if n is not None:
+            return n
         match t:
             case IntLit(v):
-                return self.node(("int", v))
+                n = self.node(("int", v))
             case Var(name):
-                return self.node(("var", name))
+                n = self.node(("var", name))
             case FieldAddr(base, fld):
-                return self.node(("fld", fld), (self.add_term(base),))
+                n = self.node(("fld", fld), (self.add_term(base),))
             case Apply(fn, args):
-                return self.node(("app", fn), tuple(self.add_term(a) for a in args))
+                n = self.node(("app", fn), tuple(self.add_term(a) for a in args))
             case Arith(op, l, r):
-                return self.node(("ar", op), (self.add_term(l), self.add_term(r)))
-        raise TypeError(f"add_term: unsupported term {t!r}")
+                n = self.node(("ar", op), (self.add_term(l), self.add_term(r)))
+            case _:
+                raise TypeError(f"add_term: unsupported term {t!r}")
+        self.term_ids[t] = n
+        return n
 
     def add_pred(self, p: PredP) -> int:
         return self.node(("pred", p.name), tuple(self.add_term(a) for a in p.args))
@@ -417,7 +424,9 @@ def _linearize(t: Term, cc: _CC) -> tuple[dict[int, int], int]:
     """Linear form of a term; +, - and literal-scaled * decompose, everything
     else is an atom keyed by its congruence class (literal-valued classes
     fold to their constant)."""
-    n = cc.add_term(t)
+    n = cc.term_ids.get(t)
+    if n is None:  # the first call adds every subterm, in add_term's order
+        n = cc.add_term(t)
     match t:
         case IntLit(v):
             return {}, v

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
-from conftest import load_entailments, load_library
-from sepstrat import engine, smt
-from sepstrat.core import Entailment, IntLit, SymbolicHeap, Var
+import helpers
+from conftest import CORPUS, load_entailments, load_library
+from sepstrat import engine, matcher, smt
+from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, well_formed
 from sepstrat.engine import (
     ReductionTrace,
     ReplayError,
     TRACE_SCHEMA_VERSION,
+    TraceStep,
     Verdict,
     apply_action,
     document_to_json,
@@ -722,3 +727,206 @@ class TestReplay:
         snapshot = copy.deepcopy(doc)
         replay_document(doc, sig, prog)
         assert doc == snapshot
+
+
+# ---------------------------------------------------------------------------
+# The match store against a naive oracle: the same strategy order, the
+# brute-force matcher's matches in its order, run_checks and apply_action on
+# every candidate, nothing kept from one step to the next.
+
+
+def oracle_run(prog, e, max_steps):
+    order = [s for _, _, s in sorted((s.priority, i, s) for i, s in enumerate(prog.strategies))]
+
+    def oracle_step(cur):
+        for s in order:
+            for m in helpers.brute_match(s, cur):
+                conditions = run_checks(s, m.bindings, cur)
+                if conditions is None:
+                    continue
+                applied = apply_action(s, m.bindings, cur)
+                if applied is None:
+                    continue
+                e2, sigma = applied
+                return TraceStep(s.name, tuple(sigma.items()), tuple(conditions), e2)
+        return None
+
+    steps = []
+    cur = e
+    while len(steps) < max_steps and (ts := oracle_step(cur)) is not None:
+        conditions = tuple(dataclasses.replace(c, step_index=len(steps)) for c in ts.side_conditions)
+        steps.append(dataclasses.replace(ts, side_conditions=conditions))
+        cur = ts.entailment_after
+    if not cur.lhs.spatials and not cur.rhs.spatials:
+        verdict = Verdict.PURIFIED
+    elif len(steps) == max_steps and oracle_step(cur) is not None:
+        verdict = Verdict.STEP_LIMIT
+    elif not cur.rhs.spatials:
+        verdict = Verdict.FRAME_INFERRED
+    else:
+        verdict = Verdict.STUCK
+    frame = cur.lhs if verdict is Verdict.FRAME_INFERRED else None
+    return ReductionTrace(input=e, steps=tuple(steps), verdict=verdict, frame=frame)
+
+
+# Test-only strategies: instantiation through an `exists` binder rewrites the
+# consequent in place; t_neq is held back by left_absent until t_drop erases
+# the pure that blocks it, which makes the two loop; t_align is held back by
+# right_absent; t_split erases a cell and adds two in one step, which t_neq
+# then pairs.
+CELLS = parse_strategies(
+    """
+strategy t_inst
+  priority: 0
+  right: exists x, ?x == ?y
+  action: instantiate(x -> y);
+
+strategy t_align
+  priority: 1
+  left:  data_at(?p, ?v0)
+  right: data_at(p, ?v1)
+  check: right_absent(v1 == v0);
+  action:
+    left_erase(data_at(p, v0));
+    right_erase(data_at(p, v1));
+    right_add(v1 == v0);
+
+strategy t_neq
+  priority: 1
+  left: data_at(?p, ?v0)
+        data_at(?q, ?v1)
+  check: left_absent(p != q);
+  action: left_add(p != q);
+
+strategy t_drop
+  priority: 2
+  left:  ?p != ?q
+  right: data_at(q, ?w)
+  action: left_erase(p != q);
+
+strategy t_split
+  priority: 3
+  left:  data_at(?p, ?v)
+  right: data_at(?q, ?w)
+  action:
+    left_erase(data_at(p, v));
+    left_add(data_at(q, v));
+    left_add(data_at(p, q));
+""",
+    SIG,
+)
+
+LIBRARIES = {lib: parse_strategies((CORPUS / f"{lib}.stg").read_text(), SIG) for lib in ("sll", "array", "common")}
+
+POINTERS = ("p", "q", "r")
+VALUES = ("a", "b")
+WITNESSES = ("w", "x")
+
+
+@st.composite
+def cell_goals(draw):
+    """Entailments over a few names, so conjuncts repeat often."""
+    ptr = st.sampled_from(POINTERS).map(Var)
+    val = st.sampled_from(VALUES).map(Var)
+    term = st.sampled_from(POINTERS + VALUES + WITNESSES).map(Var)
+    cell = st.builds(DataAt, ptr, val)
+    lhs = SymbolicHeap(
+        tuple(draw(st.lists(st.builds(Rel, st.just("!="), ptr, ptr), max_size=3))),
+        tuple(draw(st.lists(cell, max_size=4))),
+    )
+    rhs = SymbolicHeap(
+        tuple(draw(st.lists(st.builds(Eq, term, term), max_size=3))),
+        tuple(draw(st.lists(st.builds(DataAt, ptr, term), max_size=3))),
+    )
+    return Entailment(POINTERS + VALUES, lhs, WITNESSES, rhs)
+
+
+class TestMatchStore:
+    @given(cell_goals())
+    @settings(max_examples=150, deadline=None)
+    def test_run_matches_the_oracle_on_repeated_cells(self, e):
+        assert well_formed(e)
+        assert trace_json(run(CELLS, e, 12)) == trace_json(oracle_run(CELLS, e, 12))
+
+    @pytest.mark.parametrize("lib", ["sll", "array", "common"])
+    @given(e=gen.entailments(max_conjuncts=5))
+    @settings(max_examples=60, deadline=None)
+    def test_run_matches_the_oracle_on_the_corpus_libraries(self, lib, e):
+        prog = LIBRARIES[lib]
+        assert trace_json(run(prog, e, 12)) == trace_json(oracle_run(prog, e, 12))
+
+    def test_erasing_a_pure_releases_a_held_match(self):
+        # t_align stays held by b == b on the right; t_neq fires for (q, p),
+        # then for (p, q) each time t_drop has erased p != q
+        e = ent("forall p q a b, p != q && data_at(p, a) * data_at(q, b) |-- b == b && data_at(q, b)")
+        tr = run(CELLS, e, 12)
+        assert [ts.strategy for ts in tr.steps] == ["t_neq", "t_drop"] * 6
+        assert [ts.substitution[:2] for ts in tr.steps[:3]] == [
+            (("p", Var("q")), ("v0", Var("b"))),
+            (("p", Var("p")), ("q", Var("q"))),
+            (("p", Var("p")), ("v0", Var("a"))),
+        ]
+        assert tr.verdict is Verdict.STEP_LIMIT
+        assert trace_json(tr) == trace_json(oracle_run(CELLS, e, 12))
+
+
+def cells_goal(k):
+    """k data_at cells, each demanded on the right (the common_cells shape)."""
+    idx = range(1, k + 1)
+    universals = " ".join(f"p{i} v{i}" for i in idx)
+    lhs = " * ".join(f"data_at(p{i}, v{i})" for i in idx)
+    rhs = " * ".join(f"data_at(p{i}, w{i})" for i in idx)
+    witnesses = " ".join(f"w{i}" for i in idx)
+    return f"forall {universals}, {lhs} |-- exists {witnesses}, {rhs}"
+
+
+def sll_chain(k):
+    """Segments x0 -> ... -> xk and a trailing list against one listrep."""
+    universals = " ".join([f"x{i}" for i in range(k + 1)] + [f"l{i}" for i in range(1, k + 2)])
+    segs = [f"lseg(x{i - 1}, x{i}, l{i})" for i in range(1, k + 1)]
+    lhs = " * ".join(segs + [f"listrep(x{k}, l{k + 1})"])
+    return f"forall {universals}, {lhs} |-- exists r, listrep(x0, r)"
+
+
+@pytest.mark.parametrize(
+    "lib,goal,small,large",
+    [("common", cells_goal, 8, 16), ("sll", sll_chain, 20, 80)],
+)
+def test_match_work_per_step_does_not_grow_with_the_heap(lib, goal, small, large, monkeypatch):
+    sig, prog = load_library(lib)
+    calls = 0
+    real = matcher._match
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(matcher, "_match", counting)
+    per_step = {}
+    for k in (small, large):
+        calls = 0
+        tr = run(prog, parse_entailment(goal(k), sig))
+        assert tr.verdict is Verdict.PURIFIED
+        per_step[k] = calls / len(tr.steps)
+    assert per_step[large] <= 1.5 * per_step[small], per_step
+
+
+def test_held_matches_reach_no_check(common, monkeypatch):
+    # com_ptr_neq's pairs that already have their disequality are held back
+    # by the store, so every candidate that reaches run_checks is applied
+    sig, prog = common
+    calls = 0
+    real = engine.run_checks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "run_checks", counting)
+    for goal, pairs in ((cells_goal(8), 8 * 7), (cells_goal(8).replace(", ", ", p2 != p1 && ", 1), 8 * 7 - 1)):
+        calls = 0
+        tr = run(prog, parse_entailment(goal, sig))
+        assert tr.verdict is Verdict.PURIFIED and len(tr.steps) == pairs + 2 * 8
+        assert calls == len(tr.steps)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import gen
 import helpers
 from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, PredP, Rel, TrueF, Var, free_vars, substitute
+from sepstrat import smt
 from sepstrat.frontend import parse_pure
 from sepstrat.smt import ProofStatus, QueryResult, infer
 
@@ -273,3 +275,24 @@ def test_no_shifted_grid_countermodel_with_big_constants():
         proven += 1
         cm = helpers.find_grid_countermodel(hyps, goal, bound=3, carrier=3, offset=BIG)
         assert cm is None, (hyps, goal, cm)
+
+
+def test_linearizing_a_deep_sum_adds_each_subterm_once():
+    # one add_term per subterm, not one walk of the subterm per enclosing level
+    t = Var("x0")
+    for i in range(1, 401):
+        t = Arith("+", t, Var(f"x{i}"))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is smt._CC.add_term.__code__:
+            calls += 1
+
+    sys.setprofile(count)  # counts without adding a frame per level
+    try:
+        coeffs, k = smt._linearize(t, smt._CC())
+    finally:
+        sys.setprofile(None)
+    assert k == 0 and sorted(coeffs.values()) == [1] * 401
+    assert calls < 4 * 400
