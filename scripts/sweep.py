@@ -3,7 +3,7 @@
 
 Runs single goals of growing size, built by the generators of
 perfbench/workloads.py, and prints one JSON object: for each family and
-size, the best wall time of `engine.run` over --repeat runs, its step count
+size, the best wall time of `engine.run` over REPEAT runs, its step count
 and milliseconds per step.  Families:
 
     common_cells  k data_at cells, all aligned (common library)
@@ -12,12 +12,11 @@ and milliseconds per step.  Families:
 
 Usage, from the root of a checkout:
 
-    python3 scripts/sweep.py [--repeat 5] [--family common_cells ...]
+    python3 scripts/sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import platform
@@ -27,6 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5  # timed runs per goal; the best is kept
 sys.path.insert(0, str(ROOT / "src"))
 
 from sepstrat import engine, frontend  # noqa: E402
@@ -54,17 +54,16 @@ def _library(name: str):
     return sig, frontend.parse_strategies((corpus / f"{name}.stg").read_text(), sig, f"{name}.stg")
 
 
-def sweep(families=tuple(FAMILIES), sizes=None, repeat: int = 5, seed: int = 1) -> dict:
+def sweep(sizes=None, repeat: int = REPEAT) -> dict:
     """{family: [{k, ms, steps, ms_per_step}, ...]}; `sizes` maps a family
     to the sizes to run instead of its default range."""
     wl = _load_workloads()
     out = {}
-    for family in families:
-        lib, make, default = FAMILIES[family]
+    for family, (lib, make, default) in FAMILIES.items():
         sig, prog = _library(lib)
         rows = []
         for k in (sizes or {}).get(family, default):
-            goal = make(wl, random.Random(seed), k)
+            goal = make(wl, random.Random(1), k)
             e = frontend.parse_entailment(goal.text, sig)
             best = float("inf")
             for _ in range(repeat):
@@ -80,16 +79,8 @@ def sweep(families=tuple(FAMILIES), sizes=None, repeat: int = 5, seed: int = 1) 
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeat", type=int, default=5, help="timed runs per goal (best is kept)")
-    ap.add_argument("--family", action="append", choices=sorted(FAMILIES), help="default: all")
-    args = ap.parse_args(argv)
-    result = {
-        "python": platform.python_version(),
-        "families": sweep(args.family or tuple(FAMILIES), repeat=args.repeat),
-    }
-    print(json.dumps(result, indent=1))
+def main() -> int:
+    print(json.dumps({"python": platform.python_version(), "families": sweep()}, indent=1))
     return 0
 
 

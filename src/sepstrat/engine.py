@@ -15,6 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping
 
 from . import smt
@@ -379,7 +380,9 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                 raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
             pattern_vars = {b for p in s.patterns for b in p.atom.binders}
             match_binding = {x: t for x, t in binding.items() if x in pattern_vars}
-            if not any(m.bindings == match_binding for m in match_strategy(s, cur, store)):
+            # a match held back by its *_absent check is found, and fails run_checks
+            matches = chain(match_strategy(s, cur, store), store.matches(s, held=True))
+            if not any(m.bindings == match_binding for m in matches):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
             conditions = run_checks(s, binding, cur)
             if conditions is None:

@@ -17,6 +17,7 @@ follows the size of the change, not of the heap.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -150,7 +151,7 @@ class MatchStore:
         self._ready: list[list[tuple]] = [[] for _ in range(n)]  # unblocked keys, sorted
         self._users: dict[int, set] = {}  # serial -> matches using it
         self._watch: dict[tuple, set] = {}  # (list number, formula) -> matches
-        self._present: dict[tuple, int] = {}  # (list number, pure) -> occurrences
+        self._present: Counter[tuple] = Counter()  # (list number, pure) -> occurrences
         self._occ: dict[int, tuple] = {}  # serial -> (list number, conjunct, head, first child)
         # (list number, head) and (list number, head, first child) -> serials
         self._buckets: dict[tuple, set[int]] = {}
@@ -199,23 +200,13 @@ class MatchStore:
         of unchanged length is read as rewritten in place, each replacement
         keeping the serial of the conjunct it replaces."""
         serials = self._serials[li]
-        lo, hi = 0, min(len(old), len(new))
-        if new[: len(old)] == old:  # appended only
-            lo = hi
-        while lo < hi:  # the longest common prefix, compared at C speed
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if old[:mid] == new[:mid] else (lo, mid - 1)
-        kept, erased, j = serials[:lo], [], lo
-        if lo < len(old) and old[lo + 1 :] == new[lo : len(old) - 1]:  # one erased
-            kept += serials[lo + 1 :]
-            erased, j = [serials[lo]], len(old) - 1
-        else:  # match the rest of old against new in order
-            for s, x in zip(serials[lo:], old[lo:]):
-                if j < len(new) and new[j] is x:
-                    kept.append(s)
-                    j += 1
-                else:
-                    erased.append(s)
+        kept, erased, j = [], [], 0
+        for s, x in zip(serials, old):  # match old against new in order
+            if j < len(new) and new[j] is x:
+                kept.append(s)
+                j += 1
+            else:
+                erased.append(s)
         if len(old) == len(new) and len(erased) > 1:
             rewritten = [p for p, (x, y) in enumerate(zip(old, new)) if x is not y]
             if len(rewritten) < len(erased):
@@ -232,16 +223,12 @@ class MatchStore:
     def _count(self, a: tuple, d: int) -> None:
         """Add d to the occurrences of pure a; a match is held back while any
         of its absent formulas occurs."""
-        now = self._present.get(a, 0) + d
-        if now:
-            self._present[a] = now
-        else:
-            del self._present[a]
-        if now == (1 if d > 0 else 0):
+        self._present[a] += d
+        if self._present[a] == (d > 0):  # a appeared or disappeared
             for si, key in self._watch.get(a, ()):
                 m = self._matches[si][key]
                 m.blocks += d
-                if m.blocks == (1 if d > 0 else 0):
+                if m.blocks == (d > 0):
                     self._set_ready(si, key, d < 0)
 
     def _kill(self, si: int, key: tuple) -> None:
@@ -315,7 +302,7 @@ class MatchStore:
         absent, blocks = (), 0
         if plan.absent:
             absent = tuple(dict.fromkeys((li, substitute(f, bindings)) for li, f in plan.absent))
-            blocks = sum(a in self._present for a in absent)
+            blocks = sum(self._present[a] > 0 for a in absent)
         self._matches[si][key] = _Match(bindings, absent, blocks)
         if not blocks:
             self._set_ready(si, key, True)

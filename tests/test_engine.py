@@ -534,6 +534,18 @@ class TestReplay:
         with pytest.raises(ReplayError, match="substitution"):
             replay_document(doc, sig, prog)
 
+    def test_step_whose_absent_formula_is_present(self, common):
+        # the recorded com_ptr_neq step matches, but its left_absent check
+        # fails once the input already holds the disequality it adds
+        sig, prog = common
+        e = parse_entailment("forall p q a b, data_at(p, a) * data_at(q, b) |-- emp", sig)
+        doc = traces_to_document([run(prog, e)])
+        tr = doc["traces"][0]
+        assert tr["steps"][0]["strategy"] == "com_ptr_neq"
+        tr["input"] = tr["steps"][0]["entailment_after"]
+        with pytest.raises(ReplayError, match="checks of com_ptr_neq no longer pass"):
+            replay_document(doc, sig, prog)
+
     def test_tampered_entailment(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_basic")
         tr = doc["traces"][0]
@@ -930,3 +942,32 @@ def test_held_matches_reach_no_check(common, monkeypatch):
         tr = run(prog, parse_entailment(goal, sig))
         assert tr.verdict is Verdict.PURIFIED and len(tr.steps) == pairs + 2 * 8
         assert calls == len(tr.steps)
+
+
+def test_instantiate_rejoins_only_the_rewritten_conjunct(monkeypatch):
+    # instantiate rewrites consequent conjuncts in place; the store reads that
+    # as a rewrite, so the conjuncts after the rewritten one keep their matches
+    t_inst, t_align = CELLS.by_name("t_inst"), CELLS.by_name("t_align")
+    calls = 0
+    real = matcher._match
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(matcher, "_match", counting)
+    per_size = {}
+    for n in (2, 8):
+        qs = " ".join(f"q{i}" for i in range(n))
+        cells = " * ".join(f"data_at(q{i}, b)" for i in range(n))
+        e = ent(f"forall p a b {qs}, data_at(p, a) |-- exists x, x == a && data_at(p, x) * {cells}")
+        e2, _ = apply_action(t_inst, first_binding(t_inst, e), e)
+        store = matcher.MatchStore((t_align,), e)
+        assert [m.bindings["v1"] for m in store.matches(t_align, held=True)] == [Var("x")]
+        calls = 0
+        store.advance(e2)
+        per_size[n] = calls
+        [m] = store.matches(t_align, held=True)
+        assert m.bindings["v1"] == Var("a") and m.used_conjuncts[1] == ("right", "spatial", 0)
+    assert per_size[8] == per_size[2], per_size
