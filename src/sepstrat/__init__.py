@@ -76,6 +76,6 @@ from .frontend import (
 )
 from .matcher import PatternSubstitution, match_atom, match_strategy
 from .smt import ProofStatus, QueryResult, infer
-from .soundness import SoundnessAnalysis, analyze, inject_virtual_ops, soundness_of
+from .soundness import soundness_of
 
 __version__ = "0.1.0"

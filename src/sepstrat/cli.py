@@ -44,9 +44,18 @@ class _CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lines = _universal_newlines(data[: exc.start].decode("utf-8")).split("\n")
+        raise FrontendError(f"invalid UTF-8 byte {data[exc.start]:#04x}", path, len(lines), len(lines[-1]) + 1) from None
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str, text: str) -> None:
@@ -202,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _COMMANDS[cfg.mode](cfg)
-    except (FrontendError, _CliError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FrontendError, _CliError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

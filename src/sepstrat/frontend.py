@@ -1,10 +1,12 @@
 """Concrete syntax: signatures, entailments, strategies, assertions.
 
-Hand-rolled lexer and recursive-descent parsers.  The signature drives the
-classification of `*` (separating conjunction after a complete atom,
-multiplication inside a term) and of identifier applications (spatial
-predicate, pure predicate, or function).  Printers are exact inverses on the
-AST values this package produces.
+Hand-rolled lexer and recursive-descent parsers.  Terms, pure formulas and
+assertions are parsed by one precedence-climbing loop over OPERATORS, which
+the printers read too.  The signature drives the classification of `*`
+(separating conjunction after a complete atom, multiplication inside a term)
+and of identifier applications (spatial predicate, pure predicate, or
+function).  Printers are exact inverses on the AST values this package
+produces.
 """
 
 from __future__ import annotations
@@ -60,22 +62,35 @@ MAX_NESTING = 100
 # every later traversal recurses once per level, so the tree is bounded too.
 MAX_DEPTH = 850
 
-SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
-CHECK_KEYWORDS = frozenset({"left_absent", "right_absent", "infer"})
-OP_KEYWORDS = frozenset(
-    {"left_add", "right_add", "left_erase", "right_erase", "forall_add", "exist_add", "instantiate"}
-)
-STRUCTURAL_KEYWORDS = frozenset({"forall", "exists", "emp", "true", "data_at", "field_addr"})
+# The operators of the three expression grammars, op -> (level,
+# associativity, node); a higher level binds tighter.
+#   "left":   a chain builds node(op, l, r) left-nested, one tree level per
+#             operator, and its height counts toward MAX_DEPTH;
+#   "right":  node(op, l, r) takes everything that follows at its level or
+#             tighter as its right operand, one level toward MAX_NESTING;
+#   "flat":   a chain builds one node(operands) over all of its operands;
+#   "prefix": a quantifier node(binders, body), whose body is everything
+#             that follows at its level, one level toward MAX_NESTING.
+OPERATORS = {
+    "term": {"+": (1, "left", Arith), "-": (1, "left", Arith), "*": (2, "left", Arith)},
+    "pure": {"<->": (1, "left", Bin), "->": (2, "right", Bin), "||": (3, "left", Bin), "&&": (4, "left", Bin)},
+    "assertion": {
+        "forall": (1, "prefix", ForallA),
+        "exists": (1, "prefix", ExistsA),
+        "-*": (1, "right", lambda _, l, r: Wand(l, r)),
+        "&&": (2, "flat", AndA),
+        "*": (3, "flat", SepConj),
+    },
+}
+_TERM, _PURE, _ASSERTION = OPERATORS["term"], OPERATORS["pure"], OPERATORS["assertion"]
+_NO_OP = (0, None, None)  # what any other token is: below every level
+# Above every level: no operator reaches it, and an operand printed at it is
+# parenthesised unless atomic.
+_ATOM = 1 + max(level for ops in OPERATORS.values() for level, _, _ in ops.values())
 
-# Names that may not be declared in a signature: built-ins plus every word the
-# grammar gives a fixed job.
-UNDECLARABLE = (
-    STRUCTURAL_KEYWORDS
-    | SECTION_KEYWORDS
-    | CHECK_KEYWORDS
-    | OP_KEYWORDS
-    | frozenset({"spatial", "pure", "func"})
-)
+SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
+STRUCTURAL_KEYWORDS = frozenset({"forall", "exists", "emp", "true", "data_at", "field_addr"})
+DECLARATION_KINDS = ("spatial", "pure", "func")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +235,26 @@ class Program:
         return None
 
 
+# The items of check and action sections, by keyword.
+ITEMS: dict[str, type] = {
+    "left_absent": LeftAbsent,
+    "right_absent": RightAbsent,
+    "infer": Infer,
+    "left_add": LeftAdd,
+    "right_add": RightAdd,
+    "left_erase": LeftErase,
+    "right_erase": RightErase,
+    "forall_add": ForallAdd,
+    "exist_add": ExistAdd,
+    "instantiate": Instantiate,
+}
+_KEYWORD = {cls: kw for kw, cls in ITEMS.items()}
+
+# Names that may not be declared in a signature: built-ins plus every word the
+# grammar gives a fixed job.
+UNDECLARABLE = STRUCTURAL_KEYWORDS | SECTION_KEYWORDS | frozenset(ITEMS) | frozenset(DECLARATION_KINDS)
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -235,6 +270,7 @@ class Token:
 _PUNCTS_3 = ("|--", "<->")
 _PUNCTS_2 = ("->", "-*", "==", "!=", "<=", ">=", "&&", "||")
 _PUNCTS_1 = "(),;:*+-/!?<>"
+_DIGITS = "0123456789"  # not `str.isdigit`, which also accepts digits like `²` that `int` rejects
 
 
 def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
@@ -258,9 +294,9 @@ def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -329,11 +365,16 @@ class _Parser:
         t = self.peek()
         return t.kind == "ident" and (text is None or t.text == text)
 
+    def expect(self, kind: str, text: str | None = None, message: str | None = None) -> Token:
+        """Consume the next token, which must be of this kind (and text)."""
+        t = self.peek()
+        if t.kind != kind or (text is not None and t.text != text):
+            want = repr(text) if text else "an identifier"
+            raise self.err(ParseError, message or f"expected {want}, found {t.text or 'end of input'!r}", t)
+        return self.next()
+
     def eat_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            t = self.peek()
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", self.path, t.line, t.col)
-        tok = self.next()
+        tok = self.expect("punct", text)
         if text == "(":
             self.descend(tok)
         elif text == ")":
@@ -354,12 +395,17 @@ class _Parser:
             raise _TooDeep(f"operator chain deeper than {MAX_DEPTH} levels", self.path, op.line, op.col)
         return h
 
-    def eat_ident(self, text: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or (text is not None and t.text != text):
-            want = repr(text) if text else "an identifier"
-            raise ParseError(f"expected {want}, found {t.text or 'end of input'!r}", self.path, t.line, t.col)
-        return self.next()
+    def attempt(self, parse, *args):
+        """parse(*args), or None with the position restored when it fails;
+        a _TooDeep error is never retried."""
+        save = self.pos, self.depth
+        try:
+            return parse(*args)
+        except _TooDeep:
+            raise
+        except ParseError:
+            self.pos, self.depth = save
+            return None
 
     def expect_eof(self) -> None:
         t = self.peek()
@@ -370,7 +416,75 @@ class _Parser:
         t = tok or self.peek()
         return cls(message, self.path, t.line, t.col)
 
-    # -- term layer
+    # -- expressions: terms, pure formulas and assertions
+
+    def _climb(self, grammar: str, floor: int = 1):
+        """Precedence climbing (Pratt 1973) over OPERATORS[grammar]: an
+        operand, then every operator of level floor or tighter after it."""
+        ops = OPERATORS[grammar]
+        left = self._operand(grammar, floor)
+        h = 0  # the height of left, 0 while unknown
+        # An operator from this level up that a right operand's own loop left
+        # unconsumed was refused there (a `*` that separates heap conjuncts),
+        # so the expression ends before it here too, without a second try.
+        limit = _ATOM
+        while True:
+            tok = self.peek()
+            level, assoc, node = ops.get(tok.text, _NO_OP)
+            if assoc == "prefix" or not floor <= level < limit:
+                return left
+            self.next()
+            if assoc == "flat":
+                parts = [left, self._climb(grammar, level + 1)]
+                while self.at_punct(tok.text):
+                    self.next()
+                    parts.append(self._climb(grammar, level + 1))
+                left, h = node(tuple(parts)), 0
+            elif assoc == "right":
+                self.descend(tok)
+                right = self._climb(grammar, level)
+                self.depth -= 1
+                left, h = node(tok.text, left, right), 0
+            else:
+                if grammar == "term" and tok.text == "*":
+                    # A product only when a term follows: otherwise the `*` is
+                    # the separating conjunction after the atom this term ends.
+                    right = self.attempt(self._climb, grammar, level + 1) if self._starts_term(self.peek()) else None
+                    if right is None:
+                        self.pos -= 1
+                        return left
+                else:
+                    right = self._climb(grammar, level + 1)
+                h = self.chained(left, h, right, tok)
+                left, limit = node(tok.text, left, right), level + 1
+
+    def _operand(self, grammar: str, floor: int):
+        level, assoc, node = OPERATORS[grammar].get(self.peek().text, _NO_OP)
+        if assoc == "prefix" and level >= floor:
+            self.descend(self.next())
+            binders = self._binder_list()
+            body = self._climb(grammar, level)
+            self.depth -= 1
+            return node(binders, body)
+        if grammar == "term":
+            return self._primary()
+        if grammar == "pure":
+            return self._pure_atom()
+        return self._assert_atom()
+
+    def _parenthesised(self, grammar: str):
+        self.eat_punct("(")
+        inner = self._climb(grammar)
+        self.eat_punct(")")
+        return inner
+
+    def parse_term(self) -> Term:
+        return self._climb("term")
+
+    def parse_assertion(self) -> Assertion:
+        return self._climb("assertion")
+
+    # -- term operands
 
     def _starts_term(self, tok: Token) -> bool:
         if tok.kind == "int":
@@ -389,36 +503,6 @@ class _Parser:
             return kind not in ("spatial", "pure")
         return False
 
-    def parse_term(self) -> Term:
-        return self._additive()
-
-    def _additive(self) -> Term:
-        t = self._multiplicative()
-        h = 0
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next()
-            r = self._multiplicative()
-            h = self.chained(t, h, r, op)
-            t = Arith(op.text, t, r)
-        return t
-
-    def _multiplicative(self) -> Term:
-        t = self._primary()
-        h = 0
-        while self.at_punct("*") and self._starts_term(self.peek(1)):
-            save = self.pos, self.depth
-            op = self.next()
-            try:
-                r = self._primary()
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.pos, self.depth = save
-                return t
-            h = self.chained(t, h, r, op)
-            t = Arith("*", t, r)
-        return t
-
     def _primary(self) -> Term:
         t = self.peek()
         if t.kind == "int":
@@ -432,15 +516,12 @@ class _Parser:
                 return IntLit(-inner.value)
             return Arith("-", IntLit(0), inner)
         if t.kind == "punct" and t.text == "(":
-            self.eat_punct("(")
-            inner = self.parse_term()
-            self.eat_punct(")")
-            return inner
+            return self._parenthesised("term")
         if t.kind == "punct" and t.text == "?":
             if not self.pattern_mode:
                 raise self.err(ParseError, "`?` binders are only allowed in strategy patterns")
             self.next()
-            name = self.eat_ident().text
+            name = self.expect("ident").text
             self.binder_acc.append(name)
             return Var(name)
         if t.kind == "ident":
@@ -450,7 +531,7 @@ class _Parser:
                 self.eat_punct("(")
                 base = self.parse_term()
                 self.eat_punct(",")
-                fld = self.eat_ident().text
+                fld = self.expect("ident").text
                 self.eat_punct(")")
                 return FieldAddr(base, fld)
             if self.peek(1).kind == "punct" and self.peek(1).text == "(":
@@ -481,15 +562,10 @@ class _Parser:
         self.eat_punct(")")
         arity = self.sig.arity_of(name)
         if arity is not None and arity != len(args):
-            raise ArityMismatchError(
-                f"{name} expects {arity} argument(s), got {len(args)}",
-                self.path,
-                open_tok.line,
-                open_tok.col,
-            )
+            raise self.err(ArityMismatchError, f"{name} expects {arity} argument(s), got {len(args)}", open_tok)
         return args
 
-    # -- atom layer (heap conjuncts)
+    # -- atom layer (heap conjuncts, pure operands)
 
     def parse_atom(self) -> PureFormula | SpatialAtom:
         t = self.peek()
@@ -518,22 +594,10 @@ class _Parser:
                 return PredP(name, tuple(self._args(name)))
         if t.kind == "punct" and t.text == "!":
             self.next()
-            self.eat_punct("(")
-            inner = self.parse_pure_expr()
-            self.eat_punct(")")
-            return Not(inner)
+            return Not(self._parenthesised("pure"))
         if t.kind == "punct" and t.text == "(":
-            save = self.pos, self.depth
-            try:
-                return self._relational()
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.pos, self.depth = save
-            self.eat_punct("(")
-            inner = self.parse_pure_expr()
-            self.eat_punct(")")
-            return inner
+            f = self.attempt(self._relational)
+            return self._parenthesised("pure") if f is None else f
         return self._relational()
 
     def _relational(self) -> PureFormula:
@@ -547,55 +611,19 @@ class _Parser:
             return Rel(t.text, left, self.parse_term())
         raise self.err(ParseError, f"expected a relational operator, found {t.text or 'end of input'!r}")
 
-    # -- pure-formula expressions (inside `!(...)` and `(p OP p)`)
-
-    def parse_pure_expr(self) -> PureFormula:
-        return self._pure_iff()
-
-    def _pure_iff(self) -> PureFormula:
-        l = self._pure_impl()
-        h = 0
-        while self.at_punct("<->"):
-            tok = self.next()
-            r = self._pure_impl()
-            h = self.chained(l, h, r, tok)
-            l = Bin("<->", l, r)
-        return l
-
-    def _pure_impl(self) -> PureFormula:
-        l = self._pure_or()
-        if self.at_punct("->"):
-            self.descend(self.next())
-            r = self._pure_impl()
-            self.depth -= 1
-            return Bin("->", l, r)
-        return l
-
-    def _pure_or(self) -> PureFormula:
-        l = self._pure_and()
-        h = 0
-        while self.at_punct("||"):
-            tok = self.next()
-            r = self._pure_and()
-            h = self.chained(l, h, r, tok)
-            l = Bin("||", l, r)
-        return l
-
-    def _pure_and(self) -> PureFormula:
-        l = self._pure_atom()
-        h = 0
-        while self.at_punct("&&"):
-            tok = self.next()
-            r = self._pure_atom()
-            h = self.chained(l, h, r, tok)
-            l = Bin("&&", l, r)
-        return l
-
     def _pure_atom(self) -> PureFormula:
         a = self.parse_atom()
         if not isinstance(a, PureFormula):
             raise self.err(ParseError, "expected a pure formula, found a spatial atom")
         return a
+
+    def _assert_atom(self) -> Assertion:
+        if self.at_punct("("):
+            inner = self.attempt(self._parenthesised, "assertion")
+            if inner is not None:
+                return inner
+        a = self.parse_atom()
+        return PureA(a) if isinstance(a, PureFormula) else SpatialA(a)
 
     # -- heap conjunctions and entailments
 
@@ -645,65 +673,8 @@ class _Parser:
         e = Entailment(universals, lhs, existentials, rhs)
         problems = well_formed_report(e)
         if problems:
-            raise IllFormedEntailmentError("; ".join(problems), self.path, start.line, start.col)
+            raise self.err(IllFormedEntailmentError, "; ".join(problems), start)
         return e
-
-    # -- assertion layer
-
-    def parse_assertion(self) -> Assertion:
-        if self.at_ident("forall") or self.at_ident("exists"):
-            tok = self.next()
-            self.descend(tok)
-            vs = self._binder_list()
-            body = self.parse_assertion()
-            self.depth -= 1
-            return (ForallA if tok.text == "forall" else ExistsA)(vs, body)
-        return self._assert_wand()
-
-    def _assert_wand(self) -> Assertion:
-        l = self._assert_and()
-        if self.at_punct("-*"):
-            self.descend(self.next())
-            r = self._assert_wand_rhs()
-            self.depth -= 1
-            return Wand(l, r)
-        return l
-
-    def _assert_wand_rhs(self) -> Assertion:
-        if self.at_ident("forall") or self.at_ident("exists"):
-            return self.parse_assertion()
-        return self._assert_wand()
-
-    def _assert_and(self) -> Assertion:
-        parts = [self._assert_sep()]
-        while self.at_punct("&&"):
-            self.next()
-            parts.append(self._assert_sep())
-        return parts[0] if len(parts) == 1 else AndA(tuple(parts))
-
-    def _assert_sep(self) -> Assertion:
-        parts = [self._assert_atom()]
-        while self.at_punct("*"):
-            self.next()
-            parts.append(self._assert_atom())
-        return parts[0] if len(parts) == 1 else SepConj(tuple(parts))
-
-    def _assert_atom(self) -> Assertion:
-        if self.at_punct("("):
-            save = self.pos, self.depth
-            self.eat_punct("(")
-            try:
-                inner = self.parse_assertion()
-                self.eat_punct(")")
-                return inner
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.pos, self.depth = save
-        a = self.parse_atom()
-        if isinstance(a, PureFormula):
-            return PureA(a)
-        return SpatialA(a)
 
     # -- strategies
 
@@ -723,8 +694,8 @@ class _Parser:
         return t.kind == "eof" or (t.kind == "ident" and t.text in SECTION_KEYWORDS)
 
     def parse_strategy(self) -> Strategy:
-        self.eat_ident("strategy")
-        name_tok = self.eat_ident()
+        self.expect("ident", "strategy")
+        name_tok = self.expect("ident")
         name = name_tok.text
         if name in UNDECLARABLE or self.sig.kind_of(name) is not None:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
@@ -748,16 +719,15 @@ class _Parser:
                 neg = self.at_punct("-")
                 if neg:
                     self.next()
-                p = self.next()
-                if p.kind != "int":
-                    raise ParseError("expected an integer priority", self.path, p.line, p.col)
+                p = self.expect("int", message="expected an integer priority")
                 priority = -int(p.text) if neg else int(p.text)
             elif t.text in ("left", "right"):
                 patterns.extend(self._parse_pattern_group(t.text))
             elif t.text == "check":
-                checks.extend(self._parse_checks())
+                checks.extend(self._parse_items(Check, "check"))
             else:
-                action = self._parse_action()
+                items = self._parse_items((Operation, Instantiate), "action")
+                action = items[0] if isinstance(items[0], Instantiate) else OpSeq(tuple(items))
         if not patterns:
             raise self.err(ParseError, f"strategy {name} has no patterns", name_tok)
         if action is None:
@@ -778,7 +748,7 @@ class _Parser:
             tok = self.next()
             if side != "right":
                 raise self.err(ParseError, "exists binders are only allowed on right patterns", tok)
-            exists_binders.append(self.eat_ident().text)
+            exists_binders.append(self.expect("ident").text)
             self.eat_punct(",")
         atoms: list[PatternAtom] = [self._pattern_formula()]
         while not self._at_section_start():
@@ -791,87 +761,50 @@ class _Parser:
         patterns.extend(Pattern(side, a) for a in atoms[1:])
         return patterns
 
-    def _parse_checks(self) -> list[Check]:
-        checks: list[Check] = []
-        while True:
-            t = self.peek()
-            if t.kind != "ident" or t.text not in CHECK_KEYWORDS:
-                break
-            self.next()
+    def _parse_items(self, kinds: type | tuple[type, ...], section: str) -> list:
+        """The `keyword(...);` items of a check or action section whose ITEMS
+        class is one of kinds."""
+        items: list = []
+        while (cls := ITEMS.get(self.peek().text)) is not None and issubclass(cls, kinds):
+            t = self.next()
             self.eat_punct("(")
-            f = self.parse_atom()
-            if not isinstance(f, PureFormula):
-                raise self.err(ParseError, "checks take a pure formula", t)
-            self.eat_punct(")")
-            self.eat_punct(";")
-            if t.text == "left_absent":
-                checks.append(LeftAbsent(f))
-            elif t.text == "right_absent":
-                checks.append(RightAbsent(f))
-            else:
-                checks.append(Infer(f))
-        if not checks:
-            raise self.err(ParseError, "expected at least one check item")
-        return checks
-
-    def _parse_action(self) -> Action:
-        items: list[Operation] = []
-        instantiate: Instantiate | None = None
-        count = 0
-        while True:
-            t = self.peek()
-            if t.kind != "ident" or t.text not in OP_KEYWORDS:
-                break
-            self.next()
-            count += 1
-            self.eat_punct("(")
-            if t.text == "instantiate":
-                var = self.eat_ident().text
+            if cls is Instantiate:
+                var = self.expect("ident").text
                 self.eat_punct("->")
-                term = self.parse_term()
-                instantiate = Instantiate(var, term)
-            elif t.text in ("forall_add", "exist_add"):
-                name = self.eat_ident().text
-                items.append(ForallAdd(name) if t.text == "forall_add" else ExistAdd(name))
+                items.append(Instantiate(var, self.parse_term()))
+            elif cls in (ForallAdd, ExistAdd):
+                items.append(cls(self.expect("ident").text))
             else:
                 f = self.parse_atom()
+                if kinds is Check and not isinstance(f, PureFormula):
+                    raise self.err(ParseError, "checks take a pure formula", t)
                 if isinstance(f, Emp):
                     raise self.err(ParseError, "emp cannot be added or erased", t)
-                cls = {"left_add": LeftAdd, "right_add": RightAdd, "left_erase": LeftErase, "right_erase": RightErase}[t.text]
                 items.append(cls(f))
             self.eat_punct(")")
             self.eat_punct(";")
-            if instantiate is not None and count > 1:
+            if len(items) > 1 and Instantiate in (cls, type(items[0])):
                 raise self.err(MixedInstantiateError, "instantiate cannot be combined with other operations", t)
-        if count == 0:
-            raise self.err(ParseError, "expected at least one action item")
-        if instantiate is not None:
-            return instantiate
-        return OpSeq(tuple(items))
+        if not items:
+            raise self.err(ParseError, f"expected at least one {section} item")
+        return items
 
     def _scope_check(self, s: Strategy, tok: Token) -> None:
         bound: set[str] = set()
 
+        def fail(message: str) -> FrontendError:
+            return self.err(ScopeError, message, tok)
+
         def check_formula(f: PureFormula | SpatialAtom | Term, where: str) -> None:
             for v in core.occurring_vars(f):
                 if v not in bound:
-                    raise ScopeError(
-                        f"variable {v!r} in {where} of strategy {s.name} has no earlier binding occurrence",
-                        self.path,
-                        tok.line,
-                        tok.col,
-                    )
+                    raise fail(f"variable {v!r} in {where} of strategy {s.name} has no earlier binding occurrence")
 
         for p in s.patterns:
             fresh_here: set[str] = set()
             for b in p.atom.binders:
                 if b in bound or b in fresh_here:
-                    raise ScopeError(
-                        f"pattern variable {b!r} is `?`-bound more than once in strategy {s.name}",
-                        self.path,
-                        tok.line,
-                        tok.col,
-                    )
+                    raise fail(f"pattern variable {b!r} is `?`-bound more than once in strategy {s.name}")
                 fresh_here.add(b)
             # Bare occurrences before the `?` occurrence inside one atom are
             # caught by occurrence order: the binder's own first occurrence is
@@ -883,46 +816,25 @@ class _Parser:
                 if v in p.atom.binders:
                     seen_here.add(v)
                     continue
-                raise ScopeError(
-                    f"variable {v!r} in a pattern of strategy {s.name} has no earlier binding occurrence",
-                    self.path,
-                    tok.line,
-                    tok.col,
-                )
+                raise fail(f"variable {v!r} in a pattern of strategy {s.name} has no earlier binding occurrence")
             bound.update(p.atom.binders)
             for b in p.exists_binders:
                 if b not in bound:
-                    raise ScopeError(
-                        f"exists binder {b!r} of strategy {s.name} is never `?`-bound",
-                        self.path,
-                        tok.line,
-                        tok.col,
-                    )
+                    raise fail(f"exists binder {b!r} of strategy {s.name} is never `?`-bound")
         for c in s.checks:
             check_formula(c.formula, "a check")
         if isinstance(s.action, Instantiate):
             if s.action.var not in bound:
-                raise ScopeError(
-                    f"instantiated variable {s.action.var!r} of strategy {s.name} is unbound",
-                    self.path,
-                    tok.line,
-                    tok.col,
-                )
+                raise fail(f"instantiated variable {s.action.var!r} of strategy {s.name} is unbound")
             check_formula(s.action.term, "the instantiation term")
-        else:
-            for op in s.action.ops:
-                match op:
-                    case ForallAdd(name) | ExistAdd(name):
-                        if name in bound:
-                            raise ScopeError(
-                                f"fresh name {name!r} in strategy {s.name} is already bound",
-                                self.path,
-                                tok.line,
-                                tok.col,
-                            )
-                        bound.add(name)
-                    case LeftAdd(f) | RightAdd(f) | LeftErase(f) | RightErase(f):
-                        check_formula(f, "an action operation")
+            return
+        for op in s.action.ops:
+            if isinstance(op, (ForallAdd, ExistAdd)):
+                if op.name in bound:
+                    raise fail(f"fresh name {op.name!r} in strategy {s.name} is already bound")
+                bound.add(op.name)
+            else:
+                check_formula(op.formula, "an action operation")
 
     def parse_program(self) -> Program:
         strategies: list[Strategy] = []
@@ -933,7 +845,7 @@ class _Parser:
                 raise self.err(ParseError, f"expected 'strategy', found {t.text or 'end of input'!r}")
             s = self.parse_strategy()
             if s.name in names:
-                raise DuplicateDeclarationError(f"duplicate strategy name {s.name!r}", self.path, t.line, t.col)
+                raise self.err(DuplicateDeclarationError, f"duplicate strategy name {s.name!r}", t)
             names.add(s.name)
             strategies.append(s)
         return Program(tuple(strategies))
@@ -945,41 +857,21 @@ class _Parser:
 
 def parse_signature(text: str, path: str = "<input>") -> Signature:
     sig = Signature()
-    toks = _lex(text, path)
-    pos = 0
-
-    def peek() -> Token:
-        return toks[pos]
-
-    while peek().kind != "eof":
-        t = toks[pos]
-        if t.kind != "ident" or t.text not in ("spatial", "pure", "func"):
-            raise ParseError(f"expected 'spatial', 'pure' or 'func', found {t.text or 'end of input'!r}", path, t.line, t.col)
-        kind = t.text
-        pos += 1
-        name_tok = toks[pos]
-        if name_tok.kind != "ident":
-            raise ParseError("expected a symbol name", path, name_tok.line, name_tok.col)
-        name = name_tok.text
-        pos += 1
-        slash = toks[pos]
-        if not (slash.kind == "punct" and slash.text == "/"):
-            raise ParseError("expected '/' before the arity", path, slash.line, slash.col)
-        pos += 1
-        nat = toks[pos]
-        if nat.kind != "int":
-            raise ParseError("expected a numeric arity", path, nat.line, nat.col)
-        pos += 1
-        semi = toks[pos]
-        if not (semi.kind == "punct" and semi.text == ";"):
-            raise ParseError("expected ';' after the declaration", path, semi.line, semi.col)
-        pos += 1
-        if name in UNDECLARABLE:
-            raise DuplicateDeclarationError(f"{name!r} is reserved and cannot be declared", path, name_tok.line, name_tok.col)
+    p = _Parser(text, sig, path)
+    while p.peek().kind != "eof":
+        decl = p.next()
+        if decl.kind != "ident" or decl.text not in DECLARATION_KINDS:
+            raise p.err(ParseError, f"expected 'spatial', 'pure' or 'func', found {decl.text!r}", decl)
+        name = p.expect("ident", message="expected a symbol name")
+        p.expect("punct", "/", "expected '/' before the arity")
+        arity = p.expect("int", message="expected a numeric arity")
+        p.expect("punct", ";", "expected ';' after the declaration")
+        if name.text in UNDECLARABLE:
+            raise p.err(DuplicateDeclarationError, f"{name.text!r} is reserved and cannot be declared", name)
         try:
-            sig.declare(name, kind, int(nat.text))
+            sig.declare(name.text, decl.text, int(arity.text))
         except DuplicateDeclarationError as exc:
-            raise DuplicateDeclarationError(exc.message, path, name_tok.line, name_tok.col) from None
+            raise p.err(DuplicateDeclarationError, exc.message, name) from None
     return sig
 
 
@@ -1004,87 +896,73 @@ def _chunks(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _parse_all(rule, text: str, sig: Signature, path: str, start_line: int = 1):
+    """rule applied to the start of text, which it must consume in full."""
+    p = _Parser(text, sig, path, start_line)
+    x = rule(p)
+    p.expect_eof()
+    return x
+
+
 def parse_entailments(text: str, sig: Signature, path: str = "<input>") -> list[Entailment]:
-    out: list[Entailment] = []
-    for start_line, chunk in _chunks(text):
-        p = _Parser(chunk, sig, path, start_line)
-        e = p.parse_entailment()
-        p.expect_eof()
-        out.append(e)
-    return out
+    return [_parse_all(_Parser.parse_entailment, chunk, sig, path, line) for line, chunk in _chunks(text)]
 
 
 def parse_strategies(text: str, sig: Signature, path: str = "<input>") -> Program:
-    p = _Parser(text, sig, path)
-    return p.parse_program()
+    return _parse_all(_Parser.parse_program, text, sig, path)
 
 
 def parse_entailment(text: str, sig: Signature, path: str = "<input>") -> Entailment:
-    p = _Parser(text, sig, path)
-    e = p.parse_entailment()
-    p.expect_eof()
-    return e
+    return _parse_all(_Parser.parse_entailment, text, sig, path)
 
 
 def parse_heap(text: str, sig: Signature, path: str = "<input>") -> SymbolicHeap:
-    p = _Parser(text, sig, path)
-    h = p.parse_heap()
-    p.expect_eof()
-    return h
+    return _parse_all(_Parser.parse_heap, text, sig, path)
 
 
 def parse_term(text: str, sig: Signature, path: str = "<input>") -> Term:
-    p = _Parser(text, sig, path)
-    t = p.parse_term()
-    p.expect_eof()
-    return t
+    return _parse_all(_Parser.parse_term, text, sig, path)
 
 
 def parse_pure(text: str, sig: Signature, path: str = "<input>") -> PureFormula:
-    p = _Parser(text, sig, path)
-    f = p.parse_atom()
-    p.expect_eof()
+    f = _parse_all(_Parser.parse_atom, text, sig, path)
     if not isinstance(f, PureFormula):
         raise ParseError("expected a pure formula", path, 1, 1)
     return f
 
 
 def parse_assertion(text: str, sig: Signature, path: str = "<input>") -> Assertion:
-    p = _Parser(text, sig, path)
-    a = p.parse_assertion()
-    p.expect_eof()
-    return a
+    return _parse_all(_Parser.parse_assertion, text, sig, path)
 
 
 # ---------------------------------------------------------------------------
-# Printers
+# Printers: each node is parenthesised when its OPERATORS level is below ctx,
+# the level its position asks for.
 
 
 def print_term(t: Term) -> str:
-    return _pt(t, 0)
+    return _pt(t)
 
 
-def _pt(t: Term, level: int) -> str:
-    # levels: 0 additive, 1 multiplicative, 2 primary
+def _pt(t: Term, ctx: int = 0) -> str:
     match t:
         case IntLit(v):
             return str(v)
         case Var(name):
             return name
         case FieldAddr(base, fld):
-            return f"field_addr({_pt(base, 0)}, {fld})"
+            return f"field_addr({_pt(base)}, {fld})"
         case Apply(fn, args):
-            return f"{fn}({', '.join(_pt(a, 0) for a in args)})"
+            return f"{fn}({', '.join(_pt(a) for a in args)})"
         case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
-            s = "-" + _pt(r, 2)
-            return f"({s})" if level > 1 else s
+            # A prefix minus is printed as tightly as a product binds.
+            level, s = _TERM["*"][0], "-" + _pt(r, _ATOM)
         case Arith(op, l, r):
-            if op == "*":
-                s = f"{_pt(l, 1)} * {_pt(r, 2)}"
-                return f"({s})" if level > 1 else s
-            s = f"{_pt(l, 0)} {op} {_pt(r, 1)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"print_term: unsupported value {t!r}")
+            level = _TERM[op][0]
+            s = f"{_pt(l, level)} {op} {_pt(r, level + 1)}"
+        case _:
+            raise TypeError(f"print_term: unsupported value {t!r}")
+    return f"({s})" if ctx > level else s
 
 
 def print_pure(f: PureFormula) -> str:
@@ -1098,10 +976,11 @@ def print_pure(f: PureFormula) -> str:
         case Not(inner):
             return f"!({print_pure(inner)})"
         case Bin(op, l, r):
-            # A left-nested chain of `&&`, `||` or `<->` prints flat, inside
-            # one pair of parentheses, as the parser builds it back.
+            # A left-nested chain of a left-associative operator prints flat,
+            # inside one pair of parentheses, as the parser builds it back.
             operands = [r]
-            while op != "->" and type(l) is Bin and l.op == op:
+            flat = _PURE[op][1] == "left"
+            while flat and type(l) is Bin and l.op == op:
                 operands.append(l.right)
                 l = l.left
             operands.append(l)
@@ -1145,33 +1024,29 @@ def print_entailment(e: Entailment) -> str:
 
 
 def print_assertion(a: Assertion) -> str:
-    return _pa(a, 0)
+    return _pa(a)
 
 
-def _pa(a: Assertion, level: int) -> str:
-    # levels: 0 quantifier, 1 wand, 2 conjunction, 3 separating conjunction,
-    # 4 atom; wand operands are printed fully parenthesized unless atomic.
+def _pa(a: Assertion, ctx: int = 0) -> str:
     match a:
         case PureA(f):
             return print_pure(f)
         case SpatialA(s):
             return print_spatial(s)
-        case SepConj(parts):
-            body = " * ".join(_pa(p, 4) for p in parts)
-            return f"({body})" if level > 3 else body
-        case AndA(parts):
-            body = " && ".join(_pa(p, 3) for p in parts)
-            return f"({body})" if level > 2 else body
+        case AndA(parts) | SepConj(parts):
+            op = "&&" if type(a) is AndA else "*"
+            level = _ASSERTION[op][0]
+            s = f" {op} ".join(_pa(p, level + 1) for p in parts)
         case Wand(l, r):
-            body = f"{_pa(l, 4)} -* {_pa(r, 4)}"
-            return f"({body})" if level > 1 else body
-        case ForallA(vs, inner):
-            body = f"forall {' '.join(vs)}, {_pa(inner, 0)}"
-            return f"({body})" if level > 0 else body
-        case ExistsA(vs, inner):
-            body = f"exists {' '.join(vs)}, {_pa(inner, 0)}"
-            return f"({body})" if level > 0 else body
-    raise TypeError(f"print_assertion: unsupported value {a!r}")
+            # Wand operands are parenthesised unless atomic.
+            level, s = _ASSERTION["-*"][0], f"{_pa(l, _ATOM)} -* {_pa(r, _ATOM)}"
+        case ForallA(vs, body) | ExistsA(vs, body):
+            op = "forall" if type(a) is ForallA else "exists"
+            level = _ASSERTION[op][0]
+            s = f"{op} {' '.join(vs)}, {_pa(body, level)}"
+        case _:
+            raise TypeError(f"print_assertion: unsupported value {a!r}")
+    return f"({s})" if ctx > level else s
 
 
 class _FirstOccurrence(dict):
@@ -1195,29 +1070,14 @@ def print_strategy(s: Strategy) -> str:
         ex = "".join(f"exists {b}, " for b in p.exists_binders)
         lines.append(f"{p.side}: {ex}{_print_pattern_atom(p.atom)}")
     if s.checks:
-        items = []
-        for c in s.checks:
-            kw = {LeftAbsent: "left_absent", RightAbsent: "right_absent", Infer: "infer"}[type(c)]
-            items.append(f"{kw}({print_pure(c.formula)});")
-        lines.append("check: " + " ".join(items))
+        lines.append("check: " + " ".join(f"{_KEYWORD[type(c)]}({print_pure(c.formula)});" for c in s.checks))
     if isinstance(s.action, Instantiate):
         lines.append(f"action: instantiate({s.action.var} -> {print_term(s.action.term)});")
     else:
         lines.append("action:")
         for op in s.action.ops:
-            match op:
-                case LeftAdd(f):
-                    lines.append(f"  left_add({print_conjunct(f)});")
-                case RightAdd(f):
-                    lines.append(f"  right_add({print_conjunct(f)});")
-                case LeftErase(f):
-                    lines.append(f"  left_erase({print_conjunct(f)});")
-                case RightErase(f):
-                    lines.append(f"  right_erase({print_conjunct(f)});")
-                case ForallAdd(name):
-                    lines.append(f"  forall_add({name});")
-                case ExistAdd(name):
-                    lines.append(f"  exist_add({name});")
+            arg = op.name if isinstance(op, (ForallAdd, ExistAdd)) else print_conjunct(op.formula)
+            lines.append(f"  {_KEYWORD[type(op)]}({arg});")
     return "\n".join(lines) + "\n"
 
 

@@ -359,6 +359,28 @@ class TestValidate:
         assert rc == 2
         assert re.fullmatch(rf"{re.escape(str(long))}:1:\d+: operator chain deeper than {MAX_DEPTH} levels\n", err)
 
+    def test_non_utf8_input_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sle"
+        bad.write_bytes(b"forall x,\r\n  0 < x && x == \xff |-- emp\n")
+        rc = run_cli("validate", "--sig", corpus("common.sig"), "--input", str(bad))
+        assert rc == 2
+        assert capsys.readouterr().err == f"{bad}:2:17: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize(
+        "flag, suffix, text, col",
+        [
+            ("--input", ".sle", "forall x, x == \u00b2 |-- emp\n", 16),
+            ("--sig", ".sig", "spatial p/\u00b2;\n", 11),
+        ],
+    )
+    def test_unicode_digit_diagnostic(self, flag, suffix, text, col, tmp_path, capsys):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(text, encoding="utf-8")
+        sig = str(bad) if flag == "--sig" else corpus("common.sig")
+        rc = run_cli("purify", "--sig", sig, "--input", str(bad) if flag == "--input" else corpus("common_cells.sle"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"{bad}:1:{col}: unexpected character '\u00b2'\n"
+
     def test_without_input(self, capsys):
         rc = run_cli("validate", "--sig", corpus("array.sig"), "--strategies", corpus("array.stg"))
         out = capsys.readouterr().out

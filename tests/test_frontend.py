@@ -337,6 +337,63 @@ class TestChainLimit:
             parse_strategies(text, SIG)
 
 
+class TestOperatorTable:
+    def test_rejected_product_is_not_retried(self, monkeypatch):
+        # A `*` whose right operand is not a term is tried once as a product,
+        # however many operator levels are open around it.
+        from sepstrat.frontend import _Parser
+
+        calls = 0
+        primary = _Parser._primary
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return primary(self)
+
+        monkeypatch.setattr(_Parser, "_primary", counting)
+        depth = 12
+        text = "forall x, 0 < " + "x + x * (" * depth + "emp" + ")" * depth + " |-- emp"
+        with pytest.raises(ParseError, match="expected a relational operator"):
+            parse_entailments(text, SIG)
+        assert calls < 20 * depth
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x - y - z + w", Arith("+", Arith("-", Arith("-", Var("x"), Var("y")), Var("z")), Var("w"))),
+            ("x * y + z * w", Arith("+", Arith("*", Var("x"), Var("y")), Arith("*", Var("z"), Var("w")))),
+        ],
+    )
+    def test_term_levels(self, text, expected):
+        assert parse_term(text, SIG) == expected
+
+    def test_pure_levels(self):
+        a, b, c, d = (Rel("<", IntLit(0), Var(v)) for v in "xyzw")
+        f = parse_pure("(0 < x && 0 < y || 0 < z -> 0 < w <-> 0 < x -> 0 < y -> 0 < z)", SIG)
+        right = Bin("->", a, Bin("->", b, c))
+        assert f == Bin("<->", Bin("->", Bin("||", Bin("&&", a, b), c), d), right)
+
+    def test_assertion_levels(self):
+        from sepstrat.core import AndA, ForallA, PureA, SepConj, SpatialA, Wand
+
+        a = parse_assertion("emp * emp && emp -* forall x, emp -* emp * emp", SIG)
+        e = SpatialA(Emp())
+        assert a == Wand(AndA((SepConj((e, e)), e)), ForallA(("x",), Wand(e, SepConj((e, e)))))
+        assert isinstance(parse_assertion("x == 0 && emp", SIG).parts[0], PureA)
+
+    @pytest.mark.parametrize("text, col", [("\u00b2", 1), ("x + \u00b2", 5), ("x * \u0663", 5)])
+    def test_only_ascii_digits_are_numbers(self, text, col):
+        with pytest.raises(ParseError) as info:
+            parse_term(text, SIG, "u.sle")
+        assert str(info.value) == f"u.sle:1:{col}: unexpected character {text[-1]!r}"
+
+    def test_unicode_digit_in_signature(self):
+        with pytest.raises(ParseError) as info:
+            parse_signature("spatial p/\u00b2;", "u.sig")
+        assert str(info.value) == "u.sig:1:11: unexpected character '\u00b2'"
+
+
 class TestAssertions:
     CASES = [
         "emp",

@@ -22,6 +22,7 @@ from sepstrat.frontend import (
     parse_assertion,
     parse_heap,
     parse_strategies,
+    print_assertion,
 )
 from sepstrat.soundness import (
     Assume,
@@ -319,3 +320,15 @@ class TestCorpusInvariants:
                 assert c is not None and condition_of(analyze(inject_virtual_ops(s))) == c
             else:
                 assert soundness_of(s) is None
+
+    def test_printed_conditions_parse_back(self, sll, array, common):
+        # Hypotheses and conclusions use `-*`, flat `&&` and `*` chains and
+        # quantifiers: the assertion grammar, read back node for node.
+        checked = 0
+        for sig, prog in (sll, array, common):
+            for s in prog.strategies:
+                c = soundness_of(s)
+                for a in (c.hypothesis, c.conclusion) if c is not None else ():
+                    assert parse_assertion(print_assertion(a), sig) is a
+                    checked += 1
+        assert checked == 20
