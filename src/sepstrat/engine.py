@@ -33,17 +33,7 @@ from .core import (
     well_formed,
 )
 from .frontend import (
-    ExistAdd,
-    ForallAdd,
-    Infer,
-    Instantiate,
-    LeftAbsent,
-    LeftAdd,
-    LeftErase,
     Program,
-    RightAbsent,
-    RightAdd,
-    RightErase,
     Strategy,
     parse_entailment,
     parse_term,
@@ -111,32 +101,28 @@ def run_checks(
     is solved afresh."""
     conditions: list[SideCondition] = []
     for c in s.checks:
-        f = substitute(c.formula, binding)
-        match c:
-            case LeftAbsent():
-                if f in e.lhs.pures:
-                    return None
-            case RightAbsent():
-                if f in e.rhs.pures:
-                    return None
-            case Infer():
-                if memo is None:
-                    res = smt.infer(e.lhs.pures, f)
-                else:
-                    key = (e.lhs.pures, f)
-                    res = memo.get(key)
-                    if res is None:
-                        res = memo[key] = smt.infer(*key)
-                conditions.append(
-                    SideCondition(
-                        goal=f,
-                        status=res.status,
-                        strategy=s.name,
-                        step_index=-1,
-                    )
-                )
-                if res.status is not ProofStatus.PROVEN:
-                    return None
+        f = substitute(c.arg, binding)
+        if c.keyword != "infer":  # left_absent, right_absent
+            if f in (e.lhs if c.keyword == "left_absent" else e.rhs).pures:
+                return None
+            continue
+        if memo is None:
+            res = smt.infer(e.lhs.pures, f)
+        else:
+            key = (e.lhs.pures, f)
+            res = memo.get(key)
+            if res is None:
+                res = memo[key] = smt.infer(*key)
+        conditions.append(
+            SideCondition(
+                goal=f,
+                status=res.status,
+                strategy=s.name,
+                step_index=-1,
+            )
+        )
+        if res.status is not ProofStatus.PROVEN:
+            return None
     return conditions
 
 
@@ -153,11 +139,12 @@ def apply_action(
     for forall_add/exist_add.  A pre-seeded binding for such a name forces
     that choice (used by trace replay)."""
     sigma = dict(binding)
-    if isinstance(s.action, Instantiate):
-        v = sigma.get(s.action.var)
+    if s.action and s.action[0].keyword == "instantiate":
+        var, term = s.action[0].arg
+        v = sigma.get(var)
         if not isinstance(v, Var) or v.name not in e.existentials:
             return None
-        t = substitute(s.action.term, sigma)
+        t = substitute(term, sigma)
         fv = free_vars(t)
         if v.name in fv:
             return None
@@ -180,33 +167,33 @@ def apply_action(
     def current_names() -> set[str]:
         return set(universals).union(existentials, *map(free_vars, lp + ls + rp + rs))
 
-    for op in s.action.ops:
-        match op:
-            case LeftAdd(f) | RightAdd(f) | LeftErase(f) | RightErase(f):
-                g = substitute(f, sigma)
-                left = isinstance(op, (LeftAdd, LeftErase))
-                pure = isinstance(g, PureFormula)
-                target = (lp if pure else ls) if left else (rp if pure else rs)
-                if isinstance(op, (LeftAdd, RightAdd)):
-                    if not isinstance(g, Emp):
-                        target.append(g)
-                elif isinstance(g, Emp) or g not in target:
-                    return None
-                else:
-                    target.remove(g)
-            case ForallAdd(x) | ExistAdd(x):
-                seeded = sigma.get(x)
-                if seeded is not None:
-                    if not isinstance(seeded, Var):
-                        return None
-                    name = seeded.name
-                    if name in current_names():
-                        return None
-                else:
-                    avoid = current_names().union(*map(free_vars, sigma.values()))
-                    name = fresh_name(x, avoid)
-                    sigma[x] = Var(name)
-                (universals if isinstance(op, ForallAdd) else existentials).append(name)
+    for op in s.action:
+        side, _, verb = op.keyword.partition("_")
+        if side in ("left", "right"):
+            g = substitute(op.arg, sigma)
+            pure = isinstance(g, PureFormula)
+            target = (lp if pure else ls) if side == "left" else (rp if pure else rs)
+            if verb == "add":
+                if not isinstance(g, Emp):
+                    target.append(g)
+            elif isinstance(g, Emp) or g not in target:
+                return None
+            else:
+                target.remove(g)
+            continue
+        # forall_add, exist_add
+        seeded = sigma.get(op.arg)
+        if seeded is not None:
+            if not isinstance(seeded, Var):
+                return None
+            name = seeded.name
+            if name in current_names():
+                return None
+        else:
+            avoid = current_names().union(*map(free_vars, sigma.values()))
+            name = fresh_name(op.arg, avoid)
+            sigma[op.arg] = Var(name)
+        (universals if side == "forall" else existentials).append(name)
     e2 = Entailment(
         tuple(universals),
         SymbolicHeap(tuple(lp), tuple(ls)),

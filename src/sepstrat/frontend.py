@@ -11,6 +11,7 @@ produces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -147,72 +148,15 @@ class Pattern:
     exists_binders: tuple[str, ...] = ()
 
 
-class Check:
-    __slots__ = ()
-
-
 @dataclass(frozen=True, slots=True)
-class LeftAbsent(Check):
-    formula: PureFormula
+class Item:
+    """One check or action item, by its `.stg` keyword.  arg is a pure
+    formula for a check, a conjunct for `*_add`/`*_erase`, a name for
+    `forall_add`/`exist_add`, and a (variable, term) pair for
+    `instantiate`."""
 
-
-@dataclass(frozen=True, slots=True)
-class RightAbsent(Check):
-    formula: PureFormula
-
-
-@dataclass(frozen=True, slots=True)
-class Infer(Check):
-    formula: PureFormula
-
-
-class Operation:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class LeftAdd(Operation):
-    formula: PureFormula | SpatialAtom
-
-
-@dataclass(frozen=True, slots=True)
-class RightAdd(Operation):
-    formula: PureFormula | SpatialAtom
-
-
-@dataclass(frozen=True, slots=True)
-class LeftErase(Operation):
-    formula: PureFormula | SpatialAtom
-
-
-@dataclass(frozen=True, slots=True)
-class RightErase(Operation):
-    formula: PureFormula | SpatialAtom
-
-
-@dataclass(frozen=True, slots=True)
-class ForallAdd(Operation):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class ExistAdd(Operation):
-    name: str
-
-
-class Action:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class OpSeq(Action):
-    ops: tuple[Operation, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Instantiate(Action):
-    var: str
-    term: Term
+    keyword: str
+    arg: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,8 +164,8 @@ class Strategy:
     name: str
     priority: int
     patterns: tuple[Pattern, ...]
-    checks: tuple[Check, ...]
-    action: Action
+    checks: tuple[Item, ...]
+    action: tuple[Item, ...]  # one `instantiate` item, or operations
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,20 +179,10 @@ class Program:
         return None
 
 
-# The items of check and action sections, by keyword.
-ITEMS: dict[str, type] = {
-    "left_absent": LeftAbsent,
-    "right_absent": RightAbsent,
-    "infer": Infer,
-    "left_add": LeftAdd,
-    "right_add": RightAdd,
-    "left_erase": LeftErase,
-    "right_erase": RightErase,
-    "forall_add": ForallAdd,
-    "exist_add": ExistAdd,
-    "instantiate": Instantiate,
-}
-_KEYWORD = {cls: kw for kw, cls in ITEMS.items()}
+# The section, "check" or "action", of each item keyword.
+ITEMS = dict.fromkeys(("left_absent", "right_absent", "infer"), "check") | dict.fromkeys(
+    ("left_add", "right_add", "left_erase", "right_erase", "forall_add", "exist_add", "instantiate"), "action"
+)
 
 # Names that may not be declared in a signature: built-ins plus every word the
 # grammar gives a fixed job.
@@ -267,9 +201,7 @@ class Token:
     col: int
 
 
-_PUNCTS_3 = ("|--", "<->")
-_PUNCTS_2 = ("->", "-*", "==", "!=", "<=", ">=", "&&", "||")
-_PUNCTS_1 = "(),;:*+-/!?<>"
+_PUNCT = re.compile(r"\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[(),;:*+\-/!?<>]")  # longest first
 _DIGITS = "0123456789"  # not `str.isdigit`, which also accepts digits like `²` that `int` rejects
 
 
@@ -310,20 +242,10 @@ def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
             col += j - i
             i = j
             continue
-        matched = None
-        for p in _PUNCTS_3:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            for p in _PUNCTS_2:
-                if text.startswith(p, i):
-                    matched = p
-                    break
-        if matched is None and c in _PUNCTS_1:
-            matched = c
-        if matched is None:
+        m = _PUNCT.match(text, i)
+        if m is None:
             raise ParseError(f"unexpected character {c!r}", path, line, col)
+        matched = m.group()
         toks.append(Token("punct", matched, line, col))
         col += len(matched)
         i += len(matched)
@@ -416,6 +338,14 @@ class _Parser:
         t = tok or self.peek()
         return cls(message, self.path, t.line, t.col)
 
+    def integer(self, tok: Token) -> int:
+        """The value of an `int` token; Python's digit limit on `int`
+        becomes a diagnostic at the token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.err(ParseError, f"integer literal of {len(tok.text)} digits is too long", tok) from None
+
     # -- expressions: terms, pure formulas and assertions
 
     def _climb(self, grammar: str, floor: int = 1):
@@ -506,8 +436,7 @@ class _Parser:
     def _primary(self) -> Term:
         t = self.peek()
         if t.kind == "int":
-            self.next()
-            return IntLit(int(t.text))
+            return IntLit(self.integer(self.next()))
         if t.kind == "punct" and t.text == "-":
             self.descend(self.next())
             inner = self._primary()
@@ -701,8 +630,8 @@ class _Parser:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
         priority: int | None = None
         patterns: list[Pattern] = []
-        checks: list[Check] = []
-        action: Action | None = None
+        checks: list[Item] = []
+        action: tuple[Item, ...] | None = None
         while True:
             t = self.peek()
             if t.kind == "eof" or (t.kind == "ident" and t.text == "strategy"):
@@ -719,15 +648,14 @@ class _Parser:
                 neg = self.at_punct("-")
                 if neg:
                     self.next()
-                p = self.expect("int", message="expected an integer priority")
-                priority = -int(p.text) if neg else int(p.text)
+                p = self.integer(self.expect("int", message="expected an integer priority"))
+                priority = -p if neg else p
             elif t.text in ("left", "right"):
                 patterns.extend(self._parse_pattern_group(t.text))
             elif t.text == "check":
-                checks.extend(self._parse_items(Check, "check"))
+                checks.extend(self._parse_items("check"))
             else:
-                items = self._parse_items((Operation, Instantiate), "action")
-                action = items[0] if isinstance(items[0], Instantiate) else OpSeq(tuple(items))
+                action = tuple(self._parse_items("action"))
         if not patterns:
             raise self.err(ParseError, f"strategy {name} has no patterns", name_tok)
         if action is None:
@@ -761,29 +689,28 @@ class _Parser:
         patterns.extend(Pattern(side, a) for a in atoms[1:])
         return patterns
 
-    def _parse_items(self, kinds: type | tuple[type, ...], section: str) -> list:
-        """The `keyword(...);` items of a check or action section whose ITEMS
-        class is one of kinds."""
-        items: list = []
-        while (cls := ITEMS.get(self.peek().text)) is not None and issubclass(cls, kinds):
+    def _parse_items(self, section: str) -> list[Item]:
+        """The `keyword(...);` items of a check or action section."""
+        items: list[Item] = []
+        while ITEMS.get(self.peek().text) == section:
             t = self.next()
             self.eat_punct("(")
-            if cls is Instantiate:
+            if t.text == "instantiate":
                 var = self.expect("ident").text
                 self.eat_punct("->")
-                items.append(Instantiate(var, self.parse_term()))
-            elif cls in (ForallAdd, ExistAdd):
-                items.append(cls(self.expect("ident").text))
+                arg = (var, self.parse_term())
+            elif t.text in ("forall_add", "exist_add"):
+                arg = self.expect("ident").text
             else:
-                f = self.parse_atom()
-                if kinds is Check and not isinstance(f, PureFormula):
+                arg = self.parse_atom()
+                if section == "check" and not isinstance(arg, PureFormula):
                     raise self.err(ParseError, "checks take a pure formula", t)
-                if isinstance(f, Emp):
+                if isinstance(arg, Emp):
                     raise self.err(ParseError, "emp cannot be added or erased", t)
-                items.append(cls(f))
+            items.append(Item(t.text, arg))
             self.eat_punct(")")
             self.eat_punct(";")
-            if len(items) > 1 and Instantiate in (cls, type(items[0])):
+            if len(items) > 1 and "instantiate" in (t.text, items[0].keyword):
                 raise self.err(MixedInstantiateError, "instantiate cannot be combined with other operations", t)
         if not items:
             raise self.err(ParseError, f"expected at least one {section} item")
@@ -822,19 +749,19 @@ class _Parser:
                 if b not in bound:
                     raise fail(f"exists binder {b!r} of strategy {s.name} is never `?`-bound")
         for c in s.checks:
-            check_formula(c.formula, "a check")
-        if isinstance(s.action, Instantiate):
-            if s.action.var not in bound:
-                raise fail(f"instantiated variable {s.action.var!r} of strategy {s.name} is unbound")
-            check_formula(s.action.term, "the instantiation term")
-            return
-        for op in s.action.ops:
-            if isinstance(op, (ForallAdd, ExistAdd)):
-                if op.name in bound:
-                    raise fail(f"fresh name {op.name!r} in strategy {s.name} is already bound")
-                bound.add(op.name)
-            else:
-                check_formula(op.formula, "an action operation")
+            check_formula(c.arg, "a check")
+        for op in s.action:
+            match op:
+                case Item("instantiate", (var, term)):
+                    if var not in bound:
+                        raise fail(f"instantiated variable {var!r} of strategy {s.name} is unbound")
+                    check_formula(term, "the instantiation term")
+                case Item("forall_add" | "exist_add", name):
+                    if name in bound:
+                        raise fail(f"fresh name {name!r} in strategy {s.name} is already bound")
+                    bound.add(name)
+                case _:
+                    check_formula(op.arg, "an action operation")
 
     def parse_program(self) -> Program:
         strategies: list[Strategy] = []
@@ -869,7 +796,7 @@ def parse_signature(text: str, path: str = "<input>") -> Signature:
         if name.text in UNDECLARABLE:
             raise p.err(DuplicateDeclarationError, f"{name.text!r} is reserved and cannot be declared", name)
         try:
-            sig.declare(name.text, decl.text, int(arity.text))
+            sig.declare(name.text, decl.text, p.integer(arity))
         except DuplicateDeclarationError as exc:
             raise p.err(DuplicateDeclarationError, exc.message, name) from None
     return sig
@@ -1070,15 +997,22 @@ def print_strategy(s: Strategy) -> str:
         ex = "".join(f"exists {b}, " for b in p.exists_binders)
         lines.append(f"{p.side}: {ex}{_print_pattern_atom(p.atom)}")
     if s.checks:
-        lines.append("check: " + " ".join(f"{_KEYWORD[type(c)]}({print_pure(c.formula)});" for c in s.checks))
-    if isinstance(s.action, Instantiate):
-        lines.append(f"action: instantiate({s.action.var} -> {print_term(s.action.term)});")
+        lines.append("check: " + " ".join(map(_print_item, s.checks)))
+    if [op.keyword for op in s.action] == ["instantiate"]:
+        lines.append("action: " + _print_item(s.action[0]))
     else:
         lines.append("action:")
-        for op in s.action.ops:
-            arg = op.name if isinstance(op, (ForallAdd, ExistAdd)) else print_conjunct(op.formula)
-            lines.append(f"  {_KEYWORD[type(op)]}({arg});")
+        lines.extend("  " + _print_item(op) for op in s.action)
     return "\n".join(lines) + "\n"
+
+
+def _print_item(item: Item) -> str:
+    arg = item.arg
+    if item.keyword == "instantiate":
+        arg = f"{arg[0]} -> {print_term(arg[1])}"
+    elif not isinstance(arg, str):
+        arg = print_conjunct(arg)
+    return f"{item.keyword}({arg});"
 
 
 def print_program(prog: Program) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var, substitute
-from .frontend import LeftAbsent, PatternAtom, RightAbsent, Strategy
+from .frontend import PatternAtom, Strategy
 
 LEFT = "left"
 RIGHT = "right"
@@ -113,11 +113,8 @@ class _Plan:
             self.pats.append((li, head, f, a.name if type(a) is Var else None))
         self.order = tuple(dict.fromkeys(b for p in s.patterns for b in p.atom.binders))
         self.binders = frozenset(self.order)
-        self.absent = tuple(
-            (0 if isinstance(c, LeftAbsent) else 2, c.formula)
-            for c in s.checks
-            if isinstance(c, (LeftAbsent, RightAbsent))
-        )
+        absent = {"left_absent": 0, "right_absent": 2}
+        self.absent = tuple((absent[c.keyword], c.arg) for c in s.checks if c.keyword in absent)
         self.exists = tuple(b for p in s.patterns for b in p.exists_binders)
 
 

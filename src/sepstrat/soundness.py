@@ -1,7 +1,8 @@
 """Soundness condition generation.
 
-For an operation-sequence strategy, virtual erase/add pairs (one per pattern)
-and assume ops (one per infer check) are injected ahead of the real action.
+For an operation-sequence strategy, the infer checks (as assumptions) and
+virtual erase/add pairs (one per pattern) are injected ahead of the real
+action.
 A left-to-right scan with per-side cancellation yields the six-tuple
 (vl_forall, sc, l_minus, l_plus, r_plus, r_minus), from which the condition
 
@@ -30,25 +31,9 @@ from .core import (
     Wand,
     occurring_vars,
 )
-from .frontend import (
-    ExistAdd,
-    ForallAdd,
-    Infer,
-    Instantiate,
-    LeftAdd,
-    LeftErase,
-    OpSeq,
-    RightAdd,
-    RightErase,
-    Strategy,
-)
+from .frontend import Item, Strategy
 
 Formula = PureFormula | SpatialAtom
-
-
-@dataclass(frozen=True, slots=True)
-class Assume:
-    formula: PureFormula
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,42 +47,38 @@ class SoundnessAnalysis:
     v: tuple[str, ...]
 
 
-def inject_virtual_ops(s: Strategy) -> list:
-    """Assume ops, then per-pattern erase/add pairs (lefts before rights),
-    then the strategy's own operations."""
-    if not isinstance(s.action, OpSeq):
+def inject_virtual_ops(s: Strategy) -> list[Item]:
+    """The infer checks, as assumptions, then per-pattern erase/add pairs
+    (lefts before rights), then the strategy's own operations."""
+    if s.action and s.action[0].keyword == "instantiate":
         raise ValueError("instantiate actions have no operation sequence")
-    assumes = [Assume(c.formula) for c in s.checks if isinstance(c, Infer)]
+    assumes = [c for c in s.checks if c.keyword == "infer"]
     pairs = []
-    for side, erase, add in (("left", LeftErase, LeftAdd), ("right", RightErase, RightAdd)):
+    for side in ("left", "right"):
         for p in s.patterns:
             if p.side == side:
-                pairs += [erase(p.atom.formula), add(p.atom.formula)]
-    return assumes + pairs + list(s.action.ops)
+                pairs += [Item(f"{side}_erase", p.atom.formula), Item(f"{side}_add", p.atom.formula)]
+    return assumes + pairs + list(s.action)
 
 
-def analyze(ops: list) -> SoundnessAnalysis:
+def analyze(ops: list[Item]) -> SoundnessAnalysis:
     vl: list[str] = []
     sc: list[PureFormula] = []
     minus: dict[str, list[Formula]] = {"left": [], "right": []}
     plus: dict[str, list[Formula]] = {"left": [], "right": []}
-    exist_names: list[str] = []
     for op in ops:
-        match op:
-            case Assume(f):
-                sc.append(f)
-            case LeftAdd(f) | RightAdd(f):
-                plus["left" if isinstance(op, LeftAdd) else "right"].append(f)
-            case LeftErase(f) | RightErase(f):
-                side = "left" if isinstance(op, LeftErase) else "right"
-                if f in plus[side]:
-                    plus[side].remove(f)
-                else:
-                    minus[side].append(f)
-            case ForallAdd(x):
-                vl.append(x)
-            case ExistAdd(x):
-                exist_names.append(x)
+        side, _, verb = op.keyword.partition("_")
+        if op.keyword == "infer":
+            sc.append(op.arg)
+        elif op.keyword == "forall_add":
+            vl.append(op.arg)
+        elif side in plus and verb == "add":
+            plus[side].append(op.arg)
+        elif verb == "erase":
+            if op.arg in plus[side]:
+                plus[side].remove(op.arg)
+            else:
+                minus[side].append(op.arg)
     outside: set[str] = set(vl)
     for f in sc + minus["left"] + plus["left"]:
         outside |= set(occurring_vars(f))
@@ -161,6 +142,6 @@ def condition_of(a: SoundnessAnalysis) -> SoundnessCondition:
 
 def soundness_of(s: Strategy) -> SoundnessCondition | None:
     """None for instantiation strategies, which are sound by construction."""
-    if isinstance(s.action, Instantiate):
+    if s.action and s.action[0].keyword == "instantiate":
         return None
     return condition_of(analyze(inject_virtual_ops(s)))

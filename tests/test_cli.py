@@ -381,6 +381,26 @@ class TestValidate:
         assert rc == 2
         assert capsys.readouterr().err == f"{bad}:1:{col}: unexpected character '\u00b2'\n"
 
+    @pytest.mark.parametrize(
+        "flag, suffix, text, where",
+        [
+            ("--input", ".sle", "forall x, x == {} |-- emp\n", "1:16"),
+            ("--strategies", ".stg", "strategy s\n  priority: {}\n  right: ?x == x\n  action: right_erase(x == x);\n",
+             "2:13"),
+            ("--sig", ".sig", "spatial p/{};\n", "1:11"),
+        ],
+        ids=["term", "priority", "arity"],
+    )
+    def test_long_integer_literal_diagnostic(self, flag, suffix, text, where, tmp_path, capsys):
+        # Python's `int` refuses strings of more than 4,300 digits.
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_text(text.format("7" * 5000))
+        files = {"--sig": "common.sig", "--strategies": "common.stg", "--input": "common_cells.sle"}
+        args = [x for f, name in files.items() for x in (f, str(bad) if f == flag else corpus(name))]
+        rc = run_cli("validate", *args)
+        assert rc == 2
+        assert capsys.readouterr().err == f"{bad}:{where}: integer literal of 5000 digits is too long\n"
+
     def test_without_input(self, capsys):
         rc = run_cli("validate", "--sig", corpus("array.sig"), "--strategies", corpus("array.stg"))
         out = capsys.readouterr().out

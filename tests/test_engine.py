@@ -28,10 +28,7 @@ from sepstrat.engine import (
     traces_to_document,
 )
 from sepstrat.frontend import (
-    LeftAdd,
-    LeftErase,
-    RightAdd,
-    RightErase,
+    Item,
     parse_entailment,
     parse_strategies,
     print_pure,
@@ -220,10 +217,9 @@ class TestApplyAction:
         import dataclasses
 
         from sepstrat.core import Emp
-        from sepstrat.frontend import OpSeq
 
         s = stg("strategy s\n  left: data_at(?p, ?w)\n  action: left_add(0 <= p);\n")
-        s = dataclasses.replace(s, action=OpSeq((*s.action.ops, LeftAdd(Emp()))))
+        s = dataclasses.replace(s, action=(*s.action, Item("left_add", Emp())))
         e = ent("forall p w, data_at(p, w) |-- emp")
         e2, _ = apply_action(s, first_binding(s, e), e)
         assert len(e2.lhs.spatials) == 1 and len(e2.lhs.pures) == 1
@@ -449,8 +445,8 @@ class TestConservation:
         cur = e
         for ts in tr.steps:
             s = strategies[ts.strategy]
-            erased = sum(1 for op in s.action.ops if isinstance(op, (LeftErase, RightErase)))
-            added = sum(1 for op in s.action.ops if isinstance(op, (LeftAdd, RightAdd)))
+            erased = sum(1 for op in s.action if op.keyword in ("left_erase", "right_erase"))
+            added = sum(1 for op in s.action if op.keyword in ("left_add", "right_add"))
             before = len(cur.lhs.spatials) + len(cur.rhs.spatials) + len(cur.lhs.pures) + len(cur.rhs.pures)
             nxt = ts.entailment_after
             after = len(nxt.lhs.spatials) + len(nxt.rhs.spatials) + len(nxt.lhs.pures) + len(nxt.rhs.pures)

@@ -21,14 +21,11 @@ from sepstrat.frontend import (
     MAX_DEPTH,
     MAX_NESTING,
     ArityMismatchError,
+    ITEMS,
     DuplicateDeclarationError,
     FrontendError,
     IllFormedEntailmentError,
-    Infer,
-    Instantiate,
-    LeftAbsent,
     MixedInstantiateError,
-    OpSeq,
     ParseError,
     ScopeError,
     UnknownIdentifierError,
@@ -48,6 +45,7 @@ from sepstrat.frontend import (
     print_strategy,
     print_term,
 )
+from sepstrat.soundness import soundness_of
 
 SIG = gen.test_signature()
 
@@ -182,6 +180,27 @@ strategy inst
   action: instantiate(x -> y);
 """
 
+# Every item keyword, the instantiation in a strategy of its own.
+ALL_ITEMS_STG = """\
+strategy every_item
+  priority: -3
+  left:   lseg(?p, ?q, ?l1)
+  right:  exists l2, listrep(p, ?l2)
+  check: left_absent(p == q); right_absent(q == 0); infer(0 <= p);
+  action:
+    left_erase(lseg(p, q, l1));
+    right_erase(listrep(p, l2));
+    forall_add(u);
+    exist_add(l3);
+    left_add(data_at(p, u));
+    right_add(l2 == app(l1, l3));
+    right_add(listrep(q, l3));
+
+strategy inst
+  right:  exists x, ?x == ?y
+  action: instantiate(x -> y);
+"""
+
 
 class TestStrategies:
     def test_parse_shape(self):
@@ -190,9 +209,9 @@ class TestStrategies:
         assert absorb.name == "absorb" and absorb.priority == 1
         assert [p.side for p in absorb.patterns] == ["left", "right"]
         assert absorb.patterns[0].atom.binders == ("p", "q", "l1")
-        assert isinstance(absorb.action, OpSeq) and len(absorb.action.ops) == 5
+        assert "instantiate" not in [op.keyword for op in absorb.action] and len(absorb.action) == 5
         assert inst.patterns[0].exists_binders == ("x",)
-        assert isinstance(inst.action, Instantiate)
+        assert [op.keyword for op in inst.action] == ["instantiate"]
 
     def test_default_priority(self):
         prog = parse_strategies("strategy s\n  right: ?x == x\n  action: right_erase(x == x);\n", SIG)
@@ -206,7 +225,7 @@ class TestStrategies:
             "  action: left_add(p != p);\n"
         )
         s = parse_strategies(text, SIG).strategies[0]
-        assert isinstance(s.checks[0], LeftAbsent) and isinstance(s.checks[1], Infer)
+        assert s.checks[0].keyword == "left_absent" and s.checks[1].keyword == "infer"
 
     def test_exists_only_on_right(self):
         text = "strategy s\n  left: exists x, ?x == x\n  action: left_erase(x == x);\n"
@@ -248,6 +267,15 @@ class TestStrategies:
         prog = parse_strategies(STG, SIG)
         printed = print_program(prog)
         assert parse_strategies(printed, SIG) == prog
+
+    def test_every_item_keyword_round_trips(self):
+        prog = parse_strategies(ALL_ITEMS_STG, SIG)
+        assert {i.keyword for s in prog.strategies for i in s.checks + s.action} == set(ITEMS)
+        back = parse_strategies(print_program(prog), SIG)
+        assert back == prog
+        conditions = [soundness_of(s) for s in prog.strategies]
+        assert conditions[0] is not None and conditions[1] is None
+        assert [soundness_of(s) for s in back.strategies] == conditions
 
     def test_pattern_marks_first_occurrence(self):
         prog = parse_strategies(STG, SIG)

@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 import gen
 from sepstrat.core import alpha_equivalent, normalize, occurring_vars
 from sepstrat.frontend import (
-    ExistAdd,
-    ForallAdd,
-    LeftAdd,
-    LeftErase,
-    OpSeq,
+    Item,
     Pattern,
     PatternAtom,
-    RightAdd,
-    RightErase,
     Strategy,
     parse_assertion,
     parse_heap,
@@ -25,7 +19,6 @@ from sepstrat.frontend import (
     print_assertion,
 )
 from sepstrat.soundness import (
-    Assume,
     SoundnessAnalysis,
     analyze,
     condition_of,
@@ -92,22 +85,24 @@ class TestInject:
     def test_cell_alignment_sequence(self):
         d0, d1 = sp("data_at(p, v0)"), sp("data_at(p, v1)")
         assert inject_virtual_ops(ALIGN_CELL) == [
-            LeftErase(d0),
-            LeftAdd(d0),
-            RightErase(d1),
-            RightAdd(d1),
-            LeftErase(d0),
-            RightErase(d1),
-            RightAdd(pu("v1 == v0")),
+            Item("left_erase", d0),
+            Item("left_add", d0),
+            Item("right_erase", d1),
+            Item("right_add", d1),
+            Item("left_erase", d0),
+            Item("right_erase", d1),
+            Item("right_add", pu("v1 == v0")),
         ]
 
     def test_assumes_come_first(self):
         ops = inject_virtual_ops(LOAD_CELL)
-        assert ops[:2] == [Assume(pu("x <= i")), Assume(pu("i < y"))]
+        assert ops[:2] == [Item("infer", pu("x <= i")), Item("infer", pu("i < y"))]
         arr = sp("store_array(p, x, y, l)")
         cell = sp("data_at(p + 4 * i, v)")
-        assert ops[2:6] == [LeftErase(arr), LeftAdd(arr), RightErase(cell), RightAdd(cell)]
-        assert ops[6:] == list(LOAD_CELL.action.ops)
+        assert ops[2:6] == [
+            Item("left_erase", arr), Item("left_add", arr), Item("right_erase", cell), Item("right_add", cell)
+        ]
+        assert ops[6:] == list(LOAD_CELL.action)
 
     def test_pairs_only_without_action(self):
         s = Strategy(
@@ -115,10 +110,10 @@ class TestInject:
             priority=50,
             patterns=(Pattern("left", PatternAtom(sp("listrep(p, l1)"), ("p", "l1"))),),
             checks=(),
-            action=OpSeq(()),
+            action=(),
         )
         f = sp("listrep(p, l1)")
-        assert inject_virtual_ops(s) == [LeftErase(f), LeftAdd(f)]
+        assert inject_virtual_ops(s) == [Item("left_erase", f), Item("left_add", f)]
 
     def test_instantiate_has_no_ops(self):
         with pytest.raises(ValueError):
@@ -149,28 +144,28 @@ class TestAnalyze:
 
     def test_full_cancellation(self):
         f = sp("data_at(p, v0)")
-        assert analyze([LeftAdd(f), LeftErase(f)]) == SoundnessAnalysis((), (), (), (), (), (), ())
+        assert analyze([Item("left_add", f), Item("left_erase", f)]) == SoundnessAnalysis((), (), (), (), (), (), ())
 
     def test_assume_feeds_sc_and_blocks_v(self):
         # i occurs in the assumption, so it cannot be wand-bound
-        ops = [Assume(pu("0 <= i")), RightAdd(pu("v == i"))]
+        ops = [Item("infer", pu("0 <= i")), Item("right_add", pu("v == i"))]
         a = analyze(ops)
         assert a.sc == (pu("0 <= i"),)
         assert a.v == ("v",)
 
     def test_forall_add_collects_and_blocks(self):
-        ops = [ForallAdd("u"), RightAdd(pu("u == v"))]
+        ops = [Item("forall_add", "u"), Item("right_add", pu("u == v"))]
         a = analyze(ops)
         assert a.vl_forall == ("u",) and a.v == ("v",)
 
     def test_erase_of_unadded_goes_to_minus(self):
         f = sp("listrep(p, l1)")
-        a = analyze([LeftErase(f), LeftAdd(f)])
+        a = analyze([Item("left_erase", f), Item("left_add", f)])
         assert a.l_minus == (f,) and a.l_plus == (f,)
 
     def test_cancellation_is_per_side(self):
         f = pu("x == y")
-        a = analyze([LeftAdd(f), RightErase(f)])
+        a = analyze([Item("left_add", f), Item("right_erase", f)])
         assert a.l_plus == (f,) and a.r_minus == (f,)
 
 
@@ -183,18 +178,16 @@ def op_sequences(draw):
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.integers(0, 5))
         if kind == 0:
-            ops.append(Assume(draw(gen.pure_atoms())))
+            ops.append(Item("infer", draw(gen.pure_atoms())))
         elif kind == 1:
-            ops.append(ForallAdd(draw(st.sampled_from(gen.VAR_NAMES))))
+            ops.append(Item("forall_add", draw(st.sampled_from(gen.VAR_NAMES))))
         elif kind == 2:
-            ops.append(ExistAdd(draw(st.sampled_from(gen.VAR_NAMES))))
+            ops.append(Item("exist_add", draw(st.sampled_from(gen.VAR_NAMES))))
         else:
             f = draw(st.one_of(gen.pure_atoms(), gen.spatial_atoms()))
             side = draw(_sides)
             add = draw(st.booleans())
-            cls = {("left", True): LeftAdd, ("left", False): LeftErase,
-                   ("right", True): RightAdd, ("right", False): RightErase}[(side, add)]
-            ops.append(cls(f))
+            ops.append(Item(f"{side}_{'add' if add else 'erase'}", f))
     return ops
 
 
@@ -213,8 +206,8 @@ def _as_multisets(a: SoundnessAnalysis):
 @given(op_sequences(), st.one_of(gen.pure_atoms(), gen.spatial_atoms()), _sides)
 @settings(max_examples=120)
 def test_add_erase_pair_cancels(ops, f, side):
-    add, erase = (LeftAdd, LeftErase) if side == "left" else (RightAdd, RightErase)
-    assert _as_multisets(analyze(ops + [add(f), erase(f)])) == _as_multisets(analyze(ops))
+    add, erase = Item(f"{side}_add", f), Item(f"{side}_erase", f)
+    assert _as_multisets(analyze(ops + [add, erase])) == _as_multisets(analyze(ops))
 
 
 class TestConditions:
@@ -301,7 +294,7 @@ class TestCorpusInvariants:
         _, prog = request.getfixturevalue(lib)
         checked = 0
         for s in prog.strategies:
-            if not isinstance(s.action, OpSeq):
+            if s.action[0].keyword == "instantiate":
                 continue
             a = analyze(inject_virtual_ops(s))
             blocked = set(a.vl_forall)
@@ -315,7 +308,7 @@ class TestCorpusInvariants:
     def test_every_strategy_classified(self, lib, request):
         _, prog = request.getfixturevalue(lib)
         for s in prog.strategies:
-            if isinstance(s.action, OpSeq):
+            if s.action[0].keyword != "instantiate":
                 c = soundness_of(s)
                 assert c is not None and condition_of(analyze(inject_virtual_ops(s))) == c
             else:
