@@ -4,7 +4,10 @@
 Runs single goals of growing size, built by the generators of
 perfbench/workloads.py, and prints one JSON object: for each family and
 size, the best wall time of `engine.run` over REPEAT runs, its step count
-and milliseconds per step.  Families:
+and milliseconds per step, and the best times of two later layers over
+REPEAT fresh runs: `serialise_ms`, the trace to its JSON text
+(`traces_to_document` and `document_to_json`), and `replay_ms`, that JSON
+replayed (`replay_document`).  Families:
 
     common_cells  k data_at cells, all aligned (common library)
     sll_chain     k list segments into a trailing listrep (sll library)
@@ -54,9 +57,28 @@ def _library(name: str):
     return sig, frontend.parse_strategies((corpus / f"{name}.stg").read_text(), sig, f"{name}.stg")
 
 
+def _later_layers(text: str, sig, prog, repeat: int) -> tuple[float, float]:
+    """Best serialise and replay times of the goal, in seconds.  Each repeat
+    parses and runs the goal afresh, so no node has printed text cached from
+    an earlier repeat; replay starts from the JSON alone, as `sepstrat replay`
+    does."""
+    serialise = replay = float("inf")
+    for _ in range(repeat):
+        trace = engine.run(prog, frontend.parse_entailment(text, sig))
+        t0 = time.perf_counter()
+        trace_json = engine.document_to_json(engine.traces_to_document([trace]))
+        serialise = min(serialise, time.perf_counter() - t0)
+        del trace
+        doc = json.loads(trace_json)
+        t0 = time.perf_counter()
+        engine.replay_document(doc, sig, prog)
+        replay = min(replay, time.perf_counter() - t0)
+    return serialise, replay
+
+
 def sweep(sizes=None, repeat: int = REPEAT) -> dict:
-    """{family: [{k, ms, steps, ms_per_step}, ...]}; `sizes` maps a family
-    to the sizes to run instead of its default range."""
+    """{family: [{k, ms, steps, ms_per_step, serialise_ms, replay_ms}, ...]};
+    `sizes` maps a family to the sizes to run instead of its default range."""
     wl = _load_workloads()
     out = {}
     for family, (lib, make, default) in FAMILIES.items():
@@ -73,8 +95,17 @@ def sweep(sizes=None, repeat: int = REPEAT) -> dict:
             if trace.verdict.value != goal.expected:
                 raise RuntimeError(f"{family} k={k}: {trace.verdict.value}, expected {goal.expected}")
             steps = len(trace.steps)
+            del trace, e
+            serialise, replay = _later_layers(goal.text, sig, prog, repeat)
             ms = best * 1000
-            rows.append({"k": k, "ms": round(ms, 3), "steps": steps, "ms_per_step": round(ms / max(steps, 1), 4)})
+            rows.append({
+                "k": k,
+                "ms": round(ms, 3),
+                "steps": steps,
+                "ms_per_step": round(ms / max(steps, 1), 4),
+                "serialise_ms": round(serialise * 1000, 3),
+                "replay_ms": round(replay * 1000, 3),
+            })
         out[family] = rows
     return out
 

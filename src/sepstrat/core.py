@@ -9,8 +9,9 @@ Term, pure-formula, spatial-atom and assertion nodes are hash-consed
 (Filliâtre & Conchon 2006, "Type-safe modular hash-consing"): their
 constructors return one shared object per structure, so `==` and `hash` on
 nodes are object identity, O(1) whatever the depth.  Each node also carries
-its free variables, computed once when it is first built.  Symbolic heaps and
-entailments stay plain value dataclasses over such nodes.
+its free variables, computed once when it is first built, and its printed
+text, which the frontend's printers compute the first time they print it.
+Symbolic heaps and entailments stay plain value dataclasses over such nodes.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ class _Interned(type):
 
 class _Node(metaclass=_Interned):
     """Base of the four node kinds.  `_fv` holds the node's free variables;
+    `_text`, unset until a frontend printer fills it, its printed text;
     `__weakref__` lets the table hold it weakly."""
 
-    __slots__ = ("__weakref__", "_fv")
+    __slots__ = ("__weakref__", "_fv", "_text")
     _tuple_fields: tuple[int, ...] = ()  # positions of the tuple-valued fields
 
     def __reduce__(self):

@@ -337,13 +337,24 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     divergence from the recorded entailments or verdicts, and on a document
     of the wrong shape.
 
-    Each trace's input is parsed once; every recorded entailment, side
-    condition goal and frame must equal the printer's text for what replay
-    computes.  Every side condition is solved afresh."""
+    Each trace's input is parsed once, and each distinct substitution text
+    once per call; every recorded entailment, side condition goal and frame
+    must equal the printer's text for what replay computes.  Every side
+    condition is solved afresh."""
     _object(doc, "document")
     if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
     order = _ordered(prog)
+    terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
+
+    def term(text) -> Term:
+        if not isinstance(text, str):
+            return parse_term(text, sig)  # only text is memoised
+        t = terms.get(text)
+        if t is None:
+            t = terms[text] = parse_term(text, sig)
+        return t
+
     for t_idx, tr in enumerate(_field(doc, "traces", "document", list, [])):
         tr = _object(tr, f"trace {t_idx}")
         source = _field(tr, "input", f"trace {t_idx}")
@@ -362,7 +373,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             if s is None:
                 raise ReplayError(f"{where}: unknown strategy {name!r}")
             try:
-                binding = {x: parse_term(text, sig) for x, text in substitution.items()}
+                binding = {x: term(text) for x, text in substitution.items()}
             except Exception as exc:
                 raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
             pattern_vars = {b for p in s.patterns for b in p.atom.binders}

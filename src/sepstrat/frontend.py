@@ -864,7 +864,10 @@ def parse_assertion(text: str, sig: Signature, path: str = "<input>") -> Asserti
 
 # ---------------------------------------------------------------------------
 # Printers: each node is parenthesised when its OPERATORS level is below ctx,
-# the level its position asks for.
+# the level its position asks for.  A node's text is a function of the node
+# alone, so print_term, print_pure and print_spatial keep it on the node the
+# first time they print it.  Each checks the node's family before it reads
+# that text: the node may hold the text of another family's printer.
 
 
 def print_term(t: Term) -> str:
@@ -872,36 +875,52 @@ def print_term(t: Term) -> str:
 
 
 def _pt(t: Term, ctx: int = 0) -> str:
+    s = getattr(t, "_text", None) if isinstance(t, Term) else None
+    if s is None:
+        match t:
+            case IntLit(v):
+                s = str(v)
+            case Var(name):
+                s = name
+            case FieldAddr(base, fld):
+                s = f"field_addr({_pt(base)}, {fld})"
+            case Apply(fn, args):
+                s = f"{fn}({', '.join(_pt(a) for a in args)})"
+            case Arith(op, l, r):
+                level = _level(t)
+                if level == _TERM[op][0]:
+                    s = f"{_pt(l, level)} {op} {_pt(r, level + 1)}"
+                else:  # 0 - r, printed as the prefix minus -r
+                    s = "-" + _pt(r, _ATOM)
+            case _:
+                raise TypeError(f"print_term: unsupported value {t!r}")
+        object.__setattr__(t, "_text", s)
+    return f"({s})" if ctx > _level(t) else s
+
+
+def _level(t: Term) -> int:
+    """The OPERATORS level t is printed at; atoms are never parenthesised."""
     match t:
-        case IntLit(v):
-            return str(v)
-        case Var(name):
-            return name
-        case FieldAddr(base, fld):
-            return f"field_addr({_pt(base)}, {fld})"
-        case Apply(fn, args):
-            return f"{fn}({', '.join(_pt(a) for a in args)})"
         case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
-            # A prefix minus is printed as tightly as a product binds.
-            level, s = _TERM["*"][0], "-" + _pt(r, _ATOM)
-        case Arith(op, l, r):
-            level = _TERM[op][0]
-            s = f"{_pt(l, level)} {op} {_pt(r, level + 1)}"
-        case _:
-            raise TypeError(f"print_term: unsupported value {t!r}")
-    return f"({s})" if ctx > level else s
+            return _TERM["*"][0]  # a prefix minus binds as tightly as a product
+        case Arith(op):
+            return _TERM[op][0]
+    return _ATOM
 
 
 def print_pure(f: PureFormula) -> str:
+    s = getattr(f, "_text", None) if isinstance(f, PureFormula) else None
+    if s is not None:
+        return s
     match f:
         case TrueF():
-            return "true"
+            s = "true"
         case Eq(l, r):
-            return f"{print_term(l)} == {print_term(r)}"
+            s = f"{print_term(l)} == {print_term(r)}"
         case Rel(op, l, r):
-            return f"{print_term(l)} {op} {print_term(r)}"
+            s = f"{print_term(l)} {op} {print_term(r)}"
         case Not(inner):
-            return f"!({print_pure(inner)})"
+            s = f"!({print_pure(inner)})"
         case Bin(op, l, r):
             # A left-nested chain of a left-associative operator prints flat,
             # inside one pair of parentheses, as the parser builds it back.
@@ -911,21 +930,30 @@ def print_pure(f: PureFormula) -> str:
                 operands.append(l.right)
                 l = l.left
             operands.append(l)
-            return f"({f' {op} '.join(print_pure(x) for x in reversed(operands))})"
+            s = f"({f' {op} '.join(print_pure(x) for x in reversed(operands))})"
         case PredP(name, args):
-            return f"{name}({', '.join(print_term(a) for a in args)})"
-    raise TypeError(f"print_pure: unsupported value {f!r}")
+            s = f"{name}({', '.join(print_term(a) for a in args)})"
+        case _:
+            raise TypeError(f"print_pure: unsupported value {f!r}")
+    object.__setattr__(f, "_text", s)
+    return s
 
 
 def print_spatial(s: SpatialAtom) -> str:
+    text = getattr(s, "_text", None) if isinstance(s, SpatialAtom) else None
+    if text is not None:
+        return text
     match s:
         case Emp():
-            return "emp"
+            text = "emp"
         case DataAt(addr, value):
-            return f"data_at({print_term(addr)}, {print_term(value)})"
+            text = f"data_at({print_term(addr)}, {print_term(value)})"
         case PredS(name, args):
-            return f"{name}({', '.join(print_term(a) for a in args)})"
-    raise TypeError(f"print_spatial: unsupported value {s!r}")
+            text = f"{name}({', '.join(print_term(a) for a in args)})"
+        case _:
+            raise TypeError(f"print_spatial: unsupported value {s!r}")
+    object.__setattr__(s, "_text", text)
+    return text
 
 
 def print_conjunct(f: PureFormula | SpatialAtom) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import gen
 import helpers
 from conftest import CORPUS, load_entailments, load_library
-from sepstrat import engine, matcher, smt
+from sepstrat import engine, frontend, matcher, smt
 from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, well_formed
 from sepstrat.engine import (
     ReductionTrace,
@@ -632,6 +633,31 @@ class TestReplay:
         replay_document(doc, sig, prog)
         assert calls == [tr["input"] for tr in doc["traces"]]
 
+    def test_parses_each_distinct_substitution_text_once(self, common, monkeypatch):
+        doc, sig, prog = self.replayable(common, "common_cells")
+        texts = [v for tr in doc["traces"] for st in tr["steps"] for v in st["substitution"].values()]
+        assert len(texts) > len(set(texts))
+        calls = []
+
+        def spy(text, sig):
+            calls.append(text)
+            return frontend.parse_term(text, sig)
+
+        monkeypatch.setattr(engine, "parse_term", spy)
+        replay_document(doc, sig, prog)
+        assert sorted(calls) == sorted(set(texts))
+
+    @pytest.mark.parametrize("value", [5, None, ["p"], {"p": "p"}, "p +", ""])
+    def test_unparsable_substitution_value(self, common, value):
+        # the value replaces one that an earlier step already recorded, so the
+        # memo of parsed texts holds that text when the bad value is read
+        doc, sig, prog = self.replayable(common, "common_cells")
+        first, later = doc["traces"][0]["steps"][:2]
+        var = next(x for x in later["substitution"] if x in first["substitution"])
+        later["substitution"][var] = value
+        with pytest.raises(ReplayError, match="trace 0 step 1: cannot parse recorded step"):
+            replay_document(doc, sig, prog)
+
     def test_negated_literal_index_replays(self, array):
         # i - x with i = x = 0 once printed as -0, which re-parses as 0
         sig, prog = array
@@ -918,6 +944,30 @@ def test_match_work_per_step_does_not_grow_with_the_heap(lib, goal, small, large
         assert tr.verdict is Verdict.PURIFIED
         per_step[k] = calls / len(tr.steps)
     assert per_step[large] <= 1.5 * per_step[small], per_step
+
+
+def test_print_work_per_step_does_not_grow_with_the_heap(common):
+    # every conjunct's text is computed once and kept on its node, so a step
+    # prints only what it adds, whatever the size of the entailment
+    sig, prog = common
+    per_step = {}
+    for k in (8, 16):
+        tr = run(prog, parse_entailment(cells_goal(k), sig))
+        assert tr.verdict is Verdict.PURIFIED
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is frontend._pt.__code__:
+                calls += 1
+
+        sys.setprofile(count)  # counts without adding a frame per call
+        try:
+            document_to_json(traces_to_document([tr]))
+        finally:
+            sys.setprofile(None)
+        per_step[k] = calls / len(tr.steps)
+    assert per_step[16] <= 1.5 * per_step[8], per_step
 
 
 def test_held_matches_reach_no_check(common, monkeypatch):

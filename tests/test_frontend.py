@@ -12,8 +12,11 @@ from sepstrat.core import (
     Eq,
     IntLit,
     PredS,
+    PureFormula,
     Rel,
+    SpatialAtom,
     SymbolicHeap,
+    Term,
     Var,
 )
 from sepstrat import core
@@ -41,7 +44,9 @@ from sepstrat.frontend import (
     print_entailment,
     print_heap,
     print_program,
+    print_pure,
     print_signature,
+    print_spatial,
     print_strategy,
     print_term,
 )
@@ -455,8 +460,6 @@ def test_term_round_trip(t):
 @given(gen.pure_formulas())
 @settings(max_examples=80)
 def test_pure_round_trip(f):
-    from sepstrat.frontend import print_pure
-
     assert parse_pure(print_pure(f), SIG) == f
 
 
@@ -470,3 +473,80 @@ def test_heap_round_trip(h):
 @settings(max_examples=80)
 def test_entailment_round_trip(e):
     assert parse_entailment(print_entailment(e), SIG) == e
+
+
+# ---------------------------------------------------------------------------
+# Printed text cached on the nodes
+
+PRINTERS = {Term: print_term, PureFormula: print_pure, SpatialAtom: print_spatial}
+
+
+def _family(x):
+    return next(family for family in PRINTERS if isinstance(x, family))
+
+
+def _nodes(x):
+    """x and every node below it, parents before children."""
+    out = [x]
+    for c in core._children(x):
+        out.extend(_nodes(c))
+    return out
+
+
+def _forget(nodes):
+    """Drop the printed text the printers kept on these nodes."""
+    for n in nodes:
+        try:
+            object.__delattr__(n, "_text")
+        except AttributeError:  # never printed
+            pass
+
+
+class TestPrinterFamilies:
+    # one node of each family, held here so that the intern table keeps the
+    # node, and the text cached on it, from one call to the next
+    NODES = {Term: IntLit(3), PureFormula: Eq(Var("x"), IntLit(3)), SpatialAtom: DataAt(Var("p"), IntLit(3))}
+
+    @pytest.mark.parametrize(
+        "printer,family",
+        [(p, f) for p in PRINTERS for f in PRINTERS if p is not f],
+        ids=lambda c: c.__name__,
+    )
+    def test_a_printer_rejects_other_families(self, printer, family):
+        node = self.NODES[family]
+        _forget([node])
+        with pytest.raises(TypeError, match=f"{PRINTERS[printer].__name__}: unsupported value"):
+            PRINTERS[printer](node)
+        text = PRINTERS[family](node)  # now cached on the node
+        assert object.__getattribute__(node, "_text") == text
+        with pytest.raises(TypeError, match=f"{PRINTERS[printer].__name__}: unsupported value"):
+            PRINTERS[printer](node)
+
+    @pytest.mark.parametrize("value", [3, "x", None])
+    def test_a_printer_rejects_values_that_are_not_nodes(self, value):
+        for printer in PRINTERS.values():
+            with pytest.raises(TypeError, match="unsupported value"):
+                printer(value)
+
+
+@given(gen.entailments())
+@settings(max_examples=80)
+@example(parse_entailment("forall x, 0 < x + 1 * (x - 2) && x == 0 - x && 0 - 0 == 0 |-- emp", SIG))
+def test_cached_text_is_the_uncached_text(e):
+    nodes = [n for h in (e.lhs, e.rhs) for n in _nodes(h) if type(n) is not SymbolicHeap]
+    uncached = {}
+    for n in nodes:
+        _forget(nodes)
+        uncached[n] = PRINTERS[_family(n)](n)
+    for order in (nodes, nodes[::-1]):  # parents first, then children first
+        _forget(nodes)
+        for n in order:
+            printer = PRINTERS[_family(n)]
+            assert printer(n) == uncached[n]  # first call, computed or cached
+            assert printer(n) == uncached[n]  # repeated call, cached
+    for n in nodes:  # and the text parses back to the node itself
+        family = _family(n)
+        if family is SpatialAtom:
+            assert parse_heap(print_spatial(n), SIG).spatials == (() if type(n) is Emp else (n,))
+        else:
+            assert (parse_term if family is Term else parse_pure)(PRINTERS[family](n), SIG) is n

@@ -29,3 +29,4 @@ def test_sweep_reports_each_family():
         assert row["k"] == smallest[family][0]
         assert row["steps"] > 0 and row["ms"] > 0
         assert row["ms_per_step"] == pytest.approx(row["ms"] / row["steps"], abs=1e-3)
+        assert row["serialise_ms"] > 0 and row["replay_ms"] > 0
