@@ -13,6 +13,17 @@ replayed (`replay_document`).  Families:
     sll_chain     k list segments into a trailing listrep (sll library)
     arrays        k arrays read in range (array library)
 
+Three more families time `smt.infer` alone: 2k queries against one
+hypothesis set, asked through one solver context as a run asks them.  Each
+row gives the best time of all of them over REPEAT rounds, each round with
+fresh contexts, the query count and how many are proven:
+
+    ineq_chain     x_{j+1} >= x_j + 1; x_0 + j <= x_j is proven, x_j <= x_0 + j not
+    eq_chain       x_{j+1} == f(x_j), y_{j+1} == f(y_j), x_0 == y_0; x_j == y_j is
+                   proven, x_j == y_{j-1} not
+    big_constants  both chains with 2**60 in place of 1 and of nothing
+                   (x_{j+1} == f(x_j + 2**60)), past float precision
+
 Usage, from the root of a checkout:
 
     python3 scripts/sweep.py
@@ -32,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # timed runs per goal; the best is kept
 sys.path.insert(0, str(ROOT / "src"))
 
-from sepstrat import engine, frontend  # noqa: E402
+from sepstrat import engine, frontend, smt  # noqa: E402
+from sepstrat.core import Apply, Arith, Eq, IntLit, Rel, Var  # noqa: E402
 
 
 def _load_workloads():
@@ -49,6 +61,62 @@ FAMILIES = {
     "sll_chain": ("sll", lambda wl, rng, k: wl.sll_goal(rng, k, None), range(10, 81, 10)),
     "arrays": ("array", lambda wl, rng, k: wl.arrays_goal(rng, k, k), range(4, 17)),
 }
+
+
+BIG = 2**60
+
+
+def _ineq_chain(k: int, c: int) -> list[tuple[list, list]]:
+    """x_{j+1} >= x_j + c for j < k; x_0 + j * c <= x_j for each j, which
+    holds, and x_j <= x_0 + j * c, which does not."""
+    x = [Var(f"x{j}") for j in range(k + 1)]
+    hyps = [Rel(">=", x[j + 1], Arith("+", x[j], IntLit(c))) for j in range(k)]
+    goals = []
+    for j in range(1, k + 1):
+        reach = Arith("+", x[0], IntLit(j * c))
+        goals += [Rel("<=", reach, x[j]), Rel("<=", x[j], reach)]
+    return [(hyps, goals)]
+
+
+def _eq_chain(k: int, c: int) -> list[tuple[list, list]]:
+    """x_{j+1} == f(x_j + c) and likewise for y (no `+ c` when c is 0), with
+    x_0 == y_0; x_j == y_j for each j, which holds, and x_j == y_{j-1},
+    which does not."""
+    x = [Var(f"x{j}") for j in range(k + 1)]
+    y = [Var(f"y{j}") for j in range(k + 1)]
+
+    def f(t):
+        return Apply("f", (Arith("+", t, IntLit(c)) if c else t,))
+
+    hyps = [Eq(x[0], y[0])] + [Eq(v[j + 1], f(v[j])) for v in (x, y) for j in range(k)]
+    goals = [g for j in range(1, k + 1) for g in (Eq(x[j], y[j]), Eq(x[j], y[j - 1]))]
+    return [(hyps, goals)]
+
+
+# family -> (query sets of size k, sizes)
+SOLVER_FAMILIES = {
+    "ineq_chain": (lambda k: _ineq_chain(k, 1), range(4, 33, 4)),
+    "eq_chain": (lambda k: _eq_chain(k, 0), range(4, 33, 4)),
+    "big_constants": (lambda k: _ineq_chain(k, BIG) + _eq_chain(k, BIG), range(4, 33, 4)),
+}
+
+
+def _solver_row(k: int, query_sets: list[tuple[list, list]], repeat: int) -> dict:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        results = []
+        for hyps, goals in query_sets:
+            contexts: dict = {}
+            hyps = tuple(hyps)
+            results += [smt.infer(hyps, g, contexts) for g in goals]
+        best = min(best, time.perf_counter() - t0)
+    proven = sum(r.status is smt.ProofStatus.PROVEN for r in results)
+    if proven * 2 != len(results):
+        raise RuntimeError(f"k={k}: {proven} of {len(results)} queries proven, expected half")
+    ms = best * 1000
+    return {"k": k, "ms": round(ms, 3), "queries": len(results), "proven": proven,
+            "ms_per_query": round(ms / len(results), 4)}
 
 
 def _library(name: str):
@@ -77,8 +145,10 @@ def _later_layers(text: str, sig, prog, repeat: int) -> tuple[float, float]:
 
 
 def sweep(sizes=None, repeat: int = REPEAT) -> dict:
-    """{family: [{k, ms, steps, ms_per_step, serialise_ms, replay_ms}, ...]};
-    `sizes` maps a family to the sizes to run instead of its default range."""
+    """{family: [{k, ms, steps, ms_per_step, serialise_ms, replay_ms}, ...]},
+    with rows {k, ms, queries, proven, ms_per_query} for the solver
+    families; `sizes` maps a family to the sizes to run instead of its
+    default range."""
     wl = _load_workloads()
     out = {}
     for family, (lib, make, default) in FAMILIES.items():
@@ -107,6 +177,8 @@ def sweep(sizes=None, repeat: int = REPEAT) -> dict:
                 "replay_ms": round(replay * 1000, 3),
             })
         out[family] = rows
+    for family, (make, default) in SOLVER_FAMILIES.items():
+        out[family] = [_solver_row(k, make(k), repeat) for k in (sizes or {}).get(family, default)]
     return out
 
 

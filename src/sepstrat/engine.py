@@ -92,13 +92,14 @@ class ReductionTrace:
 
 
 def run_checks(
-    s: Strategy, binding: Mapping[str, Term], e: Entailment, memo: dict | None = None
+    s: Strategy, binding: Mapping[str, Term], e: Entailment, memo: dict | None = None, contexts: dict | None = None
 ) -> list[SideCondition] | None:
     """Evaluate the strategy's checks under the binding; None on failure.
 
     `memo` maps (antecedent pures, goal) to an earlier `smt.infer` result;
-    a miss asks the solver and records the answer.  Without it every query
-    is solved afresh."""
+    a miss asks the solver and records the answer.  `contexts` is the
+    solver's cache of one `smt.Context` per antecedent pures tuple, kept for
+    one run or one trace; without it each query gets a one-shot context."""
     conditions: list[SideCondition] = []
     for c in s.checks:
         f = substitute(c.arg, binding)
@@ -107,12 +108,12 @@ def run_checks(
                 return None
             continue
         if memo is None:
-            res = smt.infer(e.lhs.pures, f)
+            res = smt.infer(e.lhs.pures, f, contexts)
         else:
             key = (e.lhs.pures, f)
             res = memo.get(key)
             if res is None:
-                res = memo[key] = smt.infer(*key)
+                res = memo[key] = smt.infer(*key, contexts)
         conditions.append(
             SideCondition(
                 goal=f,
@@ -213,11 +214,23 @@ def _ordered(prog: Program) -> list[Strategy]:
     return [s for _, _, s in sorted((s.priority, i, s) for i, s in enumerate(prog.strategies))]
 
 
-def _step(order: list[Strategy], memo: dict, store: MatchStore) -> TraceStep | None:
-    e = store.entailment
-    for s in order:
+def step(
+    prog: Program, e: Entailment, memo: dict | None = None, store: MatchStore | None = None, contexts: dict | None = None
+) -> TraceStep | None:
+    """First applicable strategy application, or None when none applies.
+
+    A run passes its side-condition memo and solver contexts (see
+    `run_checks`) and its match store, which must be at e.  The store's
+    strategies are tried in its order, so prog is read only when no store is
+    given.  A memo or store left out is made for this step."""
+    if store is None:
+        store = MatchStore(_ordered(prog), e)
+    elif store.entailment is not e:
+        raise ValueError("the match store is not at the given entailment")
+    memo = {} if memo is None else memo
+    for s in store.strategies:
         for m in match_strategy(s, e, store):
-            conditions = run_checks(s, m.bindings, e, memo)
+            conditions = run_checks(s, m.bindings, e, memo, contexts)
             if conditions is None:
                 continue
             applied = apply_action(s, m.bindings, e)
@@ -233,25 +246,19 @@ def _step(order: list[Strategy], memo: dict, store: MatchStore) -> TraceStep | N
     return None
 
 
-def step(prog: Program, e: Entailment) -> TraceStep | None:
-    """First applicable strategy application, or None when none applies."""
-    order = _ordered(prog)
-    return _step(order, {}, MatchStore(order, e))
-
-
 def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     """Iterate step up to max_steps times and classify the outcome."""
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     if not well_formed(e):
         raise ValueError("input entailment is not well-formed")
-    order = _ordered(prog)
     memo: dict = {}  # side-condition results, shared by every step of this run
-    store = MatchStore(order, e)  # every strategy's matches, kept across steps
+    contexts: dict = {}  # the solver's contexts, shared likewise
+    store = MatchStore(_ordered(prog), e)  # every strategy's matches, kept across steps
     steps: list[TraceStep] = []
     cur = e
     while len(steps) < max_steps:
-        ts = _step(order, memo, store)
+        ts = step(prog, cur, memo, store, contexts)
         if ts is None:
             break
         if ts.side_conditions:
@@ -267,7 +274,7 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     purified = not cur.lhs.spatials and not cur.rhs.spatials
     if purified:
         verdict = Verdict.PURIFIED
-    elif len(steps) == max_steps and _step(order, memo, store) is not None:
+    elif len(steps) == max_steps and step(prog, cur, memo, store, contexts) is not None:
         verdict = Verdict.STEP_LIMIT
     elif not cur.rhs.spatials:
         verdict = Verdict.FRAME_INFERRED
@@ -340,7 +347,8 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     Each trace's input is parsed once, and each distinct substitution text
     once per call; every recorded entailment, side condition goal and frame
     must equal the printer's text for what replay computes.  Every side
-    condition is solved afresh."""
+    condition is solved again, per trace, through one context per
+    hypothesis set."""
     _object(doc, "document")
     if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -363,6 +371,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
         except Exception as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
         store = MatchStore(order, cur)
+        contexts: dict = {}  # the solver's contexts for this trace
         for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
             where = f"trace {t_idx} step {s_idx}"
             st = _object(st, where)
@@ -382,7 +391,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             matches = chain(match_strategy(s, cur, store), store.matches(s, held=True))
             if not any(m.bindings == match_binding for m in matches):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
-            conditions = run_checks(s, binding, cur)
+            conditions = run_checks(s, binding, cur, contexts=contexts)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")
             recorded = _field(st, "side_conditions", where, list, [])
@@ -404,10 +413,10 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                     f"{where}: entailment diverges:\n  got      {got_after}\n"
                     f"  recorded {recorded_after}"
                 )
-        _check_verdict(tr, t_idx, order, store)
+        _check_verdict(tr, t_idx, prog, store, contexts)
 
 
-def _check_verdict(tr: dict, t_idx: int, order: list[Strategy], store: MatchStore) -> None:
+def _check_verdict(tr: dict, t_idx: int, prog: Program, store: MatchStore, contexts: dict) -> None:
     """The recorded verdict and frame must be what `run` gives a trace that
     ends in the store's entailment; only the step bound itself is not
     recorded."""
@@ -427,19 +436,19 @@ def _check_verdict(tr: dict, t_idx: int, order: list[Strategy], store: MatchStor
             if spatial_left:
                 raise ReplayError(f"{claim} spatial conjuncts remain")
         case Verdict.STEP_LIMIT:
-            if _step(order, {}, store) is None:
+            if step(prog, cur, store=store, contexts=contexts) is None:
                 raise ReplayError(f"{claim} no step applies")
             if not spatial_left:
                 raise ReplayError(f"{claim} no spatial conjuncts remain")
         case Verdict.STUCK:
             if not cur.rhs.spatials:
                 raise ReplayError(f"{claim} no spatial conjunct is left on the right")
-            if _step(order, {}, store) is not None:
+            if step(prog, cur, store=store, contexts=contexts) is not None:
                 raise ReplayError(f"{claim} a step still applies")
         case Verdict.FRAME_INFERRED:
             if cur.rhs.spatials or not cur.lhs.spatials:
                 raise ReplayError(f"{claim} the final shape disagrees")
-            if _step(order, {}, store) is not None:
+            if step(prog, cur, store=store, contexts=contexts) is not None:
                 raise ReplayError(f"{claim} a step still applies")
             if frame != print_heap(cur.lhs):
                 raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")

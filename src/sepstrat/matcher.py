@@ -139,9 +139,9 @@ class MatchStore:
 
     def __init__(self, strategies, e: Entailment) -> None:
         self.entailment = e
-        self._strategies = tuple(strategies)
-        self._number = {id(s): si for si, s in enumerate(self._strategies)}
-        n = len(self._strategies)
+        self.strategies = tuple(strategies)  # in the order they are tried
+        self._number = {id(s): si for si, s in enumerate(self.strategies)}
+        n = len(self.strategies)
         self._plans: list[_Plan | None] = [None] * n  # None until first asked for
         self._listeners: dict[tuple, list[tuple[int, int]]] = {}  # (list, head) -> patterns
         self._matches: list[dict[tuple, _Match]] = [{} for _ in range(n)]
@@ -248,7 +248,7 @@ class MatchStore:
 
     def _activate(self, si: int) -> _Plan:
         """Compile strategy si, find its matches and keep them from now on."""
-        plan = self._plans[si] = _Plan(self._strategies[si])
+        plan = self._plans[si] = _Plan(self.strategies[si])
         for i, (li, head, _, _) in enumerate(plan.pats):
             self._listeners.setdefault((li, head), []).append((si, i))
         li, head = plan.pats[0][:2]

@@ -5,13 +5,19 @@ negated goal and search for a contradiction.  Congruence closure handles
 equalities and uninterpreted structure; linear integer arithmetic is handled
 by Fourier-Motzkin elimination with gcd rounding plus a difference-bound
 closure that feeds derived equalities back into the congruence closure.
-Proven is returned only on a closed refutation; everything else is Unknown.
+Proven is returned only on a closed refutation; everything else is Unknown,
+with the reason no refutation was found.
+
+A `Context` asserts one hypothesis set once and answers goals against it,
+some by lookup in the shortest-path closure of the hypotheses' difference
+constraints (Cotton and Maler 2006).
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -37,22 +43,31 @@ class ProofStatus(str, Enum):
     UNKNOWN = "unknown"
 
 
+# Why an answer is UNKNOWN: which budget ran out, an unsupported goal, or none.
+BUDGET_NODES = "budget:nodes"
+BUDGET_FM = "budget:fm"
+UNSUPPORTED = "unsupported-shape"
+NO_REFUTATION = "no-refutation"
+
+
 @dataclass(frozen=True, slots=True)
 class QueryResult:
     status: ProofStatus
     used_hypotheses: tuple[PureFormula, ...] = ()
+    reason: str | None = None  # one of the four above when UNKNOWN, else None
 
 
 _MAX_NODES = 10_000
 _MAX_FM_CONSTRAINTS = 4_000
 _MAX_EXCHANGE_ROUNDS = 30
 
+_ZERO = -1  # the constant 0 among the variables of a difference closure
 _TRUE = ("bconst", True)
 _FALSE = ("bconst", False)
 
 
 class _Budget(Exception):
-    pass
+    """A search budget ran out; the argument is the UNKNOWN reason."""
 
 
 class _CC:
@@ -71,6 +86,14 @@ class _CC:
         self.pending: list[tuple[int, int]] = []
         self.unsat = False
 
+    def copy(self) -> "_CC":
+        """An independent closure in the same state."""
+        c = copy.copy(self)
+        for name in ("labels", "kids", "parent", "rank", "pending", "ids", "term_ids", "class_lit", "sigs"):
+            setattr(c, name, getattr(self, name).copy())
+        c.use = {r: ns[:] for r, ns in self.use.items()}
+        return c
+
     def find(self, a: int) -> int:
         while self.parent[a] != a:
             self.parent[a] = self.parent[self.parent[a]]
@@ -80,7 +103,7 @@ class _CC:
     def _new_node(self, label: tuple, kids: tuple[int, ...]) -> int:
         n = len(self.labels)
         if n >= _MAX_NODES:
-            raise _Budget()
+            raise _Budget(BUDGET_NODES)
         self.labels.append(label)
         self.kids.append(kids)
         self.parent.append(n)
@@ -129,12 +152,6 @@ class _CC:
     def add_pred(self, p: PredP) -> int:
         return self.node(("pred", p.name), tuple(self.add_term(a) for a in p.args))
 
-    def add_const(self, label: tuple) -> int:
-        return self.node(label)
-
-    def int_node(self, v: int) -> int:
-        return self.node(("int", v))
-
     def merge(self, a: int, b: int) -> None:
         self.pending.append((a, b))
         self.propagate()
@@ -181,21 +198,26 @@ class _CC:
 
 def _gcd_normalize(coeffs: dict[int, int], k: int) -> tuple[dict[int, int], int]:
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    if not coeffs:
-        return coeffs, k
-    g = 0
-    for c in coeffs.values():
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*coeffs.values())
     if g > 1:
         coeffs = {v: c // g for v, c in coeffs.items()}
         k = k // g
     return coeffs, k
 
 
+def _edge(coeffs: dict[int, int]) -> tuple[int, int] | None:
+    """(u, w) when a row reads u - w <= k, with _ZERO standing in for a
+    missing side; None when it is not a difference constraint."""
+    ends = {c: v for v, c in coeffs.items()}
+    if not coeffs or len(ends) < len(coeffs) or not ends.keys() <= {1, -1}:
+        return None
+    return ends.get(1, _ZERO), ends.get(-1, _ZERO)
+
+
 class _Lia:
-    def __init__(self) -> None:
-        self.constraints: list[tuple[dict[int, int], int]] = []
-        self.contradiction = False
+    def __init__(self, constraints: Iterable[tuple[dict[int, int], int]] = (), contradiction: bool = False) -> None:
+        self.constraints = list(constraints)
+        self.contradiction = contradiction
 
     def add(self, coeffs: dict[int, int], k: int) -> None:
         coeffs, k = _gcd_normalize(coeffs, k)
@@ -209,9 +231,7 @@ class _Lia:
         """Fourier-Motzkin elimination; True only on a derived contradiction."""
         if self.contradiction:
             return True
-        work = [dict(c) for c, _ in self.constraints]
-        ks = [k for _, k in self.constraints]
-        rows = list(zip(work, ks))
+        rows = list(self.constraints)  # read, never changed: rows may be shared
         seen: set[tuple] = set()
         total = len(rows)
         while rows:
@@ -219,10 +239,7 @@ class _Lia:
             for coeffs, _ in rows:
                 for v, c in coeffs.items():
                     pos, neg = vars_here.get(v, (0, 0))
-                    if c > 0:
-                        vars_here[v] = (pos + 1, neg)
-                    else:
-                        vars_here[v] = (pos, neg + 1)
+                    vars_here[v] = (pos + 1, neg) if c > 0 else (pos, neg + 1)
             if not vars_here:
                 return False
             v = min(vars_here, key=lambda u: (vars_here[u][0] * vars_here[u][1], u))
@@ -255,76 +272,65 @@ class _Lia:
                     rest.append((coeffs, k))
                     total += 1
                     if total > _MAX_FM_CONSTRAINTS:
-                        raise _Budget()
+                        raise _Budget(BUDGET_FM)
             rows = rest
         return False
 
-    def difference_closure(self) -> tuple[bool, list[tuple[int, int]], list[tuple[int, int]]]:
-        """Shortest-path closure over unit-difference constraints.
+    def shortest_paths(self) -> tuple[dict[int, int], list[list[int | None]]]:
+        """Shortest-path closure over the unit-difference constraints.
 
-        Returns (unsat, var-var equalities, var-constant equalities) where an
-        equality is justified by bounds of zero in both directions.
+        Returns index, which numbers the variables they mention in ascending
+        order with _ZERO, the constant 0, last, and dist, where
+        dist[index[u]][index[w]] is the least k with u - w <= k derivable
+        from them (None when none is).
         """
-        ZERO = -1
         edges: dict[tuple[int, int], int] = {}
-
-        def upd(u: int, w: int, k: int) -> None:
-            cur = edges.get((u, w))
-            if cur is None or k < cur:
-                edges[(u, w)] = k
-
-        nodes: set[int] = set()
         for coeffs, k in self.constraints:
-            items = sorted(coeffs.items())
-            if len(items) == 1:
-                (v, c), = items
-                nodes.add(v)
-                if c == 1:
-                    upd(v, ZERO, k)
-                elif c == -1:
-                    upd(ZERO, v, k)
-            elif len(items) == 2:
-                (v1, c1), (v2, c2) = items
-                if c1 == 1 and c2 == -1:
-                    nodes.update((v1, v2))
-                    upd(v1, v2, k)
-                elif c1 == -1 and c2 == 1:
-                    nodes.update((v1, v2))
-                    upd(v2, v1, k)
-        if not nodes:
-            return False, [], []
-        order = sorted(nodes) + [ZERO]
-        dist = {(u, w): edges.get((u, w)) for u in order for w in order if u != w}
-        for u in order:
-            dist[(u, u)] = 0
-        for m in order:
-            for u in order:
-                dum = dist[(u, m)]
+            edge = _edge(coeffs)
+            if edge is not None and (edge not in edges or k < edges[edge]):
+                edges[edge] = k
+        nodes = {v for edge in edges for v in edge if v != _ZERO}
+        index = {v: i for i, v in enumerate(sorted(nodes) + [_ZERO])}
+        n = len(index)
+        dist: list[list[int | None]] = [[0 if i == j else None for j in range(n)] for i in range(n)]
+        for (u, w), k in edges.items():
+            dist[index[u]][index[w]] = k
+        for m in range(n):
+            dm = dist[m]
+            for du in dist:
+                dum = du[m]
                 if dum is None:
                     continue
-                for w in order:
-                    dmw = dist[(m, w)]
+                for w in range(n):
+                    dmw = dm[w]
                     if dmw is None:
                         continue
-                    cur = dist[(u, w)]
+                    cur = du[w]
                     if cur is None or dum + dmw < cur:
-                        dist[(u, w)] = dum + dmw
-        for u in order:
-            if dist[(u, u)] < 0:
-                return True, [], []
+                        du[w] = dum + dmw
+        return index, dist
+
+    def difference_closure(self) -> tuple[bool, list[tuple[int, int]], list[tuple[int, int]]]:
+        """Returns (unsat, var-var equalities, var-constant equalities) of the
+        shortest-path closure, where an equality is justified by bounds of
+        zero in both directions.
+        """
+        index, dist = self.shortest_paths()
+        if any(dist[i][i] < 0 for i in range(len(dist))):
+            return True, [], []
+        order = list(index)[:-1]
+        z = len(order)
         var_eqs: list[tuple[int, int]] = []
         const_eqs: list[tuple[int, int]] = []
-        for i, u in enumerate(order[:-1]):
-            duz = dist[(u, ZERO)]
-            dzu = dist[(ZERO, u)]
+        for i, u in enumerate(order):
+            duz = dist[i][z]
+            dzu = dist[z][i]
             if duz is not None and dzu is not None and duz + dzu == 0:
                 const_eqs.append((u, duz))
                 continue
-            for w in order[i + 1 : -1]:
-                duw = dist[(u, w)]
-                dwu = dist[(w, u)]
-                if duw is not None and dwu is not None and duw == 0 and dwu == 0:
-                    var_eqs.append((u, w))
+            for j in range(i + 1, z):
+                if dist[i][j] == 0 and dist[j][i] == 0:
+                    var_eqs.append((u, order[j]))
         return False, var_eqs, const_eqs
 
 
@@ -334,14 +340,10 @@ class _Lia:
 
 @dataclass
 class _State:
-    eqs: list[tuple[Term, Term]]
-    diseqs: list[tuple[Term, Term]]
-    bounds: list[tuple[Term, Term, bool]]  # (l, r, strict) meaning l <= r / l < r
-    preds: list[tuple[PredP, bool]]
-
-    @staticmethod
-    def empty() -> "_State":
-        return _State([], [], [], [])
+    eqs: list[tuple[Term, Term]] = field(default_factory=list)
+    diseqs: list[tuple[Term, Term]] = field(default_factory=list)
+    bounds: list[tuple[Term, Term, bool]] = field(default_factory=list)  # (l, r, strict): l <= r / l < r
+    preds: list[tuple[PredP, bool]] = field(default_factory=list)
 
 
 def _assert_formula(f: PureFormula, st: _State, positive: bool) -> bool:
@@ -453,120 +455,205 @@ def _linearize(t: Term, cc: _CC) -> tuple[dict[int, int], int]:
     return _leaf(n, cc)
 
 
-def _refute(st: _State) -> bool:
-    """True iff the asserted facts are jointly contradictory."""
+def _le_row(l: Term, r: Term, cc: _CC) -> tuple[dict[int, int], int, bool]:
+    """(coeffs, k, ground): l <= r reads sum(coeffs[v] * v) <= k, and ground
+    says that one side has no variables."""
+    cl, kl = _linearize(l, cc)
+    cr, kr = _linearize(r, cc)
+    ground = not cl or not cr
+    for v, c in cr.items():
+        cl[v] = cl.get(v, 0) - c
+    return cl, kr - kl, ground
+
+
+def _rows(bounds: Sequence[tuple[Term, Term, bool]], eqs: Sequence[tuple[Term, Term]], cc: _CC) -> _Lia:
+    """The linear rows of the bounds (minus one more when strict) and of
+    both directions of the equalities, under cc's classes."""
+    lia = _Lia()
+    for l, r, strict in bounds:
+        coeffs, k, _ = _le_row(l, r, cc)
+        lia.add(coeffs, k - strict)
+    for l, r in eqs:
+        coeffs, k, _ = _le_row(l, r, cc)
+        lia.add(coeffs, k)
+        lia.add({v: -c for v, c in coeffs.items()}, -k)
+    return lia
+
+
+def _closure(st: _State) -> tuple[_CC, list[tuple[int, int]]]:
+    """A congruence closure of the state's equalities and predicates, and the
+    node pairs that must stay apart: true and false, then its disequalities."""
     cc = _CC()
-    t_node = cc.add_const(_TRUE)
-    f_node = cc.add_const(_FALSE)
-    diseq_nodes: list[tuple[int, int]] = [(t_node, f_node)]
+    t_node, f_node = cc.node(_TRUE), cc.node(_FALSE)
     for l, r in st.eqs:
         cc.merge(cc.add_term(l), cc.add_term(r))
-    for l, r in st.diseqs:
-        diseq_nodes.append((cc.add_term(l), cc.add_term(r)))
+    diseqs = [(t_node, f_node)] + [(cc.add_term(l), cc.add_term(r)) for l, r in st.diseqs]
     for p, positive in st.preds:
         cc.merge(cc.add_pred(p), t_node if positive else f_node)
-    if cc.unsat:
-        return True
+    return cc, diseqs
 
-    for _ in range(_MAX_EXCHANGE_ROUNDS):
-        cc.propagate()
-        if cc.unsat:
-            return True
-        for a, b in diseq_nodes:
-            if cc.equal(a, b):
-                return True
-        lia = _Lia()
-        for l, r, strict in st.bounds:
-            cl, kl = _linearize(l, cc)
-            cr, kr = _linearize(r, cc)
-            coeffs = dict(cl)
-            for v, c in cr.items():
-                coeffs[v] = coeffs.get(v, 0) - c
-            # l - r <= kr - kl, minus one more when strict
-            lia.add(coeffs, kr - kl - (1 if strict else 0))
-        for l, r in st.eqs:
-            cl, kl = _linearize(l, cc)
-            cr, kr = _linearize(r, cc)
-            coeffs = dict(cl)
-            for v, c in cr.items():
-                coeffs[v] = coeffs.get(v, 0) - c
-            lia.add(coeffs, kr - kl)
-            lia.add({v: -c for v, c in coeffs.items()}, kl - kr)
-        cc.propagate()
-        if cc.unsat:
-            return True
-        for a, b in diseq_nodes:
-            if cc.equal(a, b):
-                return True
-        try:
-            if lia.fm_unsat():
-                return True
-        except _Budget:
-            pass
-        # A disequality with a ground side refutes when both strict orderings
-        # are impossible; non-ground pairs stay with congruence closure only.
-        for l, r in st.diseqs:
-            cl, kl = _linearize(l, cc)
-            cr, kr = _linearize(r, cc)
-            if cl and cr:
-                continue
-            coeffs = dict(cl)
-            for v, c in cr.items():
-                coeffs[v] = coeffs.get(v, 0) - c
-            below = _Lia()
-            below.constraints = list(lia.constraints)
-            below.add(dict(coeffs), kr - kl - 1)
-            above = _Lia()
-            above.constraints = list(lia.constraints)
-            above.add({v: -c for v, c in coeffs.items()}, kl - kr - 1)
+
+def _refuted(cc: _CC, diseqs: list[tuple[int, int]]) -> bool:
+    return cc.unsat or any(cc.equal(a, b) for a, b in diseqs)
+
+
+class Context:
+    """One hypothesis set, asserted once, against which goals are decided.
+
+    On creation the hypotheses go into a congruence closure, their linear
+    rows are built as the refutation loop's first round builds them, and so
+    is the shortest-path closure of their difference rows.  A goal atom
+    negated to a bound goes on from that state, its row built on the closure
+    itself or, when the row adds nodes, on a copy: it is proven by lookup
+    when the row is one difference edge closing a negative cycle, and
+    otherwise runs the loop on a copy.  One negated to an equality,
+    disequality or predicate starts afresh, so that its terms are numbered
+    as in a one-shot refutation, whose answer every query gives."""
+
+    def __init__(self, hyps: Iterable[PureFormula]) -> None:
+        st = _State()
+        used: list[PureFormula] = []
+        for h in hyps:
             try:
-                if below.fm_unsat() and above.fm_unsat():
-                    return True
-            except _Budget:
+                if _assert_formula(h, st, True):
+                    used.append(h)
+            except TypeError:
                 continue
-        unsat, var_eqs, const_eqs = lia.difference_closure()
-        if unsat:
+        self._st, self._used = st, tuple(used)
+        self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes
+        self._hyp_rows: tuple[_Lia, _Lia] | None = None  # bound rows, equality rows
+        self._paths: tuple[bool, dict, list] | None = None  # negative cycle, index, dist
+        try:
+            cc, self._diseqs = _closure(st)
+            cc.propagate()
+            if not _refuted(cc, self._diseqs):  # else every query is refuted before its rows
+                self._hyp_rows = bounds, eqs = _rows(st.bounds, (), cc), _rows((), st.eqs, cc)
+                index, dist = _Lia(bounds.constraints + eqs.constraints).shortest_paths()
+                cycle = bounds.contradiction or eqs.contradiction or any(dist[i][i] < 0 for i in range(len(dist)))
+                self._paths = (cycle, index, dist)
+            self._cc = cc
+        except _Budget:
+            pass  # so does every query whose negation is a bound
+
+    def infer(self, goal: PureFormula) -> QueryResult:
+        """Conservatively decide hyps |= goal; see the module function."""
+        atoms = _goal_atoms(goal)
+        if atoms is None:
+            return QueryResult(ProofStatus.UNKNOWN, reason=UNSUPPORTED)
+        for atom, polarity in atoms:
+            neg = _State()  # refute hyps together with this sub-goal negated
+            _assert_formula(atom, neg, not polarity)
+            try:
+                why = self._refute(neg)
+            except _Budget as exc:
+                why = exc.args[0]
+            if why is not None:
+                return QueryResult(ProofStatus.UNKNOWN, reason=why)
+        return QueryResult(ProofStatus.PROVEN, self._used)
+
+    def _closes_cycle(self, goal: _Lia) -> bool:
+        """True when goal, the negated goal's row under the hypotheses'
+        closure, closes a negative cycle with their difference rows:
+        a contradiction the loop's first round refutes by Fourier-Motzkin or,
+        past its budget, by the difference closure."""
+        cycle, index, dist = self._paths
+        if cycle or goal.contradiction:
             return True
-        progressed = False
-        for u, w in var_eqs:
-            if not cc.equal(u, w):
-                cc.merge(u, w)
-                progressed = True
-        for u, value in const_eqs:
-            vn = cc.int_node(value)
-            if not cc.equal(u, vn):
-                cc.merge(u, vn)
-                progressed = True
-        if cc.unsat:
-            return True
-        if not progressed and not cc.pending:
+        if len(goal.constraints) != 1:  # the row holds whatever the values
             return False
-    return False
+        (coeffs, k), = goal.constraints
+        u, w = _edge(coeffs) or (None, None)
+        back = dist[index[w]][index[u]] if u in index and w in index else None
+        return back is not None and k + back < 0
+
+    def _refute(self, neg: _State) -> str | None:
+        """None when the hypotheses and neg, one negated goal atom, are
+        jointly contradictory; otherwise why no contradiction was found."""
+        st = self._st
+        st = _State(st.eqs + neg.eqs, st.diseqs + neg.diseqs, st.bounds + neg.bounds, st.preds + neg.preds)
+        lia = None
+        if neg.bounds:  # nothing to assert: go on from the prebuilt closure
+            if self._cc is None:
+                raise _Budget(BUDGET_NODES)
+            cc, diseq_nodes = self._cc, self._diseqs
+            if self._hyp_rows is not None:  # the first round's rows, in their order
+                (l, r, _), = neg.bounds
+                if l not in cc.term_ids or r not in cc.term_ids:  # the goal's row adds nodes
+                    cc = cc.copy()
+                goal = _rows(neg.bounds, (), cc)
+                if self._closes_cycle(goal):
+                    return None
+                bounds, eqs = self._hyp_rows
+                lia = _Lia(
+                    bounds.constraints + goal.constraints + eqs.constraints,
+                    bounds.contradiction or goal.contradiction or eqs.contradiction,
+                )
+            if cc is self._cc:  # the loop merges into a closure of its own
+                cc = cc.copy()
+        else:  # the atom's terms go in among the hypotheses', numbered as before
+            cc, diseq_nodes = _closure(st)
+        budget = None
+        for _ in range(_MAX_EXCHANGE_ROUNDS):
+            if lia is None:
+                cc.propagate()
+                if _refuted(cc, diseq_nodes):
+                    return None
+                lia = _rows(st.bounds, st.eqs, cc)
+            cc.propagate()
+            if _refuted(cc, diseq_nodes):
+                return None
+            try:
+                if lia.fm_unsat():
+                    return None
+            except _Budget as exc:
+                budget = exc.args[0]
+            # A disequality with a ground side refutes when both strict orderings
+            # are impossible; non-ground pairs stay with congruence closure only.
+            for l, r in st.diseqs:
+                coeffs, k, ground = _le_row(l, r, cc)
+                if not ground:
+                    continue
+                below, above = _Lia(lia.constraints), _Lia(lia.constraints)
+                below.add(coeffs, k - 1)
+                above.add({v: -c for v, c in coeffs.items()}, -k - 1)
+                try:
+                    if below.fm_unsat() and above.fm_unsat():
+                        return None
+                except _Budget as exc:
+                    budget = exc.args[0]
+            unsat, var_eqs, const_eqs = lia.difference_closure()
+            if unsat:
+                return None
+            progressed = False
+            for u, w in var_eqs:
+                if not cc.equal(u, w):
+                    cc.merge(u, w)
+                    progressed = True
+            for u, value in const_eqs:
+                vn = cc.node(("int", value))
+                if not cc.equal(u, vn):
+                    cc.merge(u, vn)
+                    progressed = True
+            if cc.unsat:
+                return None
+            if not progressed and not cc.pending:
+                break
+            lia = None
+        return budget or NO_REFUTATION
 
 
-def infer(hyps: Iterable[PureFormula], goal: PureFormula) -> QueryResult:
+def infer(
+    hyps: Iterable[PureFormula], goal: PureFormula, contexts: dict[tuple, Context] | None = None
+) -> QueryResult:
     """Conservatively decide hyps |= goal.  Proven results are sound under
     integer semantics with uninterpreted functions and predicates; Unknown
-    says nothing."""
+    says nothing, and its reason says why.
+
+    `contexts` maps a hypothesis tuple to its `Context`; a miss builds one
+    and keeps it there.  Without it the query gets a one-shot context."""
     hyps = tuple(hyps)
-    atoms = _goal_atoms(goal)
-    if atoms is None:
-        return QueryResult(ProofStatus.UNKNOWN)
-    base = _State.empty()
-    used: list[PureFormula] = []
-    for h in hyps:
-        try:
-            if _assert_formula(h, base, True):
-                used.append(h)
-        except TypeError:
-            continue
-    for atom, polarity in atoms:
-        st = _State(list(base.eqs), list(base.diseqs), list(base.bounds), list(base.preds))
-        # Refute hyps together with the negation of this sub-goal.
-        _assert_formula(atom, st, not polarity)
-        try:
-            if not _refute(st):
-                return QueryResult(ProofStatus.UNKNOWN)
-        except _Budget:
-            return QueryResult(ProofStatus.UNKNOWN)
-    return QueryResult(ProofStatus.PROVEN, tuple(used))
+    if contexts is None:
+        return Context(hyps).infer(goal)
+    if hyps not in contexts:
+        contexts[hyps] = Context(hyps)
+    return contexts[hyps].infer(goal)

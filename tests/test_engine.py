@@ -73,9 +73,9 @@ def infer_calls(monkeypatch):
     calls = []
     real = smt.infer
 
-    def counting(hyps, goal):
+    def counting(hyps, goal, contexts=None):
         calls.append((tuple(hyps), goal))
-        return real(hyps, goal)
+        return real(hyps, goal, contexts)
 
     monkeypatch.setattr(smt, "infer", counting)
     return calls
@@ -349,6 +349,15 @@ class TestVerdicts:
         assert len(exact.steps) == 20
         assert exact.frame == exact.final.lhs
 
+    def test_step_refuses_a_store_at_another_entailment(self, common):
+        sig, prog = common
+        cells = load_entailments("common_cells", sig)[0]
+        store = matcher.MatchStore(list(prog.strategies), cells)
+        nxt = step(prog, cells, store=store)
+        assert nxt is not None
+        with pytest.raises(ValueError, match="not at the given entailment"):
+            step(prog, nxt.entailment_after, store=store)
+
     def test_purified_wins_over_step_limit(self, common):
         sig, prog = common
         e = parse_entailment("forall v, emp |-- exists a b, a == v && b == v", sig)
@@ -409,6 +418,41 @@ class TestInferMemo:
         solved = len(infer_calls)
         assert trace_json(run(prog, e)) == first
         assert len(infer_calls) == 2 * solved
+
+    def test_hypothesis_rows_are_linearized_once_per_run(self, array, infer_calls, monkeypatch):
+        # all 32 queries share one antecedent: its rows are built once, and
+        # each query linearizes only its own goal
+        sig, prog = array
+        e = arrays_goal(sig, 16, 16)
+        rows = []
+        real = smt._le_row
+
+        def counting(l, r, cc):
+            rows.append((l, r))
+            return real(l, r, cc)
+
+        monkeypatch.setattr(smt, "_le_row", counting)
+        assert run(prog, e).verdict is Verdict.FRAME_INFERRED
+        assert len(infer_calls) == 32 and {h for h, _ in infer_calls} == {e.lhs.pures}
+        hyp_rows = [(f.left, f.right) for f in e.lhs.pures]
+        assert all(rows.count(lr) == 1 for lr in hyp_rows)
+        assert len(rows) <= len(hyp_rows) + len(infer_calls)
+
+    def test_contexts_live_for_one_run_or_one_trace(self, array, monkeypatch):
+        sig, prog = array
+        caches = []
+        real = smt.infer
+
+        def recording(hyps, goal, contexts=None):
+            caches.append(contexts)
+            return real(hyps, goal, contexts)
+
+        monkeypatch.setattr(smt, "infer", recording)
+        traces = [run(prog, arrays_goal(sig, 3, 3)), run(prog, arrays_goal(sig, 3, 1))]
+        assert None not in caches and len({id(c) for c in caches}) == 2
+        caches.clear()
+        replay_document(traces_to_document(traces), sig, prog)
+        assert None not in caches and len({id(c) for c in caches}) == 2
 
     @pytest.mark.parametrize(
         "lib,name,max_steps",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 import gen
 import helpers
+from conftest import CORPUS, load_entailments, load_library
+from sepstrat import engine
 from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, PredP, Rel, TrueF, Var, free_vars, substitute
 from sepstrat import smt
-from sepstrat.frontend import parse_pure
+from sepstrat.frontend import parse_entailments, parse_pure
 from sepstrat.smt import ProofStatus, QueryResult, infer
 
 SIG = gen.test_signature()
@@ -153,7 +157,7 @@ class TestResultShape:
 
     def test_unknown_has_no_used_hypotheses(self):
         r = infer([], parse_pure("p != q", SIG))
-        assert r == QueryResult(UNKNOWN)
+        assert r == QueryResult(UNKNOWN, reason=smt.NO_REFUTATION)
 
     def test_determinism(self):
         hs = pures("x <= i", "i < y")
@@ -296,3 +300,164 @@ def test_linearizing_a_deep_sum_adds_each_subterm_once():
         sys.setprofile(None)
     assert k == 0 and sorted(coeffs.values()) == [1] * 401
     assert calls < 4 * 400
+
+
+# ---------------------------------------------------------------------------
+# Reasons: why an answer is UNKNOWN
+
+
+class TestReasons:
+    def test_proven_has_no_reason(self):
+        assert infer(pures("x <= i", "i < y"), parse_pure("x < y", SIG)).reason is None
+
+    def test_no_refutation(self):
+        assert infer(pures("x < y"), parse_pure("x + 1 < y", SIG)).reason == smt.NO_REFUTATION
+
+    def test_unsupported_shape(self):
+        r = infer(pures("x == y"), parse_pure("(x == y || x < y)", SIG))
+        assert r == QueryResult(UNKNOWN, reason=smt.UNSUPPORTED)
+
+    def test_node_budget(self, monkeypatch):
+        # true, false and x fit; y is one node too many
+        monkeypatch.setattr(smt, "_MAX_NODES", 3)
+        hs = pures("x <= y")
+        assert infer(hs, parse_pure("x <= y", SIG)).reason == smt.BUDGET_NODES
+        assert smt.Context(hs).infer(parse_pure("x == y", SIG)).reason == smt.BUDGET_NODES
+
+    def test_fourier_motzkin_budget(self, monkeypatch):
+        # four rows, and the first derived row is one too many
+        hs, goal = pures("x <= y", "y <= z", "z <= x + 5"), parse_pure("z <= x", SIG)
+        assert infer(hs, goal).reason == smt.NO_REFUTATION
+        monkeypatch.setattr(smt, "_MAX_FM_CONSTRAINTS", 3)
+        assert infer(hs, goal).reason == smt.BUDGET_FM
+        # a contradiction the difference closure finds still proves
+        assert infer(hs, parse_pure("x <= z", SIG)).status == PROVEN
+
+
+# ---------------------------------------------------------------------------
+# Contexts: a shared context answers as a one-shot one, and its lookup proves
+# exactly what Fourier-Motzkin refutes on difference constraints.
+
+DIFF_VARS = tuple(Var(f"x{i}") for i in range(5))
+BIG_BOUND = 2**60
+
+
+@st.composite
+def difference_rows(draw):
+    """(u, w, c) for the constraint u - w <= c, where u or w may be None, the
+    constant 0; constants reach past float precision."""
+    u, w = draw(st.lists(st.sampled_from((None,) + DIFF_VARS), min_size=2, max_size=2, unique=True))
+    return u, w, draw(st.integers(-BIG_BOUND, BIG_BOUND))
+
+
+def _row_formula(u, w, c):
+    if w is None:
+        return Rel("<=", u, IntLit(c))
+    if u is None:
+        return Rel(">=", w, IntLit(-c))
+    if c % 2:  # the two ways of writing u - w <= c, by the parity of c
+        return Rel("<=", Arith("-", u, w), IntLit(c))
+    return Rel("<=", u, Arith("+", w, IntLit(c)))
+
+
+def _fm_refutes(rows, goal) -> bool:
+    """hyps and the negated goal u - w > c, that is w - u <= -c - 1, as rows
+    over variable numbers, refuted by Fourier-Motzkin alone."""
+    number = {v: i for i, v in enumerate(DIFF_VARS)}
+    lia = smt._Lia()
+    for u, w, c in list(rows) + [(goal[1], goal[0], -goal[2] - 1)]:
+        coeffs = {}
+        if u is not None:
+            coeffs[number[u]] = 1
+        if w is not None:
+            coeffs[number[w]] = -1
+        lia.add(coeffs, c)
+    return lia.fm_unsat()
+
+
+def _without_lookup(hyps, goal) -> QueryResult:
+    """The refutation loop's answer alone, from a one-shot context whose
+    lookup never fires."""
+    with mock.patch.object(smt.Context, "_closes_cycle", lambda self, goal: False):
+        return infer(hyps, goal)
+
+
+@given(st.lists(difference_rows(), min_size=1, max_size=8), difference_rows())
+@settings(max_examples=300, deadline=None)
+def test_lookup_proves_exactly_what_fourier_motzkin_refutes(rows, goal_row):
+    # goal atoms the hypotheses do not mention get fresh nodes, off the paths
+    ctx = smt.Context([_row_formula(*r) for r in rows])
+    neg = smt._State()
+    smt._assert_formula(_row_formula(*goal_row), neg, False)
+    refuted = _fm_refutes(rows, goal_row)
+    assert ctx._closes_cycle(smt._rows(neg.bounds, (), ctx._cc.copy())) == refuted
+    assert (ctx.infer(_row_formula(*goal_row)).status is PROVEN) == refuted
+
+
+def test_a_query_leaves_the_shared_closure_as_it_was():
+    # goals with known atoms, a new atom, a new literal, and non-bound goals;
+    # "y <= x" runs the loop, which merges x and i
+    ctx = smt.Context(pures("x <= i", "i <= x", "i < y"))
+    labels = list(ctx._cc.labels)
+    classes = [ctx._cc.find(n) for n in range(len(labels))]
+    for g in ("x < y", "y <= x", "z < y", "x + 3 <= y", "i <= 7", "x == y", "x != i"):
+        ctx.infer(parse_pure(g, SIG))
+    assert ctx._cc.labels == labels
+    assert [ctx._cc.find(n) for n in range(len(labels))] == classes
+
+
+@given(st.lists(difference_rows(), max_size=6), st.lists(difference_rows(), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_shared_context_answers_as_one_shot_on_difference_systems(rows, goals):
+    hyps = [_row_formula(*r) for r in rows]
+    contexts = {}
+    for g in goals:
+        goal = _row_formula(*g)
+        assert infer(hyps, goal, contexts) == infer(hyps, goal) == _without_lookup(hyps, goal)
+
+
+@given(st.lists(gen.pure_atoms(), max_size=5), st.lists(gen.pure_atoms(), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_shared_context_answers_as_one_shot(hyps, goals):
+    contexts = {}
+    for goal in goals:
+        assert infer(hyps, goal, contexts) == infer(hyps, goal) == _without_lookup(hyps, goal)
+
+
+def test_shared_context_answers_as_one_shot_on_engine_queries(monkeypatch):
+    """Every query the engine asks on the perfbench workloads at seeds 1 and
+    7 and on the corpus, answered through one context per goal, through a
+    fresh one-shot context and by the refutation loop without the lookup:
+    same status, hypotheses and reason."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", CORPUS.parent / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    goals = []
+    for make in workloads.WORKLOADS.values():
+        for seed in (1, 7):
+            batch = make(seed)
+            sig, prog = load_library(batch.library)
+            goals += [(prog, e) for e in parse_entailments(batch.text, sig)]
+    for path in sorted(CORPUS.glob("*.sle")):
+        sig, prog = load_library(path.stem.split("_")[0])
+        goals += [(prog, e) for e in load_entailments(path.stem, sig)]
+
+    queries: list = []
+    real = smt.infer
+
+    def recording(hyps, goal, contexts=None):
+        queries.append((hyps, goal))
+        return real(hyps, goal, contexts)
+
+    monkeypatch.setattr(smt, "infer", recording)
+    asked = 0
+    for prog, e in goals:
+        queries.clear()
+        engine.run(prog, e)
+        contexts = {}
+        shared = [real(h, g, contexts) for h, g in queries]
+        assert shared == [real(h, g) for h, g in queries]
+        with mock.patch.object(smt.Context, "_closes_cycle", lambda self, goal: False):
+            assert shared == [real(h, g) for h, g in queries]
+        asked += len(queries)
+    assert asked > 2 * 1200
