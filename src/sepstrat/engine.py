@@ -6,16 +6,17 @@ takes its matches from one `MatchStore`, which keeps them across steps.
 Checks and the action run per candidate match; a failure moves on to the
 next candidate.
 Applied steps are never undone.  Traces serialize to a versioned JSON
-document and can be replayed against it.
+document and can be replayed against it; replay checks each recorded match
+directly, without a store.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Mapping
 
 from . import smt
@@ -339,20 +340,45 @@ def _field(obj: dict, key: str, where: str, kind: type | None = None, default=_R
     return value
 
 
+def _matches_at(s: Strategy, binding: Mapping[str, Term], e: Entailment) -> bool:
+    """Whether the binding is a match of s's patterns against distinct
+    conjunct occurrences of e: one the matcher finds, held back by a
+    `*_absent` check or not.  The binding must bind every pattern binder,
+    each pattern under it must occur in its list, as often as the patterns
+    that instantiate to it, and each `exists` binder must be bound to an
+    existential."""
+    if not all(b in binding for p in s.patterns for b in p.atom.binders):
+        return False
+    lists = (e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials)
+    need: Counter = Counter()
+    for p in s.patterns:
+        f = p.atom.formula
+        need[2 * (p.side == "right") + (not isinstance(f, PureFormula)), substitute(f, binding)] += 1
+        for b in p.exists_binders:
+            t = binding[b]
+            if type(t) is not Var or t.name not in e.existentials:
+                return False
+    return all(lists[li].count(f) >= n for (li, f), n in need.items())
+
+
 def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     """Re-execute every step of a trace document; raises ReplayError on any
-    divergence from the recorded entailments or verdicts, and on a document
-    of the wrong shape.
+    divergence from the recorded entailments, substitutions or verdicts, and
+    on a document of the wrong shape.
 
     Each trace's input is parsed once, and each distinct substitution text
-    once per call; every recorded entailment, side condition goal and frame
-    must equal the printer's text for what replay computes.  Every side
-    condition is solved again, per trace, through one context per
-    hypothesis set."""
+    once per call.  A step is checked directly: the recorded substitution
+    must match the strategy's patterns at the current entailment, and the
+    action, seeded with it, must return it unchanged, with no key added or
+    left over.  Every recorded entailment, side condition goal and frame must
+    equal the printer's text for what replay computes.  Every side condition
+    is solved again, per trace, through one context per hypothesis set.
+    Only a verdict that claims no step applies, or that one does, builds a
+    match store."""
     _object(doc, "document")
-    if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
-        raise ReplayError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    order = _ordered(prog)
+    version = doc.get("schema_version")
+    if type(version) is not int or version != TRACE_SCHEMA_VERSION:
+        raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
 
     def term(text) -> Term:
@@ -370,7 +396,6 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             cur = parse_entailment(source, sig)
         except Exception as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
-        store = MatchStore(order, cur)
         contexts: dict = {}  # the solver's contexts for this trace
         for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
             where = f"trace {t_idx} step {s_idx}"
@@ -385,13 +410,14 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                 binding = {x: term(text) for x, text in substitution.items()}
             except Exception as exc:
                 raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
-            pattern_vars = {b for p in s.patterns for b in p.atom.binders}
-            match_binding = {x: t for x, t in binding.items() if x in pattern_vars}
-            # a match held back by its *_absent check is found, and fails run_checks
-            matches = chain(match_strategy(s, cur, store), store.matches(s, held=True))
-            if not any(m.bindings == match_binding for m in matches):
+            if not _matches_at(s, binding, cur):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
-            conditions = run_checks(s, binding, cur, contexts=contexts)
+            # the pattern binders and the names the action introduces; any
+            # other recorded key is left out, so the comparison below sees it
+            keys = {b for p in s.patterns for b in p.atom.binders}
+            keys.update(op.arg for op in s.action if op.keyword in ("forall_add", "exist_add"))
+            seeded = {x: t for x, t in binding.items() if x in keys}
+            conditions = run_checks(s, seeded, cur, contexts=contexts)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")
             recorded = _field(st, "side_conditions", where, list, [])
@@ -402,25 +428,24 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
                 goal = _field(rec, "goal", where)
                 if goal != print_pure(got.goal) or _field(rec, "status", where) != got.status.value:
                     raise ReplayError(f"{where}: side condition diverges on {goal!r}")
-            applied = apply_action(s, binding, cur)
+            applied = apply_action(s, seeded, cur)
             if applied is None:
                 raise ReplayError(f"{where}: action of {s.name} fails on replay")
-            cur = applied[0]
-            store.advance(cur)
+            cur, sigma = applied
+            if sigma != binding:
+                raise ReplayError(f"{where}: recorded substitution differs from the one {s.name} makes")
             got_after = print_entailment(cur)
             if got_after != recorded_after:
                 raise ReplayError(
                     f"{where}: entailment diverges:\n  got      {got_after}\n"
                     f"  recorded {recorded_after}"
                 )
-        _check_verdict(tr, t_idx, prog, store, contexts)
+        _check_verdict(tr, t_idx, prog, cur, contexts)
 
 
-def _check_verdict(tr: dict, t_idx: int, prog: Program, store: MatchStore, contexts: dict) -> None:
+def _check_verdict(tr: dict, t_idx: int, prog: Program, cur: Entailment, contexts: dict) -> None:
     """The recorded verdict and frame must be what `run` gives a trace that
-    ends in the store's entailment; only the step bound itself is not
-    recorded."""
-    cur = store.entailment
+    ends in cur; only the step bound itself is not recorded."""
     claimed = tr.get("verdict")
     try:
         verdict = Verdict(claimed)
@@ -436,19 +461,19 @@ def _check_verdict(tr: dict, t_idx: int, prog: Program, store: MatchStore, conte
             if spatial_left:
                 raise ReplayError(f"{claim} spatial conjuncts remain")
         case Verdict.STEP_LIMIT:
-            if step(prog, cur, store=store, contexts=contexts) is None:
+            if step(prog, cur, contexts=contexts) is None:
                 raise ReplayError(f"{claim} no step applies")
             if not spatial_left:
                 raise ReplayError(f"{claim} no spatial conjuncts remain")
         case Verdict.STUCK:
             if not cur.rhs.spatials:
                 raise ReplayError(f"{claim} no spatial conjunct is left on the right")
-            if step(prog, cur, store=store, contexts=contexts) is not None:
+            if step(prog, cur, contexts=contexts) is not None:
                 raise ReplayError(f"{claim} a step still applies")
         case Verdict.FRAME_INFERRED:
             if cur.rhs.spatials or not cur.lhs.spatials:
                 raise ReplayError(f"{claim} the final shape disagrees")
-            if step(prog, cur, store=store, contexts=contexts) is not None:
+            if step(prog, cur, contexts=contexts) is not None:
                 raise ReplayError(f"{claim} a step still applies")
             if frame != print_heap(cur.lhs):
                 raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")

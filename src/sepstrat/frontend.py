@@ -1,12 +1,12 @@
 """Concrete syntax: signatures, entailments, strategies, assertions.
 
-Hand-rolled lexer and recursive-descent parsers.  Terms, pure formulas and
-assertions are parsed by one precedence-climbing loop over OPERATORS, which
-the printers read too.  The signature drives the classification of `*`
-(separating conjunction after a complete atom, multiplication inside a term)
-and of identifier applications (spatial predicate, pure predicate, or
-function).  Printers are exact inverses on the AST values this package
-produces.
+A lexer driven by one regular expression, and recursive-descent parsers.
+Terms, pure formulas and assertions are parsed by one precedence-climbing
+loop over OPERATORS, which the printers read too.  The signature drives the
+classification of `*` (separating conjunction after a complete atom,
+multiplication inside a term) and of identifier applications (spatial
+predicate, pure predicate, or function).  Printers are exact inverses on
+the AST values this package produces.
 """
 
 from __future__ import annotations
@@ -193,63 +193,51 @@ UNDECLARABLE = STRUCTURAL_KEYWORDS | SECTION_KEYWORDS | frozenset(ITEMS) | froze
 # Lexer
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # "ident" | "int" | "punct" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-_PUNCT = re.compile(r"\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[(),;:*+\-/!?<>]")  # longest first
-_DIGITS = "0123456789"  # not `str.isdigit`, which also accepts digits like `²` that `int` rejects
+# One alternative per token class, tried in this order at each position.  A
+# comment does not move the column.  Numbers are ASCII digits only, since
+# `int` rejects digits like `²` that `str.isdigit` accepts; an identifier is
+# a letter or `_` and then letters, digits, `_` and `'`, where `\w` is
+# `str.isalnum` or `_`, so its first character is checked for `str.isalpha`.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<int>[0-9]+)|(?P<ident>\w[\w']*)"
+    r"|(?P<punct>\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[(),;:*+\-/!?<>])"  # longest first
+)
 
 
 def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
+    """The tokens of text, then two eof tokens, so that looking one token
+    past the end still reads eof."""
     toks: list[Token] = []
+    match = _TOKEN.match
     i = 0
     line = start_line
-    col = 1
+    line_start = 0  # where column 1 of the line is
     n = len(text)
     while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+        m = match(text, i)
+        kind = m and m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        m = _PUNCT.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {c!r}", path, line, col)
-        matched = m.group()
-        toks.append(Token("punct", matched, line, col))
-        col += len(matched)
-        i += len(matched)
-    toks.append(Token("eof", "", line, col))
+            line_start = i + 1
+        elif kind == "comment":
+            line_start += m.end() - i  # only a newline or the end follows
+        elif kind != "space":
+            if kind is None or kind == "ident" and not (text[i].isalpha() or text[i] == "_"):
+                raise ParseError(f"unexpected character {text[i]!r}", path, line, i - line_start + 1)
+            toks.append(Token(kind, m.group(), line, i - line_start + 1))
+        i = m.end()
+    eof = Token("eof", "", line, n - line_start + 1)
+    toks += (eof, eof)
     return toks
 
 
@@ -271,7 +259,7 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

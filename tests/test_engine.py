@@ -561,6 +561,13 @@ class TestReplay:
         with pytest.raises(ReplayError, match="schema_version"):
             replay_document(doc, sig, prog)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_is_the_integer_one(self, sll, version):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        doc["schema_version"] = version
+        with pytest.raises(ReplayError, match=f"unsupported schema_version {version!r}"):
+            replay_document(doc, sig, prog)
+
     def test_unknown_strategy(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_basic")
         doc["traces"][0]["steps"][0]["strategy"] = "ghost"
@@ -574,6 +581,82 @@ class TestReplay:
         st["substitution"][var] = "q + 1"
         with pytest.raises(ReplayError, match="substitution"):
             replay_document(doc, sig, prog)
+
+    def test_substitution_with_a_stray_key(self, sll):
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        doc["traces"][0]["steps"][0]["substitution"]["zz"] = "p"
+        with pytest.raises(ReplayError, match="step 0: recorded substitution differs from the one sll_align_lseg makes"):
+            replay_document(doc, sig, prog)
+
+    def test_substitution_without_its_fresh_name(self, sll):
+        # replay would pick the same name for l3 again, so only the comparison
+        # of the substitutions sees the dropped key
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        st = doc["traces"][0]["steps"][1]
+        assert st["strategy"] == "sll_absorb_lseg" and st["substitution"]["l3"] == "l3'1"
+        del st["substitution"]["l3"]
+        with pytest.raises(ReplayError, match="step 1: recorded substitution differs from the one sll_absorb_lseg makes"):
+            replay_document(doc, sig, prog)
+
+    def test_substitution_without_a_pattern_binder(self, sll):
+        # q is bound to the variable q, so the patterns and the action read
+        # the same without the key: only the binder check sees it missing
+        doc, sig, prog = self.replayable(sll, "sll_basic")
+        st = doc["traces"][0]["steps"][0]
+        assert st["substitution"]["q"] == "q"
+        del st["substitution"]["q"]
+        with pytest.raises(ReplayError, match="step 0: recorded substitution does not match sll_align_lseg"):
+            replay_document(doc, sig, prog)
+
+    def test_two_patterns_need_two_occurrences(self, common):
+        # com_ptr_neq with q = p and v1 = v0 asks for data_at(p, a) twice
+        sig, prog = common
+        e = parse_entailment("forall p q a b, data_at(p, a) * data_at(q, b) |-- emp", sig)
+        doc = traces_to_document([run(prog, e)])
+        st = doc["traces"][0]["steps"][0]
+        assert st["strategy"] == "com_ptr_neq"
+        st["substitution"].update(q="p", v1="a")
+        with pytest.raises(ReplayError, match="step 0: recorded substitution does not match com_ptr_neq"):
+            replay_document(doc, sig, prog)
+        doc["traces"][0]["input"] = "forall p q a b, data_at(p, a) * data_at(p, a) |-- emp"
+        with pytest.raises(ReplayError, match="step 0: entailment diverges"):  # two occurrences match
+            replay_document(doc, sig, prog)
+
+    def test_exists_binder_bound_to_a_universal(self, common):
+        sig, prog = common
+        e = parse_entailment("forall v, emp |-- exists a, a == v", sig)
+        doc = traces_to_document([run(prog, e)])
+        tr = doc["traces"][0]
+        assert tr["steps"][0]["strategy"] == "com_inst_eq"
+        replay_document(doc, sig, prog)
+        tr["input"] = "forall v a, emp |-- a == v"
+        with pytest.raises(ReplayError, match="step 0: recorded substitution does not match com_inst_eq"):
+            replay_document(doc, sig, prog)
+
+    @pytest.mark.parametrize("loop_at", [None, 5])
+    def test_replay_builds_no_store_per_step(self, sll, monkeypatch, loop_at):
+        # a purified chain needs no store; a stuck one builds one, to show
+        # that no step applies at its end
+        sig, prog = sll
+        k = 24
+        universals = " ".join([f"x{i}" for i in range(k + 1)] + [f"l{i}" for i in range(1, k + 2)])
+        segs = [f"lseg(x{i - 1}, x{i if i != loop_at else i - 1}, l{i})" for i in range(1, k + 1)]
+        e = parse_entailment(f"forall {universals}, {' * '.join(segs)} * listrep(x{k}, l{k + 1}) |-- exists L, listrep(x0, L)", sig)
+        tr = run(prog, e)
+        assert tr.verdict is (Verdict.PURIFIED if loop_at is None else Verdict.STUCK)
+        assert len(tr.steps) >= (k if loop_at is None else loop_at - 1)
+        doc = traces_to_document([tr])
+        calls = []
+        for name in ("__init__", "advance"):
+            real = getattr(matcher.MatchStore, name)
+
+            def counting(self, *args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(matcher.MatchStore, name, counting)
+        replay_document(doc, sig, prog)
+        assert calls == ([] if loop_at is None else ["__init__", "advance"])
 
     def test_step_whose_absent_formula_is_present(self, common):
         # the recorded com_ptr_neq step matches, but its left_absent check

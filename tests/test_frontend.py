@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen
 from sepstrat.core import (
@@ -19,7 +22,7 @@ from sepstrat.core import (
     Term,
     Var,
 )
-from sepstrat import core
+from sepstrat import core, frontend
 from sepstrat.frontend import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -550,3 +553,98 @@ def test_cached_text_is_the_uncached_text(e):
             assert parse_heap(print_spatial(n), SIG).spatials == (() if type(n) is Emp else (n,))
         else:
             assert (parse_term if family is Term else parse_pure)(PRINTERS[family](n), SIG) is n
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the per-character loop it replaced
+
+
+_PUNCT = re.compile(r"\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[(),;:*+\-/!?<>]")  # longest first
+_DIGITS = "0123456789"
+
+
+def oracle_lex(text: str, path: str, start_line: int = 1) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token and of the eof token: one
+    character class at a time, as the lexer once read its input."""
+    toks = []
+    i = 0
+    line = start_line
+    col = 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        m = _PUNCT.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {c!r}", path, line, col)
+        toks.append(("punct", m.group(), line, col))
+        col += len(m.group())
+        i += len(m.group())
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def lex(text: str, path: str, start_line: int = 1) -> list[tuple[str, str, int, int]]:
+    return [(t.kind, t.text, t.line, t.col) for t in frontend._lex(text, path, start_line)]
+
+
+def _lexed(lexer, text: str, start_line: int):
+    """The tokens, or the error text."""
+    try:
+        return lexer(text, "f.sle", start_line)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Characters the two readings could disagree on: ASCII of every class,
+# letters and digits outside ASCII (`é`, titlecase `ǅ`, superscript `²`,
+# Arabic-Indic `٣`, Roman numeral `Ⅻ`), whitespace the lexer does not skip.
+_LEX_ALPHABET = "ax_'09 \t\r\n\f/|-<>=!&*+(),;:?" + "\u00e9\u01c5\u00b2\u0663\u216b"
+_LEX_PIECES = ["//", "|--", "<->", "->", "-*", "&&", "||", "// c", "lseg", "x1'"]
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from(_LEX_ALPHABET), st.sampled_from(_LEX_PIECES), st.characters()), max_size=30),
+    st.integers(1, 5),
+)
+@settings(max_examples=400)
+@example(["x", " ", "//", " c"], 1)  # a comment at the end: its characters are not columns
+@example(["a", "\t", "\r", "b", "\n", "\u00e9", "\u01c5", "\u00b2"], 3)
+@example(["x", "\f"], 1)
+@example(["\u0663"], 2)
+@example(["\u216b"], 1)
+def test_lexer_matches_the_per_character_oracle(pieces, start_line):
+    text = "".join(pieces)
+    got = _lexed(lex, text, start_line)
+    want = _lexed(oracle_lex, text, start_line)
+    if isinstance(want, list):  # the lexer pads its list with a second eof
+        want.append(want[-1])
+    assert got == want
