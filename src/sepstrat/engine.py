@@ -40,8 +40,7 @@ from .frontend import (
     parse_term,
     print_entailment,
     print_heap,
-    print_pure,
-    print_term,
+    print_node,
 )
 from .matcher import MatchStore, match_strategy
 from .smt import ProofStatus
@@ -93,14 +92,13 @@ class ReductionTrace:
 
 
 def run_checks(
-    s: Strategy, binding: Mapping[str, Term], e: Entailment, memo: dict | None = None, contexts: dict | None = None
+    s: Strategy, binding: Mapping[str, Term], e: Entailment, contexts: dict | None = None
 ) -> list[SideCondition] | None:
     """Evaluate the strategy's checks under the binding; None on failure.
 
-    `memo` maps (antecedent pures, goal) to an earlier `smt.infer` result;
-    a miss asks the solver and records the answer.  `contexts` is the
-    solver's cache of one `smt.Context` per antecedent pures tuple, kept for
-    one run or one trace; without it each query gets a one-shot context."""
+    `contexts` is the solver's cache of one `smt.Context` per antecedent
+    pures tuple, kept for one run or one trace, and each context keeps its
+    answers by goal; without it each query gets a one-shot context."""
     conditions: list[SideCondition] = []
     for c in s.checks:
         f = substitute(c.arg, binding)
@@ -108,13 +106,7 @@ def run_checks(
             if f in (e.lhs if c.keyword == "left_absent" else e.rhs).pures:
                 return None
             continue
-        if memo is None:
-            res = smt.infer(e.lhs.pures, f, contexts)
-        else:
-            key = (e.lhs.pures, f)
-            res = memo.get(key)
-            if res is None:
-                res = memo[key] = smt.infer(*key, contexts)
+        res = smt.infer(e.lhs.pures, f, contexts)
         conditions.append(
             SideCondition(
                 goal=f,
@@ -216,22 +208,22 @@ def _ordered(prog: Program) -> list[Strategy]:
 
 
 def step(
-    prog: Program, e: Entailment, memo: dict | None = None, store: MatchStore | None = None, contexts: dict | None = None
+    prog: Program, e: Entailment, store: MatchStore | None = None, contexts: dict | None = None
 ) -> TraceStep | None:
     """First applicable strategy application, or None when none applies.
 
-    A run passes its side-condition memo and solver contexts (see
-    `run_checks`) and its match store, which must be at e.  The store's
-    strategies are tried in its order, so prog is read only when no store is
-    given.  A memo or store left out is made for this step."""
+    A run passes its match store, which must be at e, and its solver
+    contexts (see `run_checks`).  The store's strategies are tried in its
+    order, so prog is read only when no store is given.  A store or
+    contexts left out are made for this step."""
     if store is None:
         store = MatchStore(_ordered(prog), e)
     elif store.entailment is not e:
         raise ValueError("the match store is not at the given entailment")
-    memo = {} if memo is None else memo
+    contexts = {} if contexts is None else contexts
     for s in store.strategies:
         for m in match_strategy(s, e, store):
-            conditions = run_checks(s, m.bindings, e, memo, contexts)
+            conditions = run_checks(s, m.bindings, e, contexts)
             if conditions is None:
                 continue
             applied = apply_action(s, m.bindings, e)
@@ -253,13 +245,12 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
         raise ValueError("max_steps must be positive")
     if not well_formed(e):
         raise ValueError("input entailment is not well-formed")
-    memo: dict = {}  # side-condition results, shared by every step of this run
-    contexts: dict = {}  # the solver's contexts, shared likewise
+    contexts: dict = {}  # the solver's contexts and their answers, shared by every step of this run
     store = MatchStore(_ordered(prog), e)  # every strategy's matches, kept across steps
     steps: list[TraceStep] = []
     cur = e
     while len(steps) < max_steps:
-        ts = step(prog, cur, memo, store, contexts)
+        ts = step(prog, cur, store, contexts)
         if ts is None:
             break
         if ts.side_conditions:
@@ -275,7 +266,7 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
     purified = not cur.lhs.spatials and not cur.rhs.spatials
     if purified:
         verdict = Verdict.PURIFIED
-    elif len(steps) == max_steps and step(prog, cur, memo, store, contexts) is not None:
+    elif len(steps) == max_steps and step(prog, cur, store, contexts) is not None:
         verdict = Verdict.STEP_LIMIT
     elif not cur.rhs.spatials:
         verdict = Verdict.FRAME_INFERRED
@@ -295,9 +286,9 @@ def trace_to_dict(trace: ReductionTrace) -> dict:
         "steps": [
             {
                 "strategy": ts.strategy,
-                "substitution": {x: print_term(t) for x, t in ts.substitution},
+                "substitution": {x: print_node(t) for x, t in ts.substitution},
                 "side_conditions": [
-                    {"goal": print_pure(c.goal), "status": c.status.value} for c in ts.side_conditions
+                    {"goal": print_node(c.goal), "status": c.status.value} for c in ts.side_conditions
                 ],
                 "entailment_after": print_entailment(ts.entailment_after),
             }
@@ -417,7 +408,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             keys = {b for p in s.patterns for b in p.atom.binders}
             keys.update(op.arg for op in s.action if op.keyword in ("forall_add", "exist_add"))
             seeded = {x: t for x, t in binding.items() if x in keys}
-            conditions = run_checks(s, seeded, cur, contexts=contexts)
+            conditions = run_checks(s, seeded, cur, contexts)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")
             recorded = _field(st, "side_conditions", where, list, [])
@@ -426,7 +417,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             for rec, got in zip(recorded, conditions):
                 rec = _object(rec, where)
                 goal = _field(rec, "goal", where)
-                if goal != print_pure(got.goal) or _field(rec, "status", where) != got.status.value:
+                if goal != print_node(got.goal) or _field(rec, "status", where) != got.status.value:
                     raise ReplayError(f"{where}: side condition diverges on {goal!r}")
             applied = apply_action(s, seeded, cur)
             if applied is None:

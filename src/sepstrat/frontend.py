@@ -2,7 +2,7 @@
 
 A lexer driven by one regular expression, and recursive-descent parsers.
 Terms, pure formulas and assertions are parsed by one precedence-climbing
-loop over OPERATORS, which the printers read too.  The signature drives the
+loop over OPERATORS, which the printer reads too.  The signature drives the
 classification of `*` (separating conjunction after a complete atom,
 multiplication inside a term) and of identifier applications (spatial
 predicate, pure predicate, or function).  Printers are exact inverses on
@@ -88,6 +88,9 @@ _NO_OP = (0, None, None)  # what any other token is: below every level
 # Above every level: no operator reaches it, and an operand printed at it is
 # parenthesised unless atomic.
 _ATOM = 1 + max(level for ops in OPERATORS.values() for level, _, _ in ops.values())
+
+# The node an application of a declared symbol builds, by the symbol's kind.
+_CALLS = {"spatial": PredS, "pure": PredP, "func": Apply}
 
 SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
 STRUCTURAL_KEYWORDS = frozenset({"forall", "exists", "emp", "true", "data_at", "field_addr"})
@@ -444,22 +447,14 @@ class _Parser:
         if t.kind == "ident":
             name = t.text
             if name == "field_addr":
-                self.next()
-                self.eat_punct("(")
-                base = self.parse_term()
-                self.eat_punct(",")
-                fld = self.expect("ident").text
-                self.eat_punct(")")
-                return FieldAddr(base, fld)
+                return self._call(t)
             if self.peek(1).kind == "punct" and self.peek(1).text == "(":
                 kind = self.sig.kind_of(name)
                 if kind is None:
                     raise self.err(UnknownIdentifierError, f"undeclared symbol {name!r} applied to arguments", t)
                 if kind != "func":
                     raise self.err(ParseError, f"{kind} predicate {name!r} cannot appear inside a term", t)
-                self.next()
-                args = self._args(name)
-                return Apply(name, tuple(args))
+                return self._call(t)
             if self.sig.kind_of(name) is not None:
                 raise self.err(ParseError, f"declared symbol {name!r} used without arguments", t)
             if name in STRUCTURAL_KEYWORDS:
@@ -468,8 +463,19 @@ class _Parser:
             return Var(name)
         raise self.err(ParseError, f"expected a term, found {t.text or 'end of input'!r}")
 
-    def _args(self, name: str) -> list[Term]:
+    def _call(self, tok: Token) -> Term | PureFormula | SpatialAtom:
+        """The `name(args)` form that tok, the next token, starts: `data_at`,
+        `field_addr`, or an application of a declared symbol, whose arity is
+        checked.  The caller has classified tok."""
+        self.next()
+        name = tok.text
         open_tok = self.eat_punct("(")
+        if name in ("data_at", "field_addr"):
+            first = self.parse_term()
+            self.eat_punct(",")
+            second = self.expect("ident").text if name == "field_addr" else self.parse_term()
+            self.eat_punct(")")
+            return FieldAddr(first, second) if name == "field_addr" else DataAt(first, second)
         args: list[Term] = []
         if not self.at_punct(")"):
             args.append(self.parse_term())
@@ -480,7 +486,7 @@ class _Parser:
         arity = self.sig.arity_of(name)
         if arity is not None and arity != len(args):
             raise self.err(ArityMismatchError, f"{name} expects {arity} argument(s), got {len(args)}", open_tok)
-        return args
+        return _CALLS[self.sig.kind_of(name)](name, tuple(args))
 
     # -- atom layer (heap conjuncts, pure operands)
 
@@ -494,21 +500,8 @@ class _Parser:
             if name == "true":
                 self.next()
                 return TrueF()
-            if name == "data_at":
-                self.next()
-                self.eat_punct("(")
-                addr = self.parse_term()
-                self.eat_punct(",")
-                value = self.parse_term()
-                self.eat_punct(")")
-                return DataAt(addr, value)
-            kind = self.sig.kind_of(name)
-            if kind == "spatial":
-                self.next()
-                return PredS(name, tuple(self._args(name)))
-            if kind == "pure":
-                self.next()
-                return PredP(name, tuple(self._args(name)))
+            if name == "data_at" or self.sig.kind_of(name) in ("spatial", "pure"):
+                return self._call(t)
         if t.kind == "punct" and t.text == "!":
             self.next()
             return Not(self._parenthesised("pure"))
@@ -851,108 +844,91 @@ def parse_assertion(text: str, sig: Signature, path: str = "<input>") -> Asserti
 
 
 # ---------------------------------------------------------------------------
-# Printers: each node is parenthesised when its OPERATORS level is below ctx,
-# the level its position asks for.  A node's text is a function of the node
-# alone, so print_term, print_pure and print_spatial keep it on the node the
-# first time they print it.  Each checks the node's family before it reads
-# that text: the node may hold the text of another family's printer.
+# Printer: a node is parenthesised when its OPERATORS level is below ctx, the
+# level its position asks for.  Nodes are hash-consed, so a node's text is a
+# function of the node alone: the printer keeps it on the node the first time
+# it prints it.
+
+# The assertion operator each assertion node class is printed with.
+_ASSERTION_OPS = {AndA: "&&", SepConj: "*", Wand: "-*", ForallA: "forall", ExistsA: "exists"}
 
 
-def print_term(t: Term) -> str:
-    return _pt(t)
+def print_node(x: Term | PureFormula | SpatialAtom | Assertion) -> str:
+    """x's text: the one kept on x, or else computed and kept."""
+    return getattr(x, "_text", None) or _print(x)
 
 
-def _pt(t: Term, ctx: int = 0) -> str:
-    s = getattr(t, "_text", None) if isinstance(t, Term) else None
+def _print(x, ctx: int = 0) -> str:
+    s = getattr(x, "_text", None)
     if s is None:
-        match t:
+        match x:
             case IntLit(v):
                 s = str(v)
             case Var(name):
                 s = name
+            case TrueF():
+                s = "true"
+            case Emp():
+                s = "emp"
+            case Apply(name, args) | PredP(name, args) | PredS(name, args):
+                s = f"{name}({', '.join(_print(a) for a in args)})"
             case FieldAddr(base, fld):
-                s = f"field_addr({_pt(base)}, {fld})"
-            case Apply(fn, args):
-                s = f"{fn}({', '.join(_pt(a) for a in args)})"
+                s = f"field_addr({_print(base)}, {fld})"
+            case DataAt(addr, value):
+                s = f"data_at({_print(addr)}, {_print(value)})"
             case Arith(op, l, r):
-                level = _level(t)
+                level = _level(x)
                 if level == _TERM[op][0]:
-                    s = f"{_pt(l, level)} {op} {_pt(r, level + 1)}"
+                    s = f"{_print(l, level)} {op} {_print(r, level + 1)}"
                 else:  # 0 - r, printed as the prefix minus -r
-                    s = "-" + _pt(r, _ATOM)
+                    s = "-" + _print(r, _ATOM)
+            case Eq(l, r):
+                s = f"{_print(l)} == {_print(r)}"
+            case Rel(op, l, r):
+                s = f"{_print(l)} {op} {_print(r)}"
+            case Not(inner):
+                s = f"!({_print(inner)})"
+            case Bin(op, l, r):
+                # A left-nested chain of a left-associative operator prints flat,
+                # inside one pair of parentheses, as the parser builds it back.
+                operands = [r]
+                flat = _PURE[op][1] == "left"
+                while flat and type(l) is Bin and l.op == op:
+                    operands.append(l.right)
+                    l = l.left
+                operands.append(l)
+                s = f"({f' {op} '.join(_print(o) for o in reversed(operands))})"
+            case PureA(inner) | SpatialA(inner):
+                s = _print(inner)
+            case AndA(parts) | SepConj(parts):
+                op = _ASSERTION_OPS[type(x)]
+                s = f" {op} ".join(_print(p, _ASSERTION[op][0] + 1) for p in parts)
+            case Wand(l, r):  # operands are parenthesised unless atomic
+                s = f"{_print(l, _ATOM)} -* {_print(r, _ATOM)}"
+            case ForallA(vs, body) | ExistsA(vs, body):
+                op = _ASSERTION_OPS[type(x)]
+                s = f"{op} {' '.join(vs)}, {_print(body, _ASSERTION[op][0])}"
             case _:
-                raise TypeError(f"print_term: unsupported value {t!r}")
-        object.__setattr__(t, "_text", s)
-    return f"({s})" if ctx > _level(t) else s
+                raise TypeError(f"print_node: unsupported value {x!r}")
+        object.__setattr__(x, "_text", s)
+    # a cached text at ctx 0 returns without computing a level
+    return f"({s})" if ctx and ctx > _level(x) else s
 
 
-def _level(t: Term) -> int:
-    """The OPERATORS level t is printed at; atoms are never parenthesised."""
-    match t:
+def _level(x) -> int:
+    """The OPERATORS level x is printed at; atoms are never parenthesised."""
+    match x:
         case Arith("-", IntLit(0), r) if not isinstance(r, IntLit):
             return _TERM["*"][0]  # a prefix minus binds as tightly as a product
         case Arith(op):
             return _TERM[op][0]
-    return _ATOM
-
-
-def print_pure(f: PureFormula) -> str:
-    s = getattr(f, "_text", None) if isinstance(f, PureFormula) else None
-    if s is not None:
-        return s
-    match f:
-        case TrueF():
-            s = "true"
-        case Eq(l, r):
-            s = f"{print_term(l)} == {print_term(r)}"
-        case Rel(op, l, r):
-            s = f"{print_term(l)} {op} {print_term(r)}"
-        case Not(inner):
-            s = f"!({print_pure(inner)})"
-        case Bin(op, l, r):
-            # A left-nested chain of a left-associative operator prints flat,
-            # inside one pair of parentheses, as the parser builds it back.
-            operands = [r]
-            flat = _PURE[op][1] == "left"
-            while flat and type(l) is Bin and l.op == op:
-                operands.append(l.right)
-                l = l.left
-            operands.append(l)
-            s = f"({f' {op} '.join(print_pure(x) for x in reversed(operands))})"
-        case PredP(name, args):
-            s = f"{name}({', '.join(print_term(a) for a in args)})"
-        case _:
-            raise TypeError(f"print_pure: unsupported value {f!r}")
-    object.__setattr__(f, "_text", s)
-    return s
-
-
-def print_spatial(s: SpatialAtom) -> str:
-    text = getattr(s, "_text", None) if isinstance(s, SpatialAtom) else None
-    if text is not None:
-        return text
-    match s:
-        case Emp():
-            text = "emp"
-        case DataAt(addr, value):
-            text = f"data_at({print_term(addr)}, {print_term(value)})"
-        case PredS(name, args):
-            text = f"{name}({', '.join(print_term(a) for a in args)})"
-        case _:
-            raise TypeError(f"print_spatial: unsupported value {s!r}")
-    object.__setattr__(s, "_text", text)
-    return text
-
-
-def print_conjunct(f: PureFormula | SpatialAtom) -> str:
-    if isinstance(f, PureFormula):
-        return print_pure(f)
-    return print_spatial(f)
+    op = _ASSERTION_OPS.get(type(x))
+    return _ATOM if op is None else _ASSERTION[op][0]
 
 
 def print_heap(h: SymbolicHeap) -> str:
-    pures = " && ".join(print_pure(p) for p in h.pures)
-    spatials = " * ".join(print_spatial(s) for s in h.spatials)
+    pures = " && ".join(print_node(p) for p in h.pures)
+    spatials = " * ".join(print_node(s) for s in h.spatials)
     if pures and spatials:
         return f"{pures} && {spatials}"
     return pures or spatials or "emp"
@@ -966,32 +942,6 @@ def print_entailment(e: Entailment) -> str:
     return f"{fa}{lhs} |-- {ex}{rhs}"
 
 
-def print_assertion(a: Assertion) -> str:
-    return _pa(a)
-
-
-def _pa(a: Assertion, ctx: int = 0) -> str:
-    match a:
-        case PureA(f):
-            return print_pure(f)
-        case SpatialA(s):
-            return print_spatial(s)
-        case AndA(parts) | SepConj(parts):
-            op = "&&" if type(a) is AndA else "*"
-            level = _ASSERTION[op][0]
-            s = f" {op} ".join(_pa(p, level + 1) for p in parts)
-        case Wand(l, r):
-            # Wand operands are parenthesised unless atomic.
-            level, s = _ASSERTION["-*"][0], f"{_pa(l, _ATOM)} -* {_pa(r, _ATOM)}"
-        case ForallA(vs, body) | ExistsA(vs, body):
-            op = "forall" if type(a) is ForallA else "exists"
-            level = _ASSERTION[op][0]
-            s = f"{op} {' '.join(vs)}, {_pa(body, level)}"
-        case _:
-            raise TypeError(f"print_assertion: unsupported value {a!r}")
-    return f"({s})" if ctx > level else s
-
-
 class _FirstOccurrence(dict):
     """A substitution that applies each of its entries once: `substitute`
     looks variables up with `get` in printing order, and this `get` pops."""
@@ -1002,7 +952,7 @@ class _FirstOccurrence(dict):
 
 def _print_pattern_atom(p: PatternAtom) -> str:
     marked = _FirstOccurrence({b: Var(f"?{b}") for b in p.binders})
-    return print_conjunct(core.substitute(p.formula, marked))
+    return print_node(core.substitute(p.formula, marked))
 
 
 def print_strategy(s: Strategy) -> str:
@@ -1025,9 +975,9 @@ def print_strategy(s: Strategy) -> str:
 def _print_item(item: Item) -> str:
     arg = item.arg
     if item.keyword == "instantiate":
-        arg = f"{arg[0]} -> {print_term(arg[1])}"
+        arg = f"{arg[0]} -> {print_node(arg[1])}"
     elif not isinstance(arg, str):
-        arg = print_conjunct(arg)
+        arg = print_node(arg)
     return f"{item.keyword}({arg});"
 
 
@@ -1039,7 +989,7 @@ def print_condition(name: str, cond: SoundnessCondition | None) -> str:
     if cond is None:
         return f"soundness {name} : instantiate - always sound\n"
     lines = [f"soundness {name} :"]
-    lines.append(f"  {print_assertion(cond.hypothesis)} |-- {print_assertion(cond.conclusion)}")
+    lines.append(f"  {print_node(cond.hypothesis)} |-- {print_node(cond.conclusion)}")
     lines.append(f"  free: {' '.join(cond.free_vars)}" if cond.free_vars else "  free:")
     return "\n".join(lines) + "\n"
 

@@ -508,7 +508,9 @@ class Context:
     when the row is one difference edge closing a negative cycle, and
     otherwise runs the loop on a copy.  One negated to an equality,
     disequality or predicate starts afresh, so that its terms are numbered
-    as in a one-shot refutation, whose answer every query gives."""
+    as in a one-shot refutation, whose answer every query gives.  That
+    answer depends on the goal alone, so each goal is decided once and its
+    answer kept."""
 
     def __init__(self, hyps: Iterable[PureFormula]) -> None:
         st = _State()
@@ -520,6 +522,7 @@ class Context:
             except TypeError:
                 continue
         self._st, self._used = st, tuple(used)
+        self._answers: dict[PureFormula, QueryResult] = {}
         self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes
         self._hyp_rows: tuple[_Lia, _Lia] | None = None  # bound rows, equality rows
         self._paths: tuple[bool, dict, list] | None = None  # negative cycle, index, dist
@@ -537,6 +540,12 @@ class Context:
 
     def infer(self, goal: PureFormula) -> QueryResult:
         """Conservatively decide hyps |= goal; see the module function."""
+        res = self._answers.get(goal)
+        if res is None:
+            res = self._answers[goal] = self._decide(goal)
+        return res
+
+    def _decide(self, goal: PureFormula) -> QueryResult:
         atoms = _goal_atoms(goal)
         if atoms is None:
             return QueryResult(ProofStatus.UNKNOWN, reason=UNSUPPORTED)
@@ -599,6 +608,9 @@ class Context:
                 if _refuted(cc, diseq_nodes):
                     return None
                 lia = _rows(st.bounds, st.eqs, cc)
+            # terms the rows just added that congruence merges: the next
+            # round's rows read them as one atom
+            progressed = bool(cc.pending)
             cc.propagate()
             if _refuted(cc, diseq_nodes):
                 return None
@@ -624,7 +636,6 @@ class Context:
             unsat, var_eqs, const_eqs = lia.difference_closure()
             if unsat:
                 return None
-            progressed = False
             for u, w in var_eqs:
                 if not cc.equal(u, w):
                     cc.merge(u, w)

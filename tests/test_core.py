@@ -48,7 +48,7 @@ from sepstrat.core import (
     well_formed_report,
 )
 from sepstrat.core import _NODES, Assertion
-from sepstrat.frontend import parse_heap, parse_term, print_heap, print_term
+from sepstrat.frontend import parse_heap, parse_term, print_heap, print_node
 
 import gen
 
@@ -312,7 +312,7 @@ class TestInterning:
     @given(gen.terms(), gen.heaps())
     @settings(max_examples=150)
     def test_parsing_the_printed_node_returns_it(self, t, h):
-        assert parse_term(print_term(t), SIG) is t
+        assert parse_term(print_node(t), SIG) is t
         back = parse_heap(print_heap(h), SIG)
         conjuncts = h.pures + h.spatials
         assert len(back.pures + back.spatials) == len(conjuncts)

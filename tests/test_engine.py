@@ -32,7 +32,7 @@ from sepstrat.frontend import (
     Item,
     parse_entailment,
     parse_strategies,
-    print_pure,
+    print_node,
 )
 from sepstrat.matcher import match_strategy
 from sepstrat.smt import ProofStatus
@@ -376,7 +376,8 @@ class TestVerdicts:
 
 
 def stepped(prog, e, max_steps=1000):
-    """run() rebuilt from calls of the public step, each with its own memo."""
+    """run() rebuilt from calls of the public step, each with its own solver
+    contexts."""
     steps = []
     cur = e
     while len(steps) < max_steps and (ts := step(prog, cur)) is not None:
@@ -399,17 +400,26 @@ def trace_json(tr):
 
 
 class TestInferMemo:
-    def test_run_solves_each_distinct_query_once(self, array, infer_calls):
+    def test_run_solves_each_distinct_query_once(self, array, infer_calls, monkeypatch):
         sig, prog = array
         e = arrays_goal(sig, 4, 2)
+        decided = []  # the goals each context decides rather than looks up
+        real = smt.Context._decide
+
+        def counting(ctx, goal):
+            decided.append(goal)
+            return real(ctx, goal)
+
+        monkeypatch.setattr(smt.Context, "_decide", counting)
         tr = run(prog, e)
         assert tr.verdict is Verdict.STUCK
-        assert infer_calls and len(infer_calls) == len(set(infer_calls))
-        solved = list(infer_calls)
-        # stepping with a fresh memo per step asks the same questions again
+        solved = set(infer_calls)
+        assert len(decided) == len(solved) < len(infer_calls)
+        # stepping with fresh contexts per step decides the same queries again
         infer_calls.clear()
+        decided.clear()
         assert trace_json(stepped(prog, e)) == trace_json(tr)
-        assert set(infer_calls) == set(solved) and len(infer_calls) > len(solved)
+        assert set(infer_calls) == solved and len(decided) > len(solved)
 
     def test_no_state_survives_a_run(self, array, infer_calls):
         sig, prog = array
@@ -815,7 +825,7 @@ class TestReplay:
             final_check = len(infer_calls)
             infer_calls.clear()
             replay_document(doc, sig, prog)
-            assert [print_pure(g) for _, g in infer_calls[: len(recorded)]] == recorded
+            assert [print_node(g) for _, g in infer_calls[: len(recorded)]] == recorded
             assert len(infer_calls) == len(recorded) + final_check
         assert repeated
 
@@ -1085,7 +1095,7 @@ def test_print_work_per_step_does_not_grow_with_the_heap(common):
 
         def count(frame, event, arg):
             nonlocal calls
-            if event == "call" and frame.f_code is frontend._pt.__code__:
+            if event == "call" and frame.f_code is frontend._print.__code__:
                 calls += 1
 
         sys.setprofile(count)  # counts without adding a frame per call

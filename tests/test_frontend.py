@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import gen
 from sepstrat.core import (
     Arith,
+    Assertion,
     Bin,
-    DataAt,
     Emp,
     Eq,
     IntLit,
@@ -43,15 +43,12 @@ from sepstrat.frontend import (
     parse_signature,
     parse_strategies,
     parse_term,
-    print_assertion,
+    print_node,
     print_entailment,
     print_heap,
     print_program,
-    print_pure,
     print_signature,
-    print_spatial,
     print_strategy,
-    print_term,
 )
 from sepstrat.soundness import soundness_of
 
@@ -69,7 +66,7 @@ class TestTerms:
     def test_unary_minus_term(self):
         t = parse_term("-nth(i - 0, l)", SIG)
         assert t == Arith("-", IntLit(0), parse_term("nth(i - 0, l)", SIG))
-        assert print_term(t) == "-nth(i - 0, l)"
+        assert print_node(t) == "-nth(i - 0, l)"
 
     def test_no_arithmetic_normalization(self):
         t = parse_term("i - 0", SIG)
@@ -85,7 +82,7 @@ class TestTerms:
 
     def test_field_addr(self):
         t = parse_term("field_addr(p, next)", SIG)
-        assert print_term(t) == "field_addr(p, next)"
+        assert print_node(t) == "field_addr(p, next)"
 
 
 class TestHeapDisambiguation:
@@ -440,12 +437,12 @@ class TestAssertions:
     def test_wand_round_trip(self):
         text = "emp * (forall v1, v1 == v0 -* data_at(p, v1))"
         a = parse_assertion(text, SIG)
-        assert print_assertion(a) == text
+        assert print_node(a) == text
 
     def test_nested_quantifiers(self):
         text = "exists p, data_at(p, v) * (forall w, w == v -* data_at(p, w))"
         a = parse_assertion(text, SIG)
-        assert print_assertion(a) == text
+        assert print_node(a) == text
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +454,13 @@ class TestAssertions:
 @example(Arith("-", IntLit(0), IntLit(0)))
 @example(Arith("*", Arith("-", IntLit(0), IntLit(3)), Var("x")))
 def test_term_round_trip(t):
-    assert parse_term(print_term(t), SIG) == t
+    assert parse_term(print_node(t), SIG) == t
 
 
 @given(gen.pure_formulas())
 @settings(max_examples=80)
 def test_pure_round_trip(f):
-    assert parse_pure(print_pure(f), SIG) == f
+    assert parse_pure(print_node(f), SIG) == f
 
 
 @given(gen.heaps())
@@ -481,13 +478,6 @@ def test_entailment_round_trip(e):
 # ---------------------------------------------------------------------------
 # Printed text cached on the nodes
 
-PRINTERS = {Term: print_term, PureFormula: print_pure, SpatialAtom: print_spatial}
-
-
-def _family(x):
-    return next(family for family in PRINTERS if isinstance(x, family))
-
-
 def _nodes(x):
     """x and every node below it, parents before children."""
     out = [x]
@@ -497,7 +487,7 @@ def _nodes(x):
 
 
 def _forget(nodes):
-    """Drop the printed text the printers kept on these nodes."""
+    """Drop the printed text the printer kept on these nodes."""
     for n in nodes:
         try:
             object.__delattr__(n, "_text")
@@ -505,54 +495,57 @@ def _forget(nodes):
             pass
 
 
+def _parse_back(n, sig):
+    """The node that n's printed text parses to; a spatial atom's text is
+    parsed as a heap, which drops emp."""
+    text = print_node(n)
+    if isinstance(n, SpatialAtom):
+        spatials = parse_heap(text, sig).spatials
+        return Emp() if spatials == () else spatials[0]
+    parse = {Term: parse_term, PureFormula: parse_pure, Assertion: parse_assertion}
+    return next(f for family, f in parse.items() if isinstance(n, family))(text, sig)
+
+
+def _check_cached_text(nodes, sig):
+    """Each node's text, kept or not, in either printing order, is the text
+    printed with nothing kept, and parses back to the node itself."""
+    uncached = {}
+    for n in nodes:
+        _forget(nodes)
+        uncached[n] = print_node(n)
+    for order in (nodes, nodes[::-1]):  # parents first, then children first
+        _forget(nodes)
+        for n in order:
+            assert print_node(n) == uncached[n]  # first call, computed or cached
+            assert print_node(n) == uncached[n]  # repeated call, cached
+    for n in nodes:
+        assert _parse_back(n, sig) is n
+
+
 class TestPrinterFamilies:
-    # one node of each family, held here so that the intern table keeps the
-    # node, and the text cached on it, from one call to the next
-    NODES = {Term: IntLit(3), PureFormula: Eq(Var("x"), IntLit(3)), SpatialAtom: DataAt(Var("p"), IntLit(3))}
-
-    @pytest.mark.parametrize(
-        "printer,family",
-        [(p, f) for p in PRINTERS for f in PRINTERS if p is not f],
-        ids=lambda c: c.__name__,
-    )
-    def test_a_printer_rejects_other_families(self, printer, family):
-        node = self.NODES[family]
-        _forget([node])
-        with pytest.raises(TypeError, match=f"{PRINTERS[printer].__name__}: unsupported value"):
-            PRINTERS[printer](node)
-        text = PRINTERS[family](node)  # now cached on the node
-        assert object.__getattribute__(node, "_text") == text
-        with pytest.raises(TypeError, match=f"{PRINTERS[printer].__name__}: unsupported value"):
-            PRINTERS[printer](node)
-
     @pytest.mark.parametrize("value", [3, "x", None])
     def test_a_printer_rejects_values_that_are_not_nodes(self, value):
-        for printer in PRINTERS.values():
-            with pytest.raises(TypeError, match="unsupported value"):
-                printer(value)
+        with pytest.raises(TypeError, match="print_node: unsupported value"):
+            print_node(value)
 
 
 @given(gen.entailments())
 @settings(max_examples=80)
 @example(parse_entailment("forall x, 0 < x + 1 * (x - 2) && x == 0 - x && 0 - 0 == 0 |-- emp", SIG))
 def test_cached_text_is_the_uncached_text(e):
-    nodes = [n for h in (e.lhs, e.rhs) for n in _nodes(h) if type(n) is not SymbolicHeap]
-    uncached = {}
-    for n in nodes:
-        _forget(nodes)
-        uncached[n] = PRINTERS[_family(n)](n)
-    for order in (nodes, nodes[::-1]):  # parents first, then children first
-        _forget(nodes)
-        for n in order:
-            printer = PRINTERS[_family(n)]
-            assert printer(n) == uncached[n]  # first call, computed or cached
-            assert printer(n) == uncached[n]  # repeated call, cached
-    for n in nodes:  # and the text parses back to the node itself
-        family = _family(n)
-        if family is SpatialAtom:
-            assert parse_heap(print_spatial(n), SIG).spatials == (() if type(n) is Emp else (n,))
-        else:
-            assert (parse_term if family is Term else parse_pure)(PRINTERS[family](n), SIG) is n
+    _check_cached_text([n for h in (e.lhs, e.rhs) for n in _nodes(h) if type(n) is not SymbolicHeap], SIG)
+
+
+@pytest.mark.parametrize("lib", ["sll", "array", "common"])
+def test_cached_assertion_text_is_the_uncached_text(lib, request):
+    # the soundness conditions hold every assertion form: `-*`, flat `&&`
+    # and `*` chains, and quantifiers, with their operands inside them
+    sig, prog = request.getfixturevalue(lib)
+    conditions = [c for c in map(soundness_of, prog.strategies) if c is not None]
+    assert conditions
+    for c in conditions:
+        for a in (c.hypothesis, c.conclusion):
+            _check_cached_text(_nodes(a), sig)
 
 
 # ---------------------------------------------------------------------------

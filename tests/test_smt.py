@@ -129,6 +129,12 @@ class TestCombination:
     def test_indices(self):
         assert status(["0 <= i", "i < n", "n <= 8"], "i <= 7") == PROVEN
 
+    def test_congruence_after_the_rows_reaches_lia(self):
+        # a round's rows read app(x, x) and app(y, y) as two atoms before
+        # congruence merges them; the next round's rows read them as one
+        assert status(["x == y", "app(x, x) < app(y, y)"], "p == q") == PROVEN
+        assert status(["app(x, x) < app(y, y)"], "x != y") == PROVEN
+
 
 class TestGoalForms:
     def test_conjunction_goal_splits(self):

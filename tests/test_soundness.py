@@ -16,7 +16,7 @@ from sepstrat.frontend import (
     parse_assertion,
     parse_heap,
     parse_strategies,
-    print_assertion,
+    print_node,
 )
 from sepstrat.soundness import (
     SoundnessAnalysis,
@@ -322,6 +322,6 @@ class TestCorpusInvariants:
             for s in prog.strategies:
                 c = soundness_of(s)
                 for a in (c.hypothesis, c.conclusion) if c is not None else ():
-                    assert parse_assertion(print_assertion(a), sig) is a
+                    assert parse_assertion(print_node(a), sig) is a
                     checked += 1
         assert checked == 20
