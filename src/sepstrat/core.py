@@ -225,9 +225,10 @@ class SymbolicHeap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pures", tuple(self.pures))
-        object.__setattr__(
-            self, "spatials", tuple(s for s in self.spatials if not isinstance(s, Emp))
-        )
+        spatials = tuple(self.spatials)
+        if Emp in map(type, spatials):  # a scan in C; the filter is rarely needed
+            spatials = tuple(s for s in spatials if type(s) is not Emp)
+        object.__setattr__(self, "spatials", spatials)
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,7 +452,7 @@ def occurring_vars(x: Syntax) -> list[str]:
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
     """Return base, or base with the smallest prime-suffix not in avoid."""
-    taken = set(avoid)
+    taken = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
     if base not in taken:
         return base
     for k in itertools.count(1):

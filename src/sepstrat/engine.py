@@ -42,7 +42,7 @@ from .frontend import (
     print_heap,
     print_node,
 )
-from .matcher import MatchStore, match_strategy
+from .matcher import Delta, MatchStore, conjunct_lists, match_strategy
 from .smt import ProofStatus
 
 TRACE_SCHEMA_VERSION = 1
@@ -126,13 +126,21 @@ def run_checks(
 
 def apply_action(
     s: Strategy, binding: Mapping[str, Term], e: Entailment
-) -> tuple[Entailment, dict[str, Term]] | None:
+) -> tuple[Entailment, dict[str, Term], Delta] | None:
     """Apply the strategy's action under the binding; None on failure.
 
-    Returns the new entailment and the binding extended with the names chosen
-    for forall_add/exist_add.  A pre-seeded binding for such a name forces
-    that choice (used by trace replay)."""
+    Returns the new entailment, reusing each heap no operation touched, the
+    binding extended with the names chosen for forall_add/exist_add, and the
+    `Delta` the action made.  A pre-seeded binding for such a name forces
+    that choice (used by trace replay).
+
+    e must be well formed, as `run` checks of its input; every step keeps it
+    so.  Then the names in use are the binders and the free variables of the
+    conjuncts appended and kept, and the result is well formed when each of
+    those is in scope: a left one among the universals, a right one among
+    the universals and existentials.  `instantiate` needs no such check."""
     sigma = dict(binding)
+    lists = conjunct_lists(e)
     if s.action and s.action[0].keyword == "instantiate":
         var, term = s.action[0].arg
         v = sigma.get(var)
@@ -145,58 +153,55 @@ def apply_action(
         remaining = tuple(x for x in e.existentials if x != v.name)
         if not fv <= set(e.universals) | set(remaining):
             return None
-        rhs = substitute(e.rhs, {v.name: t})
-        e2 = Entailment(e.universals, e.lhs, remaining, rhs)
-        if not well_formed(e2):
-            return None
-        return e2, sigma
+        e2 = Entailment(e.universals, e.lhs, remaining, substitute(e.rhs, {v.name: t}))
+        after = conjunct_lists(e2)
+        rewritten = tuple((li, p) for li in (2, 3) for p, f in enumerate(after[li]) if f is not lists[li][p])
+        return e2, sigma, Delta(rewritten=rewritten)
 
-    lp = list(e.lhs.pures)
-    ls = list(e.lhs.spatials)
-    rp = list(e.rhs.pures)
-    rs = list(e.rhs.spatials)
-    universals = list(e.universals)
-    existentials = list(e.existentials)
-
-    def current_names() -> set[str]:
-        return set(universals).union(existentials, *map(free_vars, lp + ls + rp + rs))
-
+    left: dict[int, list] = {}  # list number -> e's conjuncts not erased, once one is
+    erased: tuple[list, ...] = ([], [], [], [])
+    added: tuple[list, ...] = ([], [], [], [])  # appended and not erased again
+    universals, existentials = list(e.universals), list(e.existentials)
     for op in s.action:
         side, _, verb = op.keyword.partition("_")
         if side in ("left", "right"):
             g = substitute(op.arg, sigma)
-            pure = isinstance(g, PureFormula)
-            target = (lp if pure else ls) if side == "left" else (rp if pure else rs)
+            li = 2 * (side == "right") + (not isinstance(g, PureFormula))
             if verb == "add":
                 if not isinstance(g, Emp):
-                    target.append(g)
-            elif isinstance(g, Emp) or g not in target:
-                return None
+                    added[li].append(g)
+                continue
+            if li not in left:
+                left[li] = list(lists[li])
+            if g in left[li]:  # e's occurrences come first, as `list.remove` finds them
+                left[li].remove(g)
+                erased[li].append(g)
+            elif g in added[li]:
+                added[li].remove(g)
             else:
-                target.remove(g)
+                return None
             continue
         # forall_add, exist_add
+        names = set(universals).union(existentials, *(free_vars(f) for a in added for f in a))
         seeded = sigma.get(op.arg)
         if seeded is not None:
-            if not isinstance(seeded, Var):
+            if not isinstance(seeded, Var) or seeded.name in names:
                 return None
             name = seeded.name
-            if name in current_names():
-                return None
         else:
-            avoid = current_names().union(*map(free_vars, sigma.values()))
-            name = fresh_name(op.arg, avoid)
+            names.update(*map(free_vars, sigma.values()))
+            name = fresh_name(op.arg, names)
             sigma[op.arg] = Var(name)
         (universals if side == "forall" else existentials).append(name)
-    e2 = Entailment(
-        tuple(universals),
-        SymbolicHeap(tuple(lp), tuple(ls)),
-        tuple(existentials),
-        SymbolicHeap(tuple(rp), tuple(rs)),
-    )
-    if not well_formed(e2):
+    u = set(universals)
+    ux = u.union(existentials)
+    if any(not free_vars(f) <= (ux if li > 1 else u) for li, a in enumerate(added) for f in a):
         return None
-    return e2, sigma
+    new = [(*left.get(li, lists[li]), *added[li]) if li in left or added[li] else lists[li] for li in range(4)]
+    lhs = e.lhs if new[0] is lists[0] and new[1] is lists[1] else SymbolicHeap(new[0], new[1])
+    rhs = e.rhs if new[2] is lists[2] and new[3] is lists[3] else SymbolicHeap(new[2], new[3])
+    delta = Delta(tuple(map(tuple, erased)), tuple(map(tuple, added)))
+    return Entailment(tuple(universals), lhs, tuple(existentials), rhs), sigma, delta
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +217,11 @@ def step(
 ) -> TraceStep | None:
     """First applicable strategy application, or None when none applies.
 
-    A run passes its match store, which must be at e, and its solver
-    contexts (see `run_checks`).  The store's strategies are tried in its
-    order, so prog is read only when no store is given.  A store or
-    contexts left out are made for this step."""
+    A run passes its match store, which must be at e and which an applied
+    step moves to its result, and its solver contexts (see `run_checks`).
+    The store's strategies are tried in its order, so prog is read only when
+    no store is given.  A store or contexts left out are made for this
+    step."""
     if store is None:
         store = MatchStore(_ordered(prog), e)
     elif store.entailment is not e:
@@ -229,7 +235,8 @@ def step(
             applied = apply_action(s, m.bindings, e)
             if applied is None:
                 continue
-            e2, sigma = applied
+            e2, sigma, delta = applied
+            store.advance(e2, delta)
             return TraceStep(
                 strategy=s.name,
                 substitution=tuple(sigma.items()),
@@ -262,7 +269,6 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
             )
         steps.append(ts)
         cur = ts.entailment_after
-        store.advance(cur)
     purified = not cur.lhs.spatials and not cur.rhs.spatials
     if purified:
         verdict = Verdict.PURIFIED
@@ -340,7 +346,7 @@ def _matches_at(s: Strategy, binding: Mapping[str, Term], e: Entailment) -> bool
     existential."""
     if not all(b in binding for p in s.patterns for b in p.atom.binders):
         return False
-    lists = (e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials)
+    lists = conjunct_lists(e)
     need: Counter = Counter()
     for p in s.patterns:
         f = p.atom.formula
@@ -422,7 +428,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             applied = apply_action(s, seeded, cur)
             if applied is None:
                 raise ReplayError(f"{where}: action of {s.name} fails on replay")
-            cur, sigma = applied
+            cur, sigma, _ = applied
             if sigma != binding:
                 raise ReplayError(f"{where}: recorded substitution differs from the one {s.name} makes")
             got_after = print_entailment(cur)

@@ -10,8 +10,9 @@ A `MatchStore` keeps every strategy's matches of one entailment and updates
 them as the entailment is rewritten, in the manner of Rete (Forgy 1982) and
 TREAT (Miranker 1987).  Each conjunct occurrence carries a serial that
 follows its list order.  A step kills the matches that used an erased
-occurrence and joins only the new occurrences against the rest, so its cost
-follows the size of the change, not of the heap.
+occurrence and joins only the new occurrences against the rest, both read
+off the step's `Delta`, so its cost follows the size of the change, not of
+the heap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var, substitute
 from .frontend import PatternAtom, Strategy
@@ -33,13 +34,30 @@ SPATIAL = "spatial"
 _LISTS = ((LEFT, PURE), (LEFT, SPATIAL), (RIGHT, PURE), (RIGHT, SPATIAL))
 
 
+def conjunct_lists(e: Entailment) -> tuple[tuple, tuple, tuple, tuple]:
+    """The four conjunct lists of e, by list number."""
+    return e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials
+
+
+class Delta(NamedTuple):
+    """What one step changed, per conjunct list by list number: the input's
+    conjuncts it erased, each the first occurrence left at the time, and the
+    ones it appended and kept, in order; and the (list number, position) of
+    each conjunct that `instantiate` rewrote in place."""
+
+    erased: tuple[tuple, ...] = ((), (), (), ())
+    added: tuple[tuple, ...] = ((), (), (), ())
+    rewritten: tuple[tuple[int, int], ...] = ()
+
+
 @dataclass(frozen=True, slots=True)
 class PatternSubstitution:
     """bindings: pattern variable -> matched term; used_conjuncts: pattern
-    index -> (side, kind, conjunct index), injective on occurrences."""
+    index -> (side, kind, conjunct index), injective on occurrences, or None
+    where it was not asked for (see `MatchStore.matches`)."""
 
     bindings: dict[str, Term]
-    used_conjuncts: dict[int, tuple[str, str, int]]
+    used_conjuncts: dict[int, tuple[str, str, int]] | None
 
 
 def _match(pat, target, m: dict[str, Term], binders: frozenset[str]) -> dict[str, Term] | None:
@@ -129,7 +147,7 @@ class _Match:
 
 class MatchStore:
     """The complete matches of each strategy against one entailment, kept up
-    to date by `advance` as the entailment is rewritten.
+    to date by `advance` from each step's `Delta`.
 
     A strategy's matches are found the first time they are asked for and
     kept from then on.  A match is keyed by the serials of the occurrences it
@@ -152,23 +170,37 @@ class MatchStore:
         self._occ: dict[int, tuple] = {}  # serial -> (list number, conjunct, head, first child)
         # (list number, head) and (list number, head, first child) -> serials
         self._buckets: dict[tuple, set[int]] = {}
-        self._lists: list[tuple] = [(), (), (), ()]
         self._serials: list[list[int]] = [[], [], [], []]  # ascending, in list order
         self._next = 0
-        self.advance(e)
+        self.advance(e, Delta(added=conjunct_lists(e)))  # from the empty entailment
 
     # -- keeping up with the entailment
 
-    def advance(self, e: Entailment) -> None:
-        """Move the store to e, the entailment after a step."""
+    def advance(self, e: Entailment, delta: Delta) -> None:
+        """Move the store to e, which delta makes of the current entailment.
+        An erased occurrence dies, an appended one gets a new, higher serial,
+        and a rewritten one keeps its serial."""
+        old = conjunct_lists(self.entailment)
         self.entailment = e
         dead: list[int] = []
         born: list[tuple[int, int, object]] = []
-        for li, new in enumerate((e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials)):
-            old = self._lists[li]
-            if old != new:
-                self._lists[li] = new
-                self._diff(li, old, new, dead, born)
+        for li, gone in enumerate(delta.erased):
+            left = list(old[li]) if gone else []  # the input's occurrences not yet erased
+            for f in gone:
+                p = left.index(f)
+                del left[p]
+                dead.append(self._serials[li].pop(p))
+        for li, added in enumerate(delta.added):
+            for f in added:
+                self._serials[li].append(self._next)
+                born.append((li, self._next, f))
+                self._next += 1
+        if delta.rewritten:
+            after = conjunct_lists(e)
+            for li, p in delta.rewritten:
+                s = self._serials[li][p]
+                dead.append(s)
+                born.append((li, s, after[li][p]))
         for s in dead:
             li, f, head, arg = self._occ.pop(s)
             self._buckets[li, head].discard(s)
@@ -188,34 +220,6 @@ class MatchStore:
         for li, s, f in born:
             for si, i in self._listeners.get((li, self._occ[s][2]), ()):
                 self._join(si, i, s, f, new)
-
-    def _diff(self, li: int, old: tuple, new: tuple, dead: list, born: list) -> None:
-        """Append to dead the serials of the occurrences that die, and to born
-        the (list number, serial, conjunct) of those born, when list li goes
-        from old to new.  An erased occurrence dies and an appended one gets
-        a new, higher serial.  When fewer occurrences change that way, a list
-        of unchanged length is read as rewritten in place, each replacement
-        keeping the serial of the conjunct it replaces."""
-        serials = self._serials[li]
-        kept, erased, j = [], [], 0
-        for s, x in zip(serials, old):  # match old against new in order
-            if j < len(new) and new[j] is x:
-                kept.append(s)
-                j += 1
-            else:
-                erased.append(s)
-        if len(old) == len(new) and len(erased) > 1:
-            rewritten = [p for p, (x, y) in enumerate(zip(old, new)) if x is not y]
-            if len(rewritten) < len(erased):
-                dead += [serials[p] for p in rewritten]
-                born += [(li, serials[p], new[p]) for p in rewritten]
-                return
-        dead += erased
-        for f in new[j:]:
-            kept.append(self._next)
-            born.append((li, self._next, f))
-            self._next += 1
-        self._serials[li] = kept
 
     def _count(self, a: tuple, d: int) -> None:
         """Add d to the occurrences of pure a; a match is held back while any
@@ -311,8 +315,11 @@ class MatchStore:
     # -- reading matches
 
     def matches(self, s: Strategy, held: bool = False) -> Iterator[PatternSubstitution]:
-        """The matches of s in the matcher's order, without those held back
-        by a present `*_absent` formula unless `held` is set."""
+        """The matches of s in the matcher's order.  With `held`, every match,
+        each with its own bindings and its `used_conjuncts`.  Without, only
+        those not held back by a present `*_absent` formula, which is what a
+        step reads: their bindings are the store's own, to be read and not
+        changed, and `used_conjuncts` is None."""
         si = self._number[id(s)]
         plan = self._plans[si] or self._activate(si)
         keys = sorted(self._matches[si]) if held else self._ready[si][:]
@@ -320,6 +327,9 @@ class MatchStore:
         for key in keys:
             bindings = self._matches[si][key].bindings
             if any(type(t := bindings[b]) is not Var or t.name not in existentials for b in plan.exists):
+                continue
+            if not held:
+                yield PatternSubstitution(bindings, None)
                 continue
             lists = (p[0] for p in plan.pats)
             used = {j: (*_LISTS[li], bisect_left(self._serials[li], c)) for j, (li, c) in enumerate(zip(lists, key))}
@@ -330,9 +340,9 @@ def match_strategy(s: Strategy, e: Entailment, store: MatchStore | None = None) 
     """Substitutions matching the strategy's patterns against distinct
     conjunct occurrences of the entailment, in deterministic order.
 
-    With a store (which must be at e) the matches come from it, and those
-    held back by a present `*_absent` formula are left out; without one,
-    every match is given."""
+    With a store (which must be at e) the matches come from it, those held
+    back by a present `*_absent` formula are left out, and only the bindings
+    are given; without one, every match is given in full."""
     if store is None:
         return MatchStore((s,), e).matches(s, held=True)
     if store.entailment is not e:

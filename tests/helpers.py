@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from sepstrat.core import (
     Apply,
@@ -26,7 +26,9 @@ from sepstrat.core import (
     TrueF,
     Var,
     free_vars,
+    fresh_name,
     substitute,
+    well_formed,
 )
 from sepstrat.frontend import Strategy
 from sepstrat.matcher import PatternSubstitution
@@ -158,6 +160,69 @@ def brute_match(s: Strategy, e: Entailment) -> list[PatternSubstitution]:
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference action: every list rewritten as a whole, the names in use read off
+# every conjunct, and the result checked by the full well-formedness walk.
+
+
+def reference_apply_action(
+    s: Strategy, binding: Mapping[str, Term], e: Entailment
+) -> tuple[Entailment, dict[str, Term]] | None:
+    sigma = dict(binding)
+    if s.action and s.action[0].keyword == "instantiate":
+        var, term = s.action[0].arg
+        v = sigma.get(var)
+        if not isinstance(v, Var) or v.name not in e.existentials:
+            return None
+        t = substitute(term, sigma)
+        fv = free_vars(t)
+        if v.name in fv:
+            return None
+        remaining = tuple(x for x in e.existentials if x != v.name)
+        if not fv <= set(e.universals) | set(remaining):
+            return None
+        e2 = Entailment(e.universals, e.lhs, remaining, substitute(e.rhs, {v.name: t}))
+        return (e2, sigma) if well_formed(e2) else None
+
+    lp, ls = list(e.lhs.pures), list(e.lhs.spatials)
+    rp, rs = list(e.rhs.pures), list(e.rhs.spatials)
+    universals, existentials = list(e.universals), list(e.existentials)
+
+    def current_names() -> set[str]:
+        return set(universals).union(existentials, *map(free_vars, lp + ls + rp + rs))
+
+    for op in s.action:
+        side, _, verb = op.keyword.partition("_")
+        if side in ("left", "right"):
+            g = substitute(op.arg, sigma)
+            pure = isinstance(g, PureFormula)
+            target = (lp if pure else ls) if side == "left" else (rp if pure else rs)
+            if verb == "add":
+                if not isinstance(g, Emp):
+                    target.append(g)
+            elif isinstance(g, Emp) or g not in target:
+                return None
+            else:
+                target.remove(g)
+            continue
+        seeded = sigma.get(op.arg)
+        if seeded is not None:
+            if not isinstance(seeded, Var) or seeded.name in current_names():
+                return None
+            name = seeded.name
+        else:
+            name = fresh_name(op.arg, current_names().union(*map(free_vars, sigma.values())))
+            sigma[op.arg] = Var(name)
+        (universals if side == "forall" else existentials).append(name)
+    e2 = Entailment(
+        tuple(universals),
+        SymbolicHeap(tuple(lp), tuple(ls)),
+        tuple(existentials),
+        SymbolicHeap(tuple(rp), tuple(rs)),
+    )
+    return (e2, sigma) if well_formed(e2) else None
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from sepstrat.engine import (
 )
 from sepstrat.frontend import (
     Item,
+    Strategy,
     parse_entailment,
     parse_strategies,
     print_node,
@@ -144,7 +145,7 @@ class TestApplyAction:
             "  action: left_erase(data_at(p, v));\n"
         )
         e = ent("forall p v, data_at(p, v) * data_at(p, v) |-- emp")
-        e2, _ = apply_action(s, first_binding(s, e), e)
+        e2, _, _ = apply_action(s, first_binding(s, e), e)
         assert len(e2.lhs.spatials) == 1
 
     def test_erase_missing_fails(self):
@@ -161,7 +162,7 @@ class TestApplyAction:
             "  action: right_add(v == 0); right_add(v == 1); left_add(0 <= p);\n"
         )
         e = ent("forall p v, data_at(p, v) |-- emp")
-        e2, _ = apply_action(s, first_binding(s, e), e)
+        e2, _, _ = apply_action(s, first_binding(s, e), e)
         assert e2.rhs.pures == ent("forall v, v == 0 && v == 1 |-- emp").lhs.pures
         assert e2.lhs.pures[-1] == ent("forall p, 0 <= p |-- emp").lhs.pures[0]
 
@@ -171,11 +172,11 @@ class TestApplyAction:
             "  action: exist_add(v); right_add(v == w); left_erase(data_at(p, w));\n"
         )
         plain = ent("forall p w, data_at(p, w) |-- emp")
-        e2, sigma = apply_action(s, first_binding(s, plain), plain)
+        e2, sigma, _ = apply_action(s, first_binding(s, plain), plain)
         assert e2.existentials == ("v",) and sigma["v"] == Var("v")
 
         taken = ent("forall p v, data_at(p, v) |-- emp")
-        e2, sigma = apply_action(s, first_binding(s, taken), taken)
+        e2, sigma, _ = apply_action(s, first_binding(s, taken), taken)
         assert e2.existentials == ("v'1",) and sigma["v"] == Var("v'1")
 
     def test_forall_add(self):
@@ -184,7 +185,7 @@ class TestApplyAction:
             "  action: forall_add(u); left_add(u == u);\n"
         )
         e = ent("forall p w, data_at(p, w) |-- emp")
-        e2, _ = apply_action(s, first_binding(s, e), e)
+        e2, _, _ = apply_action(s, first_binding(s, e), e)
         assert e2.universals == ("p", "w", "u")
 
     def test_seeded_fresh_name_is_respected(self):
@@ -195,7 +196,7 @@ class TestApplyAction:
         e = ent("forall p w, data_at(p, w) |-- emp")
         b = dict(first_binding(s, e))
         b["v"] = Var("fresh")
-        e2, sigma = apply_action(s, b, e)
+        e2, sigma, _ = apply_action(s, b, e)
         assert e2.existentials == ("fresh",) and sigma["v"] == Var("fresh")
 
     def test_seeded_fresh_name_collision_fails(self):
@@ -222,7 +223,7 @@ class TestApplyAction:
         s = stg("strategy s\n  left: data_at(?p, ?w)\n  action: left_add(0 <= p);\n")
         s = dataclasses.replace(s, action=(*s.action, Item("left_add", Emp())))
         e = ent("forall p w, data_at(p, w) |-- emp")
-        e2, _ = apply_action(s, first_binding(s, e), e)
+        e2, _, _ = apply_action(s, first_binding(s, e), e)
         assert len(e2.lhs.spatials) == 1 and len(e2.lhs.pures) == 1
 
 
@@ -233,7 +234,7 @@ class TestInstantiate:
 
     def test_substitutes_and_drops_binder(self):
         e = ent("forall v, emp |-- exists w, w == v && listrep(w, v)")
-        e2, _ = apply_action(self.INST, first_binding(self.INST, e), e)
+        e2, _, _ = apply_action(self.INST, first_binding(self.INST, e), e)
         assert e2 == ent("forall v, emp |-- v == v && listrep(v, v)")
 
     def test_rejects_non_variable_target(self):
@@ -254,8 +255,103 @@ class TestInstantiate:
 
     def test_other_existentials_may_appear(self):
         e = ent("forall v, emp |-- exists w u, w == u")
-        e2, _ = apply_action(self.INST, {"x": Var("w"), "y": Var("u")}, e)
+        e2, _, _ = apply_action(self.INST, {"x": Var("w"), "y": Var("u")}, e)
         assert e2 == ent("forall v, emp |-- exists u, u == u")
+
+
+# ---------------------------------------------------------------------------
+# The action's delta against the reference in helpers, which rewrites every
+# list whole, reads the names in use off every conjunct and checks the result
+# with the full well-formedness walk.
+
+
+@st.composite
+def operations(draw):
+    """An entailment e; an action whose operands are e's own conjuncts, on
+    their side, or generated ones that may mention unbound names; and a
+    binding that may seed the names the action adds."""
+    e = draw(gen.entailments(max_conjuncts=4))
+    own = [("left", f) for f in (*e.lhs.pures, *e.lhs.spatials)]
+    own += [("right", f) for f in (*e.rhs.pures, *e.rhs.spatials)]
+    placed = st.tuples(st.sampled_from(["left", "right"]), gen.pure_atoms() | gen.spatial_atoms())
+    placed = st.sampled_from(own) | placed if own else placed
+    op = st.tuples(st.sampled_from(["add", "erase"]), placed).map(lambda t: (f"{t[1][0]}_{t[0]}", t[1][1]))
+    op |= st.tuples(st.sampled_from(["forall_add", "exist_add"]), st.sampled_from(gen.VAR_NAMES))
+    action = tuple(Item(k, a) for k, a in draw(st.lists(op, min_size=1, max_size=5)))
+    values = st.one_of(gen.variables, gen.terms(max_depth=1))
+    binding = draw(st.just({}) | st.dictionaries(st.sampled_from(gen.VAR_NAMES), values, max_size=2))
+    return e, Strategy("generated", 0, (), (), action), binding
+
+
+@st.composite
+def instantiations(draw):
+    """An entailment e with existentials, and instantiate(x -> term) with x
+    bound to one of them or to another name."""
+    e = draw(gen.entailments(max_conjuncts=4).filter(lambda e: e.existentials))
+    names = st.sampled_from([*e.universals, *e.existentials, *gen.VAR_NAMES])
+    target = draw(st.sampled_from(e.existentials) | names)
+    term = draw(st.sampled_from([*e.universals, *e.existentials]).map(Var) | gen.terms(max_depth=2))
+    return e, Strategy("generated", 0, (), (), (Item("instantiate", ("x", term)),)), {"x": Var(target)}
+
+
+def assert_delta_is_exact(e, e2, delta):
+    """Erasing delta's erased conjuncts from e's lists, first occurrence
+    first, and appending its added ones gives e2's lists, up to the positions
+    it says are rewritten, which are exactly those that differ."""
+    lists = [list(x) for x in matcher.conjunct_lists(e)]
+    for li, gone in enumerate(delta.erased):
+        for f in gone:
+            lists[li].remove(f)
+    for li, added in enumerate(delta.added):
+        lists[li].extend(added)
+    new = matcher.conjunct_lists(e2)
+    assert [len(x) for x in lists] == [len(x) for x in new]
+    differ = {(li, p) for li in range(4) for p, (f, g) in enumerate(zip(lists[li], new[li])) if f is not g}
+    assert differ == set(delta.rewritten)
+
+
+class TestDelta:
+    @pytest.mark.parametrize("action", [operations, instantiations])
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_agrees_with_the_full_walk(self, action, data):
+        e, s, binding = data.draw(action())
+        got, want = apply_action(s, binding, e), helpers.reference_apply_action(s, binding, e)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[:2] == want
+            assert_delta_is_exact(e, *got[::2])
+
+    @pytest.mark.parametrize(
+        "ops,existentials",
+        [
+            # the appended listrep takes l3, so the fresh name is l3'1, which
+            # leaves the listrep's l3 unbound
+            ((("right_add", "listrep(q, l3)"), ("exist_add", "l3")), None),
+            # an appended conjunct erased again takes no name
+            (
+                (("right_add", "listrep(q, l3)"), ("right_erase", "listrep(q, l3)"), ("exist_add", "l3"), ("right_add", "l3 == q")),
+                ("l3",),
+            ),
+            ((("exist_add", "v"), ("left_add", "v == p")), None),  # an existential on the left
+            ((("right_add", "zz == p"),), None),  # an unbound name
+            ((("left_add", "v == p"), ("forall_add", "v")), None),  # v'1 leaves v unbound
+        ],
+    )
+    def test_named_actions(self, ops, existentials):
+        e = ent("forall p q, data_at(p, q) |-- emp")
+        action = []
+        for keyword, arg in ops:
+            if keyword not in ("exist_add", "forall_add"):
+                h = ent(f"forall p q l3 zz v, {arg} |-- emp").lhs
+                arg = (h.pures + h.spatials)[0]
+            action.append(Item(keyword, arg))
+        s = Strategy("named", 0, (), (), tuple(action))
+        got, want = apply_action(s, {}, e), helpers.reference_apply_action(s, {}, e)
+        assert (got is None) == (want is None) == (existentials is None)
+        if got is not None:
+            assert got[:2] == want and got[0].existentials == existentials
+            assert_delta_is_exact(e, *got[::2])
 
 
 class TestStep:
@@ -354,9 +450,9 @@ class TestVerdicts:
         cells = load_entailments("common_cells", sig)[0]
         store = matcher.MatchStore(list(prog.strategies), cells)
         nxt = step(prog, cells, store=store)
-        assert nxt is not None
+        assert nxt is not None and store.entailment is nxt.entailment_after  # the step moved it
         with pytest.raises(ValueError, match="not at the given entailment"):
-            step(prog, nxt.entailment_after, store=store)
+            step(prog, cells, store=store)
 
     def test_purified_wins_over_step_limit(self, common):
         sig, prog = common
@@ -918,7 +1014,7 @@ def oracle_run(prog, e, max_steps):
                 applied = apply_action(s, m.bindings, cur)
                 if applied is None:
                     continue
-                e2, sigma = applied
+                e2, sigma, _ = applied
                 return TraceStep(s.name, tuple(sigma.items()), tuple(conditions), e2)
         return None
 
@@ -1012,6 +1108,27 @@ def cell_goals(draw):
     return Entailment(POINTERS + VALUES, lhs, WITNESSES, rhs)
 
 
+def assert_store_follows_the_deltas(prog, e, max_steps):
+    """Step e with one store, which each step advances by its delta, every
+    strategy's matches found at e; after each step the store must hold what
+    a fresh store at the new entailment holds, held-back matches included,
+    bindings and used conjuncts alike."""
+    order = engine._ordered(prog)
+    store = matcher.MatchStore(order, e)
+    for s in order:
+        list(store.matches(s, held=True))
+    cur = e
+    for _ in range(max_steps):
+        ts = step(prog, cur, store)
+        if ts is None:
+            break
+        cur = ts.entailment_after
+        assert store.entailment is cur
+        fresh = matcher.MatchStore(order, cur)
+        for s in order:
+            assert list(store.matches(s, held=True)) == list(fresh.matches(s, held=True)), s.name
+
+
 class TestMatchStore:
     @given(cell_goals())
     @settings(max_examples=150, deadline=None)
@@ -1025,6 +1142,27 @@ class TestMatchStore:
     def test_run_matches_the_oracle_on_the_corpus_libraries(self, lib, e):
         prog = LIBRARIES[lib]
         assert trace_json(run(prog, e, 12)) == trace_json(oracle_run(prog, e, 12))
+
+    @given(cell_goals())
+    @settings(max_examples=100, deadline=None)
+    def test_advanced_store_equals_a_fresh_one_on_repeated_cells(self, e):
+        assert_store_follows_the_deltas(CELLS, e, 12)
+
+    @pytest.mark.parametrize(
+        "lib,name",
+        [
+            ("sll", "sll_basic"),
+            ("sll", "sll_cycle_guard"),
+            ("array", "array_basic"),
+            ("array", "array_frame"),
+            ("array", "array_obligations"),
+            ("common", "common_cells"),
+        ],
+    )
+    def test_advanced_store_equals_a_fresh_one_on_the_corpus(self, lib, name, request):
+        sig, prog = request.getfixturevalue(lib)
+        for e in load_entailments(name, sig):
+            assert_store_follows_the_deltas(prog, e, 1000)
 
     def test_erasing_a_pure_releases_a_held_match(self):
         # t_align stays held by b == b on the right; t_neq fires for (q, p),
@@ -1128,8 +1266,8 @@ def test_held_matches_reach_no_check(common, monkeypatch):
 
 
 def test_instantiate_rejoins_only_the_rewritten_conjunct(monkeypatch):
-    # instantiate rewrites consequent conjuncts in place; the store reads that
-    # as a rewrite, so the conjuncts after the rewritten one keep their matches
+    # instantiate rewrites consequent conjuncts in place and its delta says
+    # so, so the conjuncts after the rewritten one keep their matches
     t_inst, t_align = CELLS.by_name("t_inst"), CELLS.by_name("t_align")
     calls = 0
     real = matcher._match
@@ -1145,11 +1283,12 @@ def test_instantiate_rejoins_only_the_rewritten_conjunct(monkeypatch):
         qs = " ".join(f"q{i}" for i in range(n))
         cells = " * ".join(f"data_at(q{i}, b)" for i in range(n))
         e = ent(f"forall p a b {qs}, data_at(p, a) |-- exists x, x == a && data_at(p, x) * {cells}")
-        e2, _ = apply_action(t_inst, first_binding(t_inst, e), e)
+        e2, _, delta = apply_action(t_inst, first_binding(t_inst, e), e)
+        assert delta == matcher.Delta(rewritten=((2, 0), (3, 0)))
         store = matcher.MatchStore((t_align,), e)
         assert [m.bindings["v1"] for m in store.matches(t_align, held=True)] == [Var("x")]
         calls = 0
-        store.advance(e2)
+        store.advance(e2, delta)
         per_size[n] = calls
         [m] = store.matches(t_align, held=True)
         assert m.bindings["v1"] == Var("a") and m.used_conjuncts[1] == ("right", "spatial", 0)
