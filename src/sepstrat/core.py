@@ -568,42 +568,26 @@ def normalize(a: Assertion) -> Assertion:
     match a:
         case PureA() | SpatialA():
             return a
-        case SepConj(parts):
+        case SepConj(parts) | AndA(parts):
+            unit = SpatialA(Emp()) if isinstance(a, SepConj) else PureA(TrueF())
             flat: list[Assertion] = []
             for p in parts:
                 q = normalize(p)
-                if isinstance(q, SepConj):
+                if isinstance(q, type(a)):
                     flat.extend(q.parts)
                 else:
                     flat.append(q)
-            kept = [p for p in flat if p != SpatialA(Emp())]
+            kept = [p for p in flat if p != unit]
             if not kept:
-                return SpatialA(Emp())
+                return unit
             if len(kept) == 1:
                 return kept[0]
-            return SepConj(tuple(kept))
-        case AndA(parts):
-            flat = []
-            for p in parts:
-                q = normalize(p)
-                if isinstance(q, AndA):
-                    flat.extend(q.parts)
-                else:
-                    flat.append(q)
-            kept = [p for p in flat if p != PureA(TrueF())]
-            if not kept:
-                return PureA(TrueF())
-            if len(kept) == 1:
-                return kept[0]
-            return AndA(tuple(kept))
+            return type(a)(tuple(kept))
         case Wand(l, r):
             return Wand(normalize(l), normalize(r))
-        case ForallA(vs, body):
+        case ForallA(vs, body) | ExistsA(vs, body):
             body2 = normalize(body)
-            return body2 if not vs else ForallA(vs, body2)
-        case ExistsA(vs, body):
-            body2 = normalize(body)
-            return body2 if not vs else ExistsA(vs, body2)
+            return body2 if not vs else type(a)(vs, body2)
     raise TypeError(f"normalize: unsupported value {a!r}")
 
 

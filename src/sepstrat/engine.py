@@ -221,7 +221,8 @@ def step(
     step moves to its result, and its solver contexts (see `run_checks`).
     The store's strategies are tried in its order, so prog is read only when
     no store is given.  A store or contexts left out are made for this
-    step."""
+    step.  `_verdict` calls it once past a run's last step to ask whether
+    one still applies."""
     if store is None:
         store = MatchStore(_ordered(prog), e)
     elif store.entailment is not e:
@@ -269,17 +270,21 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
             )
         steps.append(ts)
         cur = ts.entailment_after
-    purified = not cur.lhs.spatials and not cur.rhs.spatials
-    if purified:
-        verdict = Verdict.PURIFIED
-    elif len(steps) == max_steps and step(prog, cur, store, contexts) is not None:
-        verdict = Verdict.STEP_LIMIT
-    elif not cur.rhs.spatials:
-        verdict = Verdict.FRAME_INFERRED
-    else:
-        verdict = Verdict.STUCK
+    verdict = _verdict(prog, cur, store, contexts, len(steps) == max_steps)
     frame = cur.lhs if verdict is Verdict.FRAME_INFERRED else None
     return ReductionTrace(input=e, steps=tuple(steps), verdict=verdict, frame=frame)
+
+
+def _verdict(prog: Program, e: Entailment, store: MatchStore | None, contexts: dict, may_step: bool) -> Verdict:
+    """The verdict of a run that ends at e: purified when no spatial conjunct
+    is left; else step_limit when may_step, the run having used its bound,
+    and a step still applies; else frame_inferred when the right side has no
+    spatial conjunct, stuck when it has."""
+    if not e.lhs.spatials and not e.rhs.spatials:
+        return Verdict.PURIFIED
+    if may_step and step(prog, e, store, contexts) is not None:
+        return Verdict.STEP_LIMIT
+    return Verdict.STUCK if e.rhs.spatials else Verdict.FRAME_INFERRED
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +375,8 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     left over.  Every recorded entailment, side condition goal and frame must
     equal the printer's text for what replay computes.  Every side condition
     is solved again, per trace, through one context per hypothesis set.
-    Only a verdict that claims no step applies, or that one does, builds a
-    match store."""
+    Only a trace whose last entailment keeps a spatial conjunct builds a
+    match store, to ask whether a step still applies."""
     _object(doc, "document")
     version = doc.get("schema_version")
     if type(version) is not int or version != TRACE_SCHEMA_VERSION:
@@ -441,8 +446,10 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
 
 
 def _check_verdict(tr: dict, t_idx: int, prog: Program, cur: Entailment, contexts: dict) -> None:
-    """The recorded verdict and frame must be what `run` gives a trace that
-    ends in cur; only the step bound itself is not recorded."""
+    """The recorded verdict must be the one `_verdict` gives a trace that ends
+    in cur and may still step, since the step bound is not recorded; so a
+    purified trace cut short still replays.  The frame must be recorded
+    exactly for frame_inferred, as the printer's text for cur's antecedent."""
     claimed = tr.get("verdict")
     try:
         verdict = Verdict(claimed)
@@ -451,26 +458,8 @@ def _check_verdict(tr: dict, t_idx: int, prog: Program, cur: Entailment, context
     frame = tr.get("frame")
     if frame is not None and verdict is not Verdict.FRAME_INFERRED:
         raise ReplayError(f"trace {t_idx}: a {verdict.value} trace records a frame")
-    claim = f"trace {t_idx}: verdict claims {verdict.value} but"
-    spatial_left = bool(cur.lhs.spatials or cur.rhs.spatials)
-    match verdict:
-        case Verdict.PURIFIED:
-            if spatial_left:
-                raise ReplayError(f"{claim} spatial conjuncts remain")
-        case Verdict.STEP_LIMIT:
-            if step(prog, cur, contexts=contexts) is None:
-                raise ReplayError(f"{claim} no step applies")
-            if not spatial_left:
-                raise ReplayError(f"{claim} no spatial conjuncts remain")
-        case Verdict.STUCK:
-            if not cur.rhs.spatials:
-                raise ReplayError(f"{claim} no spatial conjunct is left on the right")
-            if step(prog, cur, contexts=contexts) is not None:
-                raise ReplayError(f"{claim} a step still applies")
-        case Verdict.FRAME_INFERRED:
-            if cur.rhs.spatials or not cur.lhs.spatials:
-                raise ReplayError(f"{claim} the final shape disagrees")
-            if step(prog, cur, contexts=contexts) is not None:
-                raise ReplayError(f"{claim} a step still applies")
-            if frame != print_heap(cur.lhs):
-                raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")
+    got = _verdict(prog, cur, None, contexts, True)
+    if got is not verdict:
+        raise ReplayError(f"trace {t_idx}: verdict claims {verdict.value} but replay gives {got.value}")
+    if verdict is Verdict.FRAME_INFERRED and frame != print_heap(cur.lhs):
+        raise ReplayError(f"trace {t_idx}: recorded frame differs from the final antecedent")

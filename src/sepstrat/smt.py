@@ -8,9 +8,10 @@ closure that feeds derived equalities back into the congruence closure.
 Proven is returned only on a closed refutation; everything else is Unknown,
 with the reason no refutation was found.
 
-A `Context` asserts one hypothesis set once and answers goals against it,
-some by lookup in the shortest-path closure of the hypotheses' difference
-constraints (Cotton and Maler 2006).
+A `Context` asserts one hypothesis set once and answers goals against it:
+each negated goal atom starts from a copy of the hypotheses' closure, and
+some bounds are proven by lookup in the shortest-path closure of the
+hypotheses' difference constraints (Cotton and Maler 2006).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ NO_REFUTATION = "no-refutation"
 @dataclass(frozen=True, slots=True)
 class QueryResult:
     status: ProofStatus
-    used_hypotheses: tuple[PureFormula, ...] = ()
     reason: str | None = None  # one of the four above when UNKNOWN, else None
 
 
@@ -346,46 +346,42 @@ class _State:
     preds: list[tuple[PredP, bool]] = field(default_factory=list)
 
 
-def _assert_formula(f: PureFormula, st: _State, positive: bool) -> bool:
-    """Record one hypothesis-side fact; False when the formula contributed
-    nothing (unsupported shape, ignored conservatively)."""
+def _assert_formula(f: PureFormula, st: _State, positive: bool) -> None:
+    """Record one fact; a shape it does not support, such as a disjunction,
+    adds nothing, which is conservative."""
     match f:
         case TrueF():
             if not positive:
                 # an assumed falsehood: encode as 0 <= -1
                 st.bounds.append((IntLit(0), IntLit(-1), False))
-            return not positive
         case Eq(l, r):
             if positive:
                 st.eqs.append((l, r))
             else:
                 st.diseqs.append((l, r))
-            return True
         case Rel(op, l, r):
             if op == "!=":
                 if positive:
                     st.diseqs.append((l, r))
                 else:
                     st.eqs.append((l, r))
-                return True
+                return
             flipped = {"<": (l, r, True), "<=": (l, r, False), ">": (r, l, True), ">=": (r, l, False)}[op]
             if not positive:
                 a, b, strict = flipped
                 flipped = (b, a, not strict)
             st.bounds.append(flipped)
-            return True
         case PredP():
             st.preds.append((f, positive))
-            return True
         case Not(inner):
-            return _assert_formula(inner, st, not positive)
+            _assert_formula(inner, st, not positive)
         case Bin("&&", l, r) if positive:
-            used_l = _assert_formula(l, st, True)
-            used_r = _assert_formula(r, st, True)
-            return used_l or used_r
+            _assert_formula(l, st, True)
+            _assert_formula(r, st, True)
         case Bin():
-            return False
-    raise TypeError(f"assert: unsupported formula {f!r}")
+            pass
+        case _:
+            raise TypeError(f"assert: unsupported formula {f!r}")
 
 
 def _goal_atoms(goal: PureFormula) -> list[tuple[PureFormula, bool]] | None:
@@ -480,17 +476,16 @@ def _rows(bounds: Sequence[tuple[Term, Term, bool]], eqs: Sequence[tuple[Term, T
     return lia
 
 
-def _closure(st: _State) -> tuple[_CC, list[tuple[int, int]]]:
-    """A congruence closure of the state's equalities and predicates, and the
-    node pairs that must stay apart: true and false, then its disequalities."""
-    cc = _CC()
+def _closure(st: _State, cc: _CC) -> list[tuple[int, int]]:
+    """Assert the state's equalities and predicates into cc, whose first nodes
+    are true and false; returns the node pairs of its disequalities."""
     t_node, f_node = cc.node(_TRUE), cc.node(_FALSE)
     for l, r in st.eqs:
         cc.merge(cc.add_term(l), cc.add_term(r))
-    diseqs = [(t_node, f_node)] + [(cc.add_term(l), cc.add_term(r)) for l, r in st.diseqs]
+    diseqs = [(cc.add_term(l), cc.add_term(r)) for l, r in st.diseqs]
     for p, positive in st.preds:
         cc.merge(cc.add_pred(p), t_node if positive else f_node)
-    return cc, diseqs
+    return diseqs
 
 
 def _refuted(cc: _CC, diseqs: list[tuple[int, int]]) -> bool:
@@ -502,32 +497,30 @@ class Context:
 
     On creation the hypotheses go into a congruence closure, their linear
     rows are built as the refutation loop's first round builds them, and so
-    is the shortest-path closure of their difference rows.  A goal atom
-    negated to a bound goes on from that state, its row built on the closure
+    is the shortest-path closure of their difference rows.  Every negated
+    goal atom starts from that state.  A bound's row is built on the closure
     itself or, when the row adds nodes, on a copy: it is proven by lookup
     when the row is one difference edge closing a negative cycle, and
-    otherwise runs the loop on a copy.  One negated to an equality,
-    disequality or predicate starts afresh, so that its terms are numbered
-    as in a one-shot refutation, whose answer every query gives.  That
+    otherwise runs the loop on a copy.  An equality or predicate is merged
+    into a copy, and a disequality's node pair joins the hypotheses'.  The
     answer depends on the goal alone, so each goal is decided once and its
     answer kept."""
 
     def __init__(self, hyps: Iterable[PureFormula]) -> None:
         st = _State()
-        used: list[PureFormula] = []
         for h in hyps:
             try:
-                if _assert_formula(h, st, True):
-                    used.append(h)
+                _assert_formula(h, st, True)
             except TypeError:
                 continue
-        self._st, self._used = st, tuple(used)
+        self._st = st
         self._answers: dict[PureFormula, QueryResult] = {}
         self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes
         self._hyp_rows: tuple[_Lia, _Lia] | None = None  # bound rows, equality rows
         self._paths: tuple[bool, dict, list] | None = None  # negative cycle, index, dist
         try:
-            cc, self._diseqs = _closure(st)
+            cc = _CC()
+            self._diseqs = [(cc.node(_TRUE), cc.node(_FALSE))] + _closure(st, cc)  # node pairs kept apart
             cc.propagate()
             if not _refuted(cc, self._diseqs):  # else every query is refuted before its rows
                 self._hyp_rows = bounds, eqs = _rows(st.bounds, (), cc), _rows((), st.eqs, cc)
@@ -536,7 +529,7 @@ class Context:
                 self._paths = (cycle, index, dist)
             self._cc = cc
         except _Budget:
-            pass  # so does every query whose negation is a bound
+            pass  # so does every query
 
     def infer(self, goal: PureFormula) -> QueryResult:
         """Conservatively decide hyps |= goal; see the module function."""
@@ -558,7 +551,7 @@ class Context:
                 why = exc.args[0]
             if why is not None:
                 return QueryResult(ProofStatus.UNKNOWN, reason=why)
-        return QueryResult(ProofStatus.PROVEN, self._used)
+        return QueryResult(ProofStatus.PROVEN)
 
     def _closes_cycle(self, goal: _Lia) -> bool:
         """True when goal, the negated goal's row under the hypotheses'
@@ -578,29 +571,26 @@ class Context:
     def _refute(self, neg: _State) -> str | None:
         """None when the hypotheses and neg, one negated goal atom, are
         jointly contradictory; otherwise why no contradiction was found."""
+        if self._cc is None:
+            raise _Budget(BUDGET_NODES)
         st = self._st
         st = _State(st.eqs + neg.eqs, st.diseqs + neg.diseqs, st.bounds + neg.bounds, st.preds + neg.preds)
-        lia = None
-        if neg.bounds:  # nothing to assert: go on from the prebuilt closure
-            if self._cc is None:
-                raise _Budget(BUDGET_NODES)
-            cc, diseq_nodes = self._cc, self._diseqs
-            if self._hyp_rows is not None:  # the first round's rows, in their order
-                (l, r, _), = neg.bounds
-                if l not in cc.term_ids or r not in cc.term_ids:  # the goal's row adds nodes
-                    cc = cc.copy()
-                goal = _rows(neg.bounds, (), cc)
-                if self._closes_cycle(goal):
-                    return None
-                bounds, eqs = self._hyp_rows
-                lia = _Lia(
-                    bounds.constraints + goal.constraints + eqs.constraints,
-                    bounds.contradiction or goal.contradiction or eqs.contradiction,
-                )
-            if cc is self._cc:  # the loop merges into a closure of its own
+        cc, lia = self._cc, None
+        if neg.bounds and self._hyp_rows is not None:  # the first round's rows, in their order
+            (l, r, _), = neg.bounds
+            if l not in cc.term_ids or r not in cc.term_ids:  # the goal's row adds nodes
                 cc = cc.copy()
-        else:  # the atom's terms go in among the hypotheses', numbered as before
-            cc, diseq_nodes = _closure(st)
+            goal = _rows(neg.bounds, (), cc)
+            if self._closes_cycle(goal):
+                return None
+            bounds, eqs = self._hyp_rows
+            lia = _Lia(
+                bounds.constraints + goal.constraints + eqs.constraints,
+                bounds.contradiction or goal.contradiction or eqs.contradiction,
+            )
+        if cc is self._cc:  # the loop merges into a closure of its own
+            cc = cc.copy()
+        diseq_nodes = self._diseqs + _closure(neg, cc)
         budget = None
         for _ in range(_MAX_EXCHANGE_ROUNDS):
             if lia is None:

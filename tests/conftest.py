@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,15 @@ def load_library(name: str):
 def load_entailments(name: str, sig):
     path = CORPUS / f"{name}.sle"
     return parse_entailments(path.read_text(), sig, path.name)
+
+
+@functools.cache
+def load_perfbench(name: str):
+    """A module of perfbench/, which is not a package, imported by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", CORPUS.parent / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

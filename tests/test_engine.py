@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gen
 import helpers
-from conftest import CORPUS, load_entailments, load_library
+from conftest import CORPUS, load_entailments, load_library, load_perfbench
 from sepstrat import engine, frontend, matcher, smt
 from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, well_formed
 from sepstrat.engine import (
@@ -33,6 +33,7 @@ from sepstrat.frontend import (
     Strategy,
     parse_entailment,
     parse_strategies,
+    print_heap,
     print_node,
 )
 from sepstrat.matcher import match_strategy
@@ -811,7 +812,7 @@ class TestReplay:
         tr = doc["traces"][0]
         tr["steps"] = tr["steps"][:1]
         tr["verdict"] = "stuck"
-        with pytest.raises(ReplayError, match="stuck but a step still applies"):
+        with pytest.raises(ReplayError, match="verdict claims stuck but replay gives step_limit"):
             replay_document(doc, sig, prog)
 
     def test_step_limit_replays(self, common):
@@ -824,7 +825,7 @@ class TestReplay:
     def test_finished_trace_relabelled_step_limit(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_basic")
         doc["traces"][0]["verdict"] = "step_limit"
-        with pytest.raises(ReplayError, match="step_limit but no step applies"):
+        with pytest.raises(ReplayError, match="verdict claims step_limit but replay gives purified"):
             replay_document(doc, sig, prog)
 
     def test_unknown_verdict(self, sll):
@@ -928,7 +929,7 @@ class TestReplay:
     def test_stuck_needs_spatial_conjuncts_on_the_right(self, common):
         sig, prog = common
         tr = {"input": "forall p v, data_at(p, v) |-- 0 <= 1", "steps": [], "verdict": "stuck", "frame": None}
-        with pytest.raises(ReplayError, match="stuck but no spatial conjunct is left on the right"):
+        with pytest.raises(ReplayError, match="verdict claims stuck but replay gives frame_inferred"):
             replay_document({"schema_version": 1, "traces": [tr]}, sig, prog)
 
     def test_step_limit_needs_spatial_conjuncts(self, common):
@@ -938,7 +939,7 @@ class TestReplay:
         assert tr.verdict is Verdict.PURIFIED and step(prog, tr.final) is not None
         doc = traces_to_document([tr])
         doc["traces"][0]["verdict"] = "step_limit"
-        with pytest.raises(ReplayError, match="step_limit but no spatial conjuncts remain"):
+        with pytest.raises(ReplayError, match="verdict claims step_limit but replay gives purified"):
             replay_document(doc, sig, prog)
 
     def test_frame_inferred_needs_no_step_left(self, common):
@@ -949,8 +950,39 @@ class TestReplay:
             "verdict": "frame_inferred",
             "frame": "data_at(p, v) * data_at(q, w)",
         }
-        with pytest.raises(ReplayError, match="frame_inferred but a step still applies"):
+        with pytest.raises(ReplayError, match="verdict claims frame_inferred but replay gives step_limit"):
             replay_document({"schema_version": 1, "traces": [tr]}, sig, prog)
+
+    @pytest.mark.parametrize("source", ["corpus", "cells", "sll", "arrays"])
+    def test_verdict_matrix(self, source):
+        # every trace relabelled with each verdict, its frame set to match the
+        # label: replay accepts run's verdict and names the claim of any other;
+        # the corpus goals also run to a bound of one step
+        if source == "corpus":
+            runs = [
+                (sig, prog, run(prog, e, max_steps=bound))
+                for path in sorted(CORPUS.glob("*.sle"))
+                for sig, prog in [load_library(path.stem.split("_")[0])]
+                for e in load_entailments(path.stem, sig)
+                for bound in (1, 1000)
+            ]
+        else:
+            batch = load_perfbench("workloads").WORKLOADS[source](1)
+            sig, prog = load_library(batch.library)
+            runs = [(sig, prog, run(prog, e)) for e in frontend.parse_entailments(batch.text, sig)]
+        seen = set()
+        for sig, prog, tr in runs:
+            seen.add(tr.verdict)
+            recorded = trace_to_dict(tr)
+            for label in Verdict:
+                frame = print_heap(tr.final.lhs) if label is Verdict.FRAME_INFERRED else None
+                doc = {"schema_version": TRACE_SCHEMA_VERSION, "traces": [dict(recorded, verdict=label.value, frame=frame)]}
+                if label is tr.verdict:
+                    replay_document(doc, sig, prog)
+                    continue
+                with pytest.raises(ReplayError, match=f"verdict claims {label.value}"):
+                    replay_document(doc, sig, prog)
+        assert len(seen) > 1 and (source != "corpus" or seen == set(Verdict))
 
     @pytest.mark.parametrize("lib,name", [("common", "common_cells"), ("sll", "sll_cycle_guard"), ("sll", "sll_basic")])
     def test_frame_only_on_frame_inferred(self, lib, name, request):

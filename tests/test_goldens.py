@@ -13,20 +13,18 @@ deliberate regeneration:
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, GOLDENS, load_library
+from conftest import CORPUS, GOLDENS, load_library, load_perfbench
 from sepstrat import engine
 from sepstrat.cli import main
 from sepstrat.frontend import parse_entailments, print_program
 
 INPUTS = sorted(p.stem for p in CORPUS.glob("*.sle"))
 LIBRARIES = sorted(p.stem for p in CORPUS.glob("*.stg"))
-PERFBENCH = CORPUS.parent / "perfbench" / "workloads.py"
 PERFBENCH_RUNS = [(w, seed) for w in ("cells", "sll", "arrays") for seed in (1, 7)]
 
 
@@ -51,15 +49,7 @@ def _program(lib: str) -> bytes:
     return print_program(load_library(lib)[1]).encode()
 
 
-def _load_workloads() -> dict:
-    """The generators of perfbench/workloads.py, which is not a package."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 def _perfbench_trace(workload: str, seed: int) -> str:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import random
 import sys
 from unittest import mock
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import gen
 import helpers
-from conftest import CORPUS, load_entailments, load_library
+from conftest import CORPUS, load_entailments, load_library, load_perfbench
 from sepstrat import engine
 from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, PredP, Rel, TrueF, Var, free_vars, substitute
 from sepstrat import smt
@@ -155,13 +154,7 @@ class TestGoalForms:
 
 
 class TestResultShape:
-    def test_used_hypotheses_subset(self):
-        hs = pures("0 <= i", "i < n", "neg(i, l1, l2)")
-        r = infer(hs, parse_pure("0 <= i", SIG))
-        assert r.status == PROVEN
-        assert all(h in hs for h in r.used_hypotheses)
-
-    def test_unknown_has_no_used_hypotheses(self):
+    def test_unknown_result_shape(self):
         r = infer([], parse_pure("p != q", SIG))
         assert r == QueryResult(UNKNOWN, reason=smt.NO_REFUTATION)
 
@@ -434,12 +427,9 @@ def test_shared_context_answers_as_one_shot_on_engine_queries(monkeypatch):
     """Every query the engine asks on the perfbench workloads at seeds 1 and
     7 and on the corpus, answered through one context per goal, through a
     fresh one-shot context and by the refutation loop without the lookup:
-    same status, hypotheses and reason."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", CORPUS.parent / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    same status and reason."""
     goals = []
-    for make in workloads.WORKLOADS.values():
+    for make in load_perfbench("workloads").WORKLOADS.values():
         for seed in (1, 7):
             batch = make(seed)
             sig, prog = load_library(batch.library)
@@ -467,3 +457,26 @@ def test_shared_context_answers_as_one_shot_on_engine_queries(monkeypatch):
             assert shared == [real(h, g) for h, g in queries]
         asked += len(queries)
     assert asked > 2 * 1200
+
+
+# ---------------------------------------------------------------------------
+# The start of a goal negated to an equality, disequality or predicate: from a
+# copy of the context's closure, against a fresh closure that numbers the
+# goal's terms among the hypotheses'.
+
+
+def _not_a_bound_when_negated(f) -> bool:
+    return isinstance(f, (Eq, PredP)) or (isinstance(f, Rel) and f.op == "!=")
+
+
+@pytest.mark.parametrize("fm_budget", [smt._MAX_FM_CONSTRAINTS, 30])
+@given(
+    st.lists(gen.pure_atoms(), max_size=6),
+    st.lists(gen.pure_atoms().filter(_not_a_bound_when_negated), min_size=1, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_closure_copy_start_answers_as_a_fresh_closure(fm_budget, hyps, goals):
+    with mock.patch.object(smt, "_MAX_FM_CONSTRAINTS", fm_budget):
+        ctx, ref = smt.Context(hyps), helpers.ReferenceContext(hyps)
+        for goal in goals:
+            assert ctx.infer(goal) == ref.infer(goal), goal

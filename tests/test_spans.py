@@ -7,27 +7,14 @@ self time and the matcher's useful ratio are measured, not zero.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-
-from conftest import CORPUS, load_library
+from conftest import load_library, load_perfbench
 from sepstrat import engine
 from sepstrat.engine import Verdict
 from sepstrat.frontend import parse_entailments
 
-PERFBENCH = CORPUS.parent / "perfbench"
-
-
-def _load(name: str):
-    """A module of perfbench/, which is not a package, imported by path."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_step_spans_cover_every_run_step():
-    spans, workloads = _load("spans"), _load("workloads")
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
     batch = workloads.WORKLOADS["sll"](1)
     sig, prog = load_library(batch.library)
     tracer = spans.Tracer()
@@ -47,7 +34,7 @@ def test_step_limit_probe_is_one_applied_span():
     # run asks for one step past max_steps to tell STEP_LIMIT from a final
     # shape; that step goes through engine.step, so its span reads "applied"
     # though the trace does not record it
-    spans, workloads = _load("spans"), _load("workloads")
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
     batch = workloads.WORKLOADS["sll"](1)
     sig, prog = load_library(batch.library)
     e = parse_entailments(batch.text, sig)[0]
