@@ -11,14 +11,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from run_corpus import LIBRARIES
 from sepstrat.engine import run
 from sepstrat.frontend import parse_entailments, parse_signature, parse_strategies
-
-LIBRARIES = {
-    "sll": ["sll_basic.sle", "sll_cycle_guard.sle"],
-    "array": ["array_basic.sle", "array_frame.sle", "array_obligations.sle"],
-    "common": ["common_cells.sle"],
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     for lib, inputs in LIBRARIES.items():
         sig = parse_signature((args.corpus / f"{lib}.sig").read_text(), f"{lib}.sig")
         prog = parse_strategies((args.corpus / f"{lib}.stg").read_text(), sig, f"{lib}.stg")
-        for name in inputs:
+        for name, _ in inputs:
             ents = parse_entailments((args.corpus / name).read_text(), sig, name)
             for i, e in enumerate(ents):
                 best = float("inf")

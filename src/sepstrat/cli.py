@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, soundness
@@ -25,17 +24,6 @@ from .frontend import (
     print_entailment,
     print_heap,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    mode: str
-    signature_path: str
-    strategy_paths: tuple[str, ...] = ()
-    input_path: str | None = None
-    trace_output_path: str | None = None
-    output_path: str | None = None
-    max_steps: int = 1000
 
 
 class _CliError(Exception):
@@ -65,103 +53,58 @@ def _write(path: str, text: str) -> None:
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _load_signature(cfg: RunConfig) -> Signature:
-    return parse_signature(_read(cfg.signature_path), cfg.signature_path)
+def _load(ns: argparse.Namespace) -> tuple[Signature, Program]:
+    """The signature and the program, its strategy files read in order."""
+    sig = parse_signature(_read(ns.sig), ns.sig)
+    prog = Program(())
+    for path in ns.strategies:
+        prog = parse_strategies(_read(path), sig, path, prog)
+    return sig, prog
 
 
-def _load_program(cfg: RunConfig, sig: Signature) -> Program:
-    strategies = []
-    names: dict[str, str] = {}
-    for path in cfg.strategy_paths:
-        prog = parse_strategies(_read(path), sig, path)
-        for s in prog.strategies:
-            if s.name in names:
-                raise _CliError(
-                    f"{path}: strategy '{s.name}' already defined in {names[s.name]}"
-                )
-            names[s.name] = path
-            strategies.append(s)
-    return Program(tuple(strategies))
-
-
-def _load_entailments(cfg: RunConfig, sig: Signature) -> list:
-    if cfg.input_path is None:
+def _load_entailments(ns: argparse.Namespace, sig: Signature) -> list:
+    if ns.input is None:
         raise _CliError("an --input file is required")
-    return parse_entailments(_read(cfg.input_path), sig, cfg.input_path)
+    return parse_entailments(_read(ns.input), sig, ns.input)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path is None:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.output is None:
         sys.stdout.write(text)
     else:
-        _write(cfg.output_path, text)
+        _write(ns.output, text)
 
 
-def _run_entailments(cfg: RunConfig, *, frame_mode: bool) -> int:
-    sig = _load_signature(cfg)
-    prog = _load_program(cfg, sig)
-    ents = _load_entailments(cfg, sig)
-    traces = [engine.run(prog, e, max_steps=cfg.max_steps) for e in ents]
+def _run(ns: argparse.Namespace) -> int:
+    sig, prog = _load(ns)
+    if ns.mode == "soundness":
+        _emit(ns, "\n".join(print_condition(s.name, soundness.soundness_of(s)) for s in prog.strategies))
+        return 0
+    if ns.mode == "validate":
+        n_ents = 0 if ns.input is None else len(_load_entailments(ns, sig))
+        print(f"ok: {len(sig.entries)} declarations, {len(prog.strategies)} strategies, {n_ents} entailments")
+        return 0
+    ents = _load_entailments(ns, sig)
+    traces = [engine.run(prog, e, max_steps=ns.max_steps) for e in ents]
 
+    frame_mode = ns.mode == "frame"
     accepted = (Verdict.PURIFIED, Verdict.FRAME_INFERRED) if frame_mode else (Verdict.PURIFIED,)
     lines: list[str] = []
     ok = 0
     for tr in traces:
-        if tr.verdict in accepted:
-            ok += 1
-        if frame_mode:
-            heap = tr.frame if tr.frame is not None else tr.final.lhs
-            if tr.verdict in accepted:
-                lines.append(f"frame: {print_heap(heap)}")
-            else:
-                lines.append(f"{tr.verdict.value}: {print_entailment(tr.final)}")
+        ok += tr.verdict in accepted
+        if frame_mode and tr.verdict in accepted:  # a frame is the final antecedent
+            lines.append(f"frame: {print_heap(tr.final.lhs)}")
         else:
             lines.append(f"{tr.verdict.value}: {print_entailment(tr.final)}")
     word = "framed" if frame_mode else "purified"
     lines.append(f"{word} {ok}/{len(traces)}")
-    _emit(cfg, "".join(f"{ln}\n" for ln in lines))
+    _emit(ns, "".join(f"{ln}\n" for ln in lines))
 
-    if cfg.trace_output_path is not None:
+    if ns.trace is not None:
         doc = engine.traces_to_document(traces)
-        _write(cfg.trace_output_path, engine.document_to_json(doc))
+        _write(ns.trace, engine.document_to_json(doc))
     return 0 if ok == len(traces) else 1
-
-
-def cmd_purify(cfg: RunConfig) -> int:
-    return _run_entailments(cfg, frame_mode=False)
-
-
-def cmd_frame(cfg: RunConfig) -> int:
-    return _run_entailments(cfg, frame_mode=True)
-
-
-def cmd_soundness(cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
-    prog = _load_program(cfg, sig)
-    blocks = [print_condition(s.name, soundness.soundness_of(s)) for s in prog.strategies]
-    _emit(cfg, "\n".join(blocks))
-    return 0
-
-
-def cmd_validate(cfg: RunConfig) -> int:
-    sig = _load_signature(cfg)
-    prog = _load_program(cfg, sig)
-    n_ents = 0
-    if cfg.input_path is not None:
-        n_ents = len(_load_entailments(cfg, sig))
-    print(
-        f"ok: {len(sig.entries)} declarations, {len(prog.strategies)} strategies, "
-        f"{n_ents} entailments"
-    )
-    return 0
-
-
-_COMMANDS = {
-    "purify": cmd_purify,
-    "frame": cmd_frame,
-    "soundness": cmd_soundness,
-    "validate": cmd_validate,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,17 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        mode=ns.mode,
-        signature_path=ns.sig,
-        strategy_paths=tuple(ns.strategies),
-        input_path=ns.input,
-        trace_output_path=getattr(ns, "trace", None),
-        output_path=ns.output,
-        max_steps=getattr(ns, "max_steps", 1000),
-    )
     try:
-        return _COMMANDS[cfg.mode](cfg)
+        return _run(ns)
     except (FrontendError, _CliError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ directly, without a store.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -63,8 +62,6 @@ class ReplayError(Exception):
 class SideCondition:
     goal: PureFormula
     status: ProofStatus
-    strategy: str
-    step_index: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,14 +104,7 @@ def run_checks(
                 return None
             continue
         res = smt.infer(e.lhs.pures, f, contexts)
-        conditions.append(
-            SideCondition(
-                goal=f,
-                status=res.status,
-                strategy=s.name,
-                step_index=-1,
-            )
-        )
+        conditions.append(SideCondition(f, res.status))
         if res.status is not ProofStatus.PROVEN:
             return None
     return conditions
@@ -261,13 +251,6 @@ def run(prog: Program, e: Entailment, max_steps: int = 1000) -> ReductionTrace:
         ts = step(prog, cur, store, contexts)
         if ts is None:
             break
-        if ts.side_conditions:
-            ts = dataclasses.replace(
-                ts,
-                side_conditions=tuple(
-                    dataclasses.replace(c, step_index=len(steps)) for c in ts.side_conditions
-                ),
-            )
         steps.append(ts)
         cur = ts.entailment_after
     verdict = _verdict(prog, cur, store, contexts, len(steps) == max_steps)

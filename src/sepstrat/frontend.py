@@ -105,9 +105,10 @@ class ParseError(FrontendError):
     pass
 
 
-class _TooDeep(ParseError):
-    """Nesting beyond MAX_NESTING or a tree beyond MAX_DEPTH; backtracking
-    never retries past it."""
+class _Final(ParseError):
+    """An error that no other reading of the input avoids: nesting beyond
+    MAX_NESTING, a tree beyond MAX_DEPTH, or a binder that cannot be one;
+    backtracking never retries past it."""
 
 
 class UnknownIdentifierError(FrontendError):
@@ -257,6 +258,8 @@ class _Parser:
         # Pattern mode: `?x` term primaries are legal and get recorded here.
         self.pattern_mode = False
         self.binder_acc: list[str] = []
+        # The names bound so far in the strategy being read; None outside one.
+        self.scope: set[str] | None = None
         self.depth = 0
 
     # -- token plumbing
@@ -297,7 +300,7 @@ class _Parser:
     def descend(self, tok: Token) -> None:
         """Enter one more nesting level, opened by tok; undone by `depth -= 1`."""
         if self.depth == MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.col)
+            raise _Final(f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.col)
         self.depth += 1
 
     def chained(self, left, h: int, right, op: Token) -> int:
@@ -305,19 +308,22 @@ class _Parser:
         not yet known), and right; an error when it passes MAX_DEPTH."""
         h = 1 + max(h or core.height(left), core.height(right))
         if h + self.depth > MAX_DEPTH:
-            raise _TooDeep(f"operator chain deeper than {MAX_DEPTH} levels", self.path, op.line, op.col)
+            raise _Final(f"operator chain deeper than {MAX_DEPTH} levels", self.path, op.line, op.col)
         return h
 
     def attempt(self, parse, *args):
-        """parse(*args), or None with the position restored when it fails;
-        a _TooDeep error is never retried."""
-        save = self.pos, self.depth
+        """parse(*args), or None with the position and the `?` binders
+        restored when it fails; a _Final error is never retried."""
+        save = self.pos, self.depth, len(self.binder_acc)
         try:
             return parse(*args)
-        except _TooDeep:
+        except _Final:
             raise
         except ParseError:
-            self.pos, self.depth = save
+            self.pos, self.depth, n = save
+            if self.scope is not None:
+                self.scope.difference_update(self.binder_acc[n:])
+            del self.binder_acc[n:]
             return None
 
     def expect_eof(self) -> None:
@@ -328,6 +334,26 @@ class _Parser:
     def err(self, cls: type[FrontendError], message: str, tok: Token | None = None) -> FrontendError:
         t = tok or self.peek()
         return cls(message, self.path, t.line, t.col)
+
+    def binder(self, tok: Token) -> str:
+        """The name tok binds: no declared symbol and no keyword; inside a
+        strategy, a name not bound yet, which it now is."""
+        name = tok.text
+        if self.sig.kind_of(name) is not None:
+            raise self.err(_Final, f"declared symbol {name!r} cannot be a binder", tok)
+        if name in STRUCTURAL_KEYWORDS:
+            raise self.err(_Final, f"keyword {name!r} cannot be a binder", tok)
+        if self.scope is not None:
+            if name in self.scope:
+                raise self.err(ScopeError, f"variable {name!r} is already bound", tok)
+            self.scope.add(name)
+        return name
+
+    def bound(self, tok: Token) -> str:
+        """The variable tok names, which inside a strategy must be bound."""
+        if self.scope is not None and tok.text not in self.scope:
+            raise self.err(ScopeError, f"variable {tok.text!r} has no earlier binding occurrence", tok)
+        return tok.text
 
     def integer(self, tok: Token) -> int:
         """The value of an `int` token; Python's digit limit on `int`
@@ -441,7 +467,7 @@ class _Parser:
             if not self.pattern_mode:
                 raise self.err(ParseError, "`?` binders are only allowed in strategy patterns")
             self.next()
-            name = self.expect("ident").text
+            name = self.binder(self.expect("ident"))
             self.binder_acc.append(name)
             return Var(name)
         if t.kind == "ident":
@@ -459,8 +485,7 @@ class _Parser:
                 raise self.err(ParseError, f"declared symbol {name!r} used without arguments", t)
             if name in STRUCTURAL_KEYWORDS:
                 raise self.err(ParseError, f"keyword {name!r} cannot be used as a variable", t)
-            self.next()
-            return Var(name)
+            return Var(self.bound(self.next()))
         raise self.err(ParseError, f"expected a term, found {t.text or 'end of input'!r}")
 
     def _call(self, tok: Token) -> Term | PureFormula | SpatialAtom:
@@ -556,12 +581,7 @@ class _Parser:
     def _binder_list(self) -> tuple[str, ...]:
         names: list[str] = []
         while self.at_ident():
-            t = self.peek()
-            if self.sig.kind_of(t.text) is not None:
-                raise self.err(ParseError, f"declared symbol {t.text!r} cannot be a binder", t)
-            if t.text in STRUCTURAL_KEYWORDS:
-                raise self.err(ParseError, f"keyword {t.text!r} cannot be a binder", t)
-            names.append(self.next().text)
+            names.append(self.binder(self.next()))
         if not names:
             raise self.err(ParseError, "expected at least one binder name")
         self.eat_punct(",")
@@ -603,12 +623,18 @@ class _Parser:
         t = self.peek()
         return t.kind == "eof" or (t.kind == "ident" and t.text in SECTION_KEYWORDS)
 
-    def parse_strategy(self) -> Strategy:
+    def parse_strategy(self, defined: list[Strategy]) -> Strategy:
+        """One strategy, read in one pass: a variable is bound by its `?`
+        or by `forall_add`/`exist_add` before any bare use, in text order.
+        Its name must differ from those of the defined strategies."""
         self.expect("ident", "strategy")
         name_tok = self.expect("ident")
         name = name_tok.text
         if name in UNDECLARABLE or self.sig.kind_of(name) is not None:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
+        if any(s.name == name for s in defined):
+            raise self.err(DuplicateDeclarationError, f"strategy {name!r} is already defined", name_tok)
+        self.scope = set()
         priority: int | None = None
         patterns: list[Pattern] = []
         checks: list[Item] = []
@@ -641,32 +667,32 @@ class _Parser:
             raise self.err(ParseError, f"strategy {name} has no patterns", name_tok)
         if action is None:
             raise self.err(ParseError, f"strategy {name} has no action", name_tok)
-        s = Strategy(
+        self.scope = None
+        return Strategy(
             name=name,
             priority=DEFAULT_PRIORITY if priority is None else priority,
             patterns=tuple(patterns),
             checks=tuple(checks),
             action=action,
         )
-        self._scope_check(s, name_tok)
-        return s
 
     def _parse_pattern_group(self, side: str) -> list[Pattern]:
-        exists_binders: list[str] = []
+        """The patterns of one section; each `exists x,` binder must be
+        `?`-bound by the pattern it opens."""
+        exists_toks: list[Token] = []
         while self.at_ident("exists"):
             tok = self.next()
             if side != "right":
                 raise self.err(ParseError, "exists binders are only allowed on right patterns", tok)
-            exists_binders.append(self.expect("ident").text)
+            exists_toks.append(self.expect("ident"))
             self.eat_punct(",")
         atoms: list[PatternAtom] = [self._pattern_formula()]
+        for tok in exists_toks:
+            if tok.text not in atoms[0].binders:
+                raise self.err(ScopeError, f"exists binder {tok.text!r} is not `?`-bound by the pattern it opens", tok)
         while not self._at_section_start():
             atoms.append(self._pattern_formula())
-        group_binders = {b for a in atoms for b in a.binders}
-        for b in exists_binders:
-            if b not in group_binders:
-                raise self.err(ScopeError, f"exists binder {b!r} has no `?` occurrence in its pattern group")
-        patterns = [Pattern(side, atoms[0], tuple(exists_binders))]
+        patterns = [Pattern(side, atoms[0], tuple(t.text for t in exists_toks))]
         patterns.extend(Pattern(side, a) for a in atoms[1:])
         return patterns
 
@@ -677,11 +703,11 @@ class _Parser:
             t = self.next()
             self.eat_punct("(")
             if t.text == "instantiate":
-                var = self.expect("ident").text
+                var = self.bound(self.expect("ident"))
                 self.eat_punct("->")
                 arg = (var, self.parse_term())
             elif t.text in ("forall_add", "exist_add"):
-                arg = self.expect("ident").text
+                arg = self.binder(self.expect("ident"))
             else:
                 arg = self.parse_atom()
                 if section == "check" and not isinstance(arg, PureFormula):
@@ -697,65 +723,14 @@ class _Parser:
             raise self.err(ParseError, f"expected at least one {section} item")
         return items
 
-    def _scope_check(self, s: Strategy, tok: Token) -> None:
-        bound: set[str] = set()
-
-        def fail(message: str) -> FrontendError:
-            return self.err(ScopeError, message, tok)
-
-        def check_formula(f: PureFormula | SpatialAtom | Term, where: str) -> None:
-            for v in core.occurring_vars(f):
-                if v not in bound:
-                    raise fail(f"variable {v!r} in {where} of strategy {s.name} has no earlier binding occurrence")
-
-        for p in s.patterns:
-            fresh_here: set[str] = set()
-            for b in p.atom.binders:
-                if b in bound or b in fresh_here:
-                    raise fail(f"pattern variable {b!r} is `?`-bound more than once in strategy {s.name}")
-                fresh_here.add(b)
-            # Bare occurrences before the `?` occurrence inside one atom are
-            # caught by occurrence order: the binder's own first occurrence is
-            # the `?` one, so anything earlier must already be bound.
-            seen_here: set[str] = set()
-            for v in core.occurring_vars(p.atom.formula):
-                if v in bound or v in seen_here:
-                    continue
-                if v in p.atom.binders:
-                    seen_here.add(v)
-                    continue
-                raise fail(f"variable {v!r} in a pattern of strategy {s.name} has no earlier binding occurrence")
-            bound.update(p.atom.binders)
-            for b in p.exists_binders:
-                if b not in bound:
-                    raise fail(f"exists binder {b!r} of strategy {s.name} is never `?`-bound")
-        for c in s.checks:
-            check_formula(c.arg, "a check")
-        for op in s.action:
-            match op:
-                case Item("instantiate", (var, term)):
-                    if var not in bound:
-                        raise fail(f"instantiated variable {var!r} of strategy {s.name} is unbound")
-                    check_formula(term, "the instantiation term")
-                case Item("forall_add" | "exist_add", name):
-                    if name in bound:
-                        raise fail(f"fresh name {name!r} in strategy {s.name} is already bound")
-                    bound.add(name)
-                case _:
-                    check_formula(op.arg, "an action operation")
-
-    def parse_program(self) -> Program:
-        strategies: list[Strategy] = []
-        names: set[str] = set()
+    def parse_program(self, prior: Program | None = None) -> Program:
+        """prior's strategies, then the ones read here."""
+        strategies = list(prior.strategies) if prior else []
         while self.peek().kind != "eof":
             t = self.peek()
             if not self.at_ident("strategy"):
                 raise self.err(ParseError, f"expected 'strategy', found {t.text or 'end of input'!r}")
-            s = self.parse_strategy()
-            if s.name in names:
-                raise self.err(DuplicateDeclarationError, f"duplicate strategy name {s.name!r}", t)
-            names.add(s.name)
-            strategies.append(s)
+            strategies.append(self.parse_strategy(strategies))
         return Program(tuple(strategies))
 
 
@@ -816,8 +791,10 @@ def parse_entailments(text: str, sig: Signature, path: str = "<input>") -> list[
     return [_parse_all(_Parser.parse_entailment, chunk, sig, path, line) for line, chunk in _chunks(text)]
 
 
-def parse_strategies(text: str, sig: Signature, path: str = "<input>") -> Program:
-    return _parse_all(_Parser.parse_program, text, sig, path)
+def parse_strategies(text: str, sig: Signature, path: str = "<input>", prior: Program | None = None) -> Program:
+    """The strategies of text after those of prior, whose names they may not
+    reuse."""
+    return _parse_all(lambda p: p.parse_program(prior), text, sig, path)
 
 
 def parse_entailment(text: str, sig: Signature, path: str = "<input>") -> Entailment:

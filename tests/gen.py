@@ -2,7 +2,8 @@
 
 The vocabulary mirrors the shipped corpus: lseg/listrep/store_array spatial
 predicates, app/nth functions, the neg pure predicate.  Generated entailments
-are well-formed by construction (closed, disjoint quantifier prefixes).
+are well-formed by construction (closed, disjoint quantifier prefixes), and
+generated strategies are well-scoped (each variable bound before it is used).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from sepstrat.core import (
     Var,
     Wand,
     free_vars,
+    occurring_vars,
 )
+from sepstrat.frontend import DEFAULT_PRIORITY, Item, Pattern, PatternAtom, Program, Strategy
 
 VAR_NAMES = ("p", "q", "r", "x", "y", "i", "n", "v0", "v1", "l1", "l2")
 FIELDS = ("data", "next")
@@ -61,11 +64,12 @@ int_lits = st.integers(min_value=-3, max_value=7).map(IntLit)
 
 
 @st.composite
-def terms(draw, max_depth: int = 3):
+def terms(draw, max_depth: int = 3, names: tuple[str, ...] = VAR_NAMES):
+    """Terms whose variables are among names."""
     if max_depth <= 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(variables, int_lits))
+        return draw(st.one_of(st.sampled_from(names).map(Var), int_lits) if names else int_lits)
     kind = draw(st.sampled_from(["arith", "apply", "field"]))
-    sub = terms(max_depth=max_depth - 1)
+    sub = terms(max_depth=max_depth - 1, names=names)
     if kind == "arith":
         return Arith(draw(st.sampled_from(["+", "-", "*"])), draw(sub), draw(sub))
     if kind == "apply":
@@ -75,9 +79,9 @@ def terms(draw, max_depth: int = 3):
 
 
 @st.composite
-def pure_atoms(draw):
+def pure_atoms(draw, names: tuple[str, ...] = VAR_NAMES):
     kind = draw(st.sampled_from(["eq", "rel", "pred", "true"]))
-    t = terms(max_depth=2)
+    t = terms(max_depth=2, names=names)
     if kind == "eq":
         return Eq(draw(t), draw(t))
     if kind == "rel":
@@ -89,19 +93,19 @@ def pure_atoms(draw):
 
 
 @st.composite
-def pure_formulas(draw, max_depth: int = 2):
+def pure_formulas(draw, max_depth: int = 2, names: tuple[str, ...] = VAR_NAMES):
     if max_depth <= 0 or draw(st.integers(0, 2)) == 0:
-        return draw(pure_atoms())
-    sub = pure_formulas(max_depth=max_depth - 1)
+        return draw(pure_atoms(names))
+    sub = pure_formulas(max_depth=max_depth - 1, names=names)
     if draw(st.booleans()):
         return Not(draw(sub))
     return Bin(draw(st.sampled_from(["&&", "||", "->", "<->"])), draw(sub), draw(sub))
 
 
 @st.composite
-def spatial_atoms(draw):
+def spatial_atoms(draw, names: tuple[str, ...] = VAR_NAMES):
     kind = draw(st.sampled_from(["data_at", "pred", "emp"]))
-    t = terms(max_depth=2)
+    t = terms(max_depth=2, names=names)
     if kind == "data_at":
         return DataAt(draw(t), draw(t))
     if kind == "pred":
@@ -148,3 +152,53 @@ def entailments(draw, max_conjuncts: int = 4):
     exist = draw(st.sets(st.sampled_from(pool))) if pool else set()
     univ = sorted(lv | (rv - exist))
     return Entailment(tuple(univ), lhs, tuple(sorted(exist)), rhs)
+
+
+def _conjuncts(names: tuple[str, ...]):
+    """Pure formulas, parenthesised `&&`/`||` ones among them, and spatial
+    atoms other than emp, over names."""
+    return st.one_of(pure_formulas(names=names), spatial_atoms(names=names).filter(lambda a: a != Emp()))
+
+
+@st.composite
+def strategy_defs(draw, name: str = "s"):
+    """A well-scoped strategy: each pattern `?`-binds the variables that
+    occur in it for the first time, a right pattern may open with `exists`
+    binders among those, and checks and the action use bound names only,
+    where `forall_add`/`exist_add` bind a name not bound yet."""
+    bound: list[str] = []
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.sampled_from(["left", "right"]))
+        f = draw(_conjuncts(VAR_NAMES))
+        binders = tuple(v for v in occurring_vars(f) if v not in bound)
+        bound.extend(binders)
+        exists = draw(st.lists(st.sampled_from(binders), unique=True)) if side == "right" and binders else []
+        patterns.append(Pattern(side, PatternAtom(f, binders), tuple(exists)))
+    check = st.builds(Item, st.sampled_from(["left_absent", "right_absent", "infer"]), pure_formulas(names=tuple(bound)))
+    checks = draw(st.lists(check, max_size=2))
+    if bound and draw(st.booleans()):
+        action = [Item("instantiate", (draw(st.sampled_from(bound)), draw(terms(max_depth=2, names=tuple(bound)))))]
+    else:
+        action = []
+        for _ in range(draw(st.integers(1, 4))):
+            free = [v for v in VAR_NAMES if v not in bound]
+            keyword = draw(st.sampled_from(["left_add", "right_add", "left_erase", "right_erase", "forall_add", "exist_add"]))
+            if keyword in ("forall_add", "exist_add"):
+                if not free:
+                    continue
+                arg = draw(st.sampled_from(free))
+                bound.append(arg)
+            else:
+                arg = draw(_conjuncts(tuple(bound)))
+            action.append(Item(keyword, arg))
+        if not action:
+            action = [Item("left_add", TrueF())]
+    priority = draw(st.one_of(st.just(DEFAULT_PRIORITY), st.integers(-5, 99)))
+    return Strategy(name, priority, tuple(patterns), tuple(checks), tuple(action))
+
+
+@st.composite
+def programs(draw, max_strategies: int = 3):
+    n = draw(st.integers(1, max_strategies))
+    return Program(tuple(draw(strategy_defs(f"s{i}")) for i in range(n)))

@@ -340,6 +340,18 @@ class TestValidate:
         assert re.match(rf"{re.escape(str(bad))}:\d+:\d+: ", err)
         assert "zz" in err
 
+    def test_fresh_name_that_is_a_symbol(self, tmp_path, capsys):
+        bad = tmp_path / "bad.stg"
+        bad.write_text("strategy s\n  left: listrep(?p, ?l)\n  action:\n    exist_add(lseg);\n")
+        rc = run_cli(
+            "purify",
+            "--sig", corpus("sll.sig"),
+            "--strategies", str(bad),
+            "--input", corpus("sll_basic.sle"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"{bad}:4:15: declared symbol 'lseg' cannot be a binder\n"
+
     def test_deep_nesting_diagnostic(self, tmp_path, capsys):
         deep = tmp_path / "deep.sle"
         deep.write_text("forall x, " + "(" * 1500 + "0 < x" + ")" * 1500 + " |-- emp\n")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import sys
 
 import pytest
@@ -128,7 +127,6 @@ class TestRunChecks:
         c = conds[0]
         assert c.status is ProofStatus.PROVEN
         assert c.goal == ent("forall v, 0 <= v |-- emp").lhs.pures[0]
-        assert c.strategy == "s" and c.step_index == -1
 
     def test_infer_failure_rejects(self):
         s = stg(
@@ -414,17 +412,6 @@ class TestRun:
         assert tr.verdict is Verdict.PURIFIED and len(tr.steps) == 1
         assert tr.final == ent("forall a, emp |-- emp")
         assert tr.frame is None
-
-    def test_side_condition_step_indices(self, array):
-        sig, prog = array
-        e = load_entailments("array_basic", sig)[0]
-        tr = run(prog, e)
-        seen = 0
-        for i, ts in enumerate(tr.steps):
-            for c in ts.side_conditions:
-                assert c.step_index == i
-                seen += 1
-        assert seen >= 2
 
     def test_final_property_without_steps(self, sll):
         sig, prog = sll
@@ -1053,8 +1040,7 @@ def oracle_run(prog, e, max_steps):
     steps = []
     cur = e
     while len(steps) < max_steps and (ts := oracle_step(cur)) is not None:
-        conditions = tuple(dataclasses.replace(c, step_index=len(steps)) for c in ts.side_conditions)
-        steps.append(dataclasses.replace(ts, side_conditions=conditions))
+        steps.append(ts)
         cur = ts.entailment_after
     if not cur.lhs.spatials and not cur.rhs.spatials:
         verdict = Verdict.PURIFIED

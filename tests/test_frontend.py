@@ -289,6 +289,73 @@ class TestStrategies:
         assert "listrep(p, ?l2)" in text
 
 
+class TestOnePassScope:
+    """Binders are checked as the strategy is read, at the offending token."""
+
+    SLL = parse_signature("spatial listrep/2;\nspatial lseg/3;\nfunc app/2;\n")
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["right: (?x == ?y)", "left: (?x < ?y || y < x)"],
+        ids=["parenthesised", "disjunction"],
+    )
+    def test_a_backtracked_binder_is_forgotten(self, pattern):
+        prog = parse_strategies(f"strategy s\n  {pattern}\n  action: left_add(x == y);\n", self.SLL, "lib.stg")
+        assert prog.strategies[0].patterns[0].atom.binders == ("x", "y")
+        assert parse_strategies(print_program(prog), self.SLL) == prog
+
+    @pytest.mark.parametrize(
+        "text, cls, where, message",
+        [
+            (
+                "strategy s\n  left: lseg(?p, q, ?q)\n  action: left_erase(lseg(p, q, q));\n",
+                ScopeError, "2:18", "variable 'q' has no earlier binding occurrence",
+            ),
+            (
+                "strategy s\n  left: listrep(?p, ?l)\n  action:\n    exist_add(lseg);\n",
+                ParseError, "4:15", "declared symbol 'lseg' cannot be a binder",
+            ),
+            (
+                "strategy s\n  left: listrep(?p, ?l)\n  action:\n    exist_add(emp);\n",
+                ParseError, "4:15", "keyword 'emp' cannot be a binder",
+            ),
+            (
+                "strategy s\n  left: listrep(?lseg, ?l)\n  action: left_erase(listrep(lseg, l));\n",
+                ParseError, "2:18", "declared symbol 'lseg' cannot be a binder",
+            ),
+            (
+                "strategy s\n  left: listrep(?p, ?l)\n  right: data_at(p + 4 * ?emp, ?v)\n  action: left_erase(listrep(p, l));\n",
+                ParseError, "3:27", "keyword 'emp' cannot be a binder",
+            ),
+            (
+                "strategy s\n  right: exists y, lseg(?x, ?z, ?l) listrep(?y, ?m)\n  action: right_erase(listrep(y, m));\n",
+                ScopeError, "2:17", "exists binder 'y' is not `?`-bound by the pattern it opens",
+            ),
+            (
+                "strategy s\n  check: infer(0 <= p);\n  left: listrep(?p, ?l)\n  action: left_erase(listrep(p, l));\n",
+                ScopeError, "2:21", "variable 'p' has no earlier binding occurrence",
+            ),
+        ],
+        ids=[
+            "bare-before-binder", "exist_add-symbol", "exist_add-keyword", "binder-symbol", "binder-in-a-product",
+            "exists-binder", "section-order",
+        ],
+    )
+    def test_rejected_at_the_token(self, text, cls, where, message):
+        with pytest.raises(cls) as info:
+            parse_strategies(text, self.SLL, "lib.stg")
+        assert str(info.value) == f"lib.stg:{where}: {message}"
+
+    def test_duplicate_name_after_a_prior_program(self):
+        prior = parse_strategies(STG, SIG, "a.stg")
+        text = "strategy inst\n  right: ?x == x\n  action: right_erase(x == x);\n"
+        with pytest.raises(DuplicateDeclarationError) as info:
+            parse_strategies(text, SIG, "b.stg", prior)
+        assert str(info.value) == "b.stg:1:10: strategy 'inst' is already defined"
+        prog = parse_strategies(text.replace("inst", "other"), SIG, "b.stg", prior)
+        assert [s.name for s in prog.strategies] == ["absorb", "inst", "other"]
+
+
 class TestNestingLimit:
     # name -> (parse, head, opener, body, closer, tail, column of the
     # opening token within the opener)
@@ -641,3 +708,9 @@ def test_lexer_matches_the_per_character_oracle(pieces, start_line):
     if isinstance(want, list):  # the lexer pads its list with a second eof
         want.append(want[-1])
     assert got == want
+
+
+@given(gen.programs())
+@settings(max_examples=60)
+def test_strategy_round_trip(prog):
+    assert parse_strategies(print_program(prog), SIG) == prog
