@@ -2,7 +2,7 @@
 
 Subcommands: purify, frame, soundness, validate.  Exit codes: 0 on full
 success, 1 when some entailment stays stuck or hits the step bound, 2 on
-parse or validation errors.
+bad input (a FrontendError), an unreadable or unwritable file, or a bad option.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ def _run(ns: argparse.Namespace) -> int:
         return 0
     if ns.mode == "validate":
         n_ents = 0 if ns.input is None else len(_load_entailments(ns, sig))
-        print(f"ok: {len(sig.entries)} declarations, {len(prog.strategies)} strategies, {n_ents} entailments")
+        _emit(ns, f"ok: {len(sig.entries)} declarations, {len(prog.strategies)} strategies, {n_ents} entailments\n")
         return 0
     ents = _load_entailments(ns, sig)
+    if ns.max_steps < 1:
+        raise _CliError("max_steps must be positive")
     traces = [engine.run(prog, e, max_steps=ns.max_steps) for e in ents]
 
     frame_mode = ns.mode == "frame"
@@ -145,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return _run(ns)
-    except (FrontendError, _CliError, ValueError) as exc:
+    except (FrontendError, _CliError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

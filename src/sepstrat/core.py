@@ -48,10 +48,6 @@ class FrontendError(Exception):
         return f"{self.path}:{self.line}:{self.col}: {self.message}"
 
 
-class DuplicateDeclarationError(FrontendError):
-    """A declaration clashes with an earlier or built-in one."""
-
-
 # ---------------------------------------------------------------------------
 # Hash-consing
 
@@ -98,12 +94,28 @@ class _Node(metaclass=_Interned):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+# The child fields of every node class, in printing order.  A child field
+# holds one node or a tuple of nodes; every field annotated with one of
+# _LABELS is a label (operator, symbol, literal, binder names) that traversals
+# copy or compare.  Recursive traversals loop over children rather than use
+# comprehensions, which are frames of their own before Python 3.12: one frame
+# per tree level lets them reach the depth the parser admits (frontend.MAX_DEPTH).
+_KIDS: dict[type, tuple[str, ...]] = {}
+_LABELS = ("str", "int", "tuple[str, ...]")
+
+
+def _shaped(cls):
+    """Enter the dataclass cls's child fields in _KIDS."""
+    _KIDS[cls] = tuple(f.name for f in fields(cls) if f.type not in _LABELS)
+    return cls
+
+
 def _node(cls):
     """Declare a hash-consed node class: a frozen, slotted dataclass whose
     equality and hash are those of object identity."""
     cls = dataclass(frozen=True, slots=True, eq=False)(cls)
     cls._tuple_fields = tuple(i for i, f in enumerate(fields(cls)) if str(f.type).startswith("tuple"))
-    return cls
+    return _shaped(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +228,7 @@ class PredS(SpatialAtom):
 # Heaps and entailments
 
 
+@_shaped
 @dataclass(frozen=True, slots=True)
 class SymbolicHeap:
     """Pure and spatial conjunct multisets; emp conjuncts are dropped eagerly."""
@@ -302,37 +315,6 @@ Syntax = Union[Term, PureFormula, SpatialAtom, SymbolicHeap, Assertion]
 # ---------------------------------------------------------------------------
 # Node shapes
 
-# The child fields of every node class, in printing order.  A child field
-# holds one node or a tuple of nodes; every other field is a label (operator,
-# symbol, literal, binder names) that traversals copy or compare.  Recursive
-# traversals loop over children rather than use comprehensions, which are
-# frames of their own before Python 3.12: one frame per tree level lets them
-# reach the depth the parser admits (frontend.MAX_DEPTH).
-_KIDS: dict[type, tuple[str, ...]] = {
-    IntLit: (),
-    Var: (),
-    FieldAddr: ("base",),
-    Apply: ("args",),
-    Arith: ("left", "right"),
-    TrueF: (),
-    Eq: ("left", "right"),
-    Rel: ("left", "right"),
-    Not: ("inner",),
-    Bin: ("left", "right"),
-    PredP: ("args",),
-    Emp: (),
-    DataAt: ("addr", "value"),
-    PredS: ("args",),
-    SymbolicHeap: ("pures", "spatials"),
-    PureA: ("formula",),
-    SpatialA: ("atom",),
-    SepConj: ("parts",),
-    AndA: ("parts",),
-    Wand: ("left", "right"),
-    ForallA: ("body",),
-    ExistsA: ("body",),
-}
-
 # Every field of every node class in declaration order, as (name, is a child).
 _FIELDS = {cls: tuple((f.name, f.name in kids) for f in fields(cls)) for cls, kids in _KIDS.items()}
 
@@ -383,9 +365,9 @@ class Signature:
         if arity < 0:
             raise ValueError("arity must be non-negative")
         if name in RESERVED:
-            raise DuplicateDeclarationError(f"{name} is a built-in and cannot be redeclared")
+            raise ValueError(f"{name} is a built-in and cannot be redeclared")
         if name in self.entries:
-            raise DuplicateDeclarationError(f"{name} is already declared")
+            raise ValueError(f"{name} is already declared")
         self.entries[name] = (kind, arity)
 
     def kind_of(self, name: str) -> str | None:

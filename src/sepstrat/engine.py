@@ -22,6 +22,7 @@ from . import smt
 from .core import (
     Emp,
     Entailment,
+    FrontendError,
     PureFormula,
     Signature,
     SymbolicHeap,
@@ -305,7 +306,7 @@ def document_to_json(doc: dict) -> str:
 
 
 _REQUIRED = object()
-_JSON_KINDS = {dict: "an object", list: "an array"}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
 def _object(value, where: str) -> dict:
@@ -366,20 +367,23 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
         raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
 
-    def term(text) -> Term:
+    def term(x: str, text, where: str) -> Term:
         if not isinstance(text, str):
-            return parse_term(text, sig)  # only text is memoised
+            raise ReplayError(f"{where}: cannot parse recorded step: the value of {x!r} is not a string")
         t = terms.get(text)
         if t is None:
-            t = terms[text] = parse_term(text, sig)
+            try:
+                t = terms[text] = parse_term(text, sig)
+            except FrontendError as exc:
+                raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
         return t
 
     for t_idx, tr in enumerate(_field(doc, "traces", "document", list, [])):
         tr = _object(tr, f"trace {t_idx}")
-        source = _field(tr, "input", f"trace {t_idx}")
+        source = _field(tr, "input", f"trace {t_idx}", str)
         try:
             cur = parse_entailment(source, sig)
-        except Exception as exc:
+        except FrontendError as exc:
             raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
         contexts: dict = {}  # the solver's contexts for this trace
         for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
@@ -391,10 +395,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             s = prog.by_name(name)
             if s is None:
                 raise ReplayError(f"{where}: unknown strategy {name!r}")
-            try:
-                binding = {x: term(text) for x, text in substitution.items()}
-            except Exception as exc:
-                raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
+            binding = {x: term(x, text, where) for x, text in substitution.items()}
             if not _matches_at(s, binding, cur):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
             # the pattern binders and the names the action introduces; any

@@ -21,7 +21,6 @@ from .core import (
     Assertion,
     Bin,
     DataAt,
-    DuplicateDeclarationError,
     Emp,
     Entailment,
     Eq,
@@ -102,33 +101,9 @@ DECLARATION_KINDS = ("spatial", "pure", "func")
 
 
 class ParseError(FrontendError):
-    pass
-
-
-class _Final(ParseError):
-    """An error that no other reading of the input avoids: nesting beyond
-    MAX_NESTING, a tree beyond MAX_DEPTH, or a binder that cannot be one;
-    backtracking never retries past it."""
-
-
-class UnknownIdentifierError(FrontendError):
-    pass
-
-
-class ArityMismatchError(FrontendError):
-    pass
-
-
-class IllFormedEntailmentError(FrontendError):
-    pass
-
-
-class ScopeError(FrontendError):
-    pass
-
-
-class MixedInstantiateError(FrontendError):
-    pass
+    """The text does not fit the grammar where it was read, so `attempt` may
+    try another reading.  Every other input error is a FrontendError, which
+    no other reading avoids and backtracking never retries past."""
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +275,7 @@ class _Parser:
     def descend(self, tok: Token) -> None:
         """Enter one more nesting level, opened by tok; undone by `depth -= 1`."""
         if self.depth == MAX_NESTING:
-            raise _Final(f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.col)
+            raise self.err(FrontendError, f"nesting deeper than {MAX_NESTING} levels", tok)
         self.depth += 1
 
     def chained(self, left, h: int, right, op: Token) -> int:
@@ -308,17 +283,15 @@ class _Parser:
         not yet known), and right; an error when it passes MAX_DEPTH."""
         h = 1 + max(h or core.height(left), core.height(right))
         if h + self.depth > MAX_DEPTH:
-            raise _Final(f"operator chain deeper than {MAX_DEPTH} levels", self.path, op.line, op.col)
+            raise self.err(FrontendError, f"operator chain deeper than {MAX_DEPTH} levels", op)
         return h
 
     def attempt(self, parse, *args):
         """parse(*args), or None with the position and the `?` binders
-        restored when it fails; a _Final error is never retried."""
+        restored when it raises a ParseError."""
         save = self.pos, self.depth, len(self.binder_acc)
         try:
             return parse(*args)
-        except _Final:
-            raise
         except ParseError:
             self.pos, self.depth, n = save
             if self.scope is not None:
@@ -340,19 +313,19 @@ class _Parser:
         strategy, a name not bound yet, which it now is."""
         name = tok.text
         if self.sig.kind_of(name) is not None:
-            raise self.err(_Final, f"declared symbol {name!r} cannot be a binder", tok)
+            raise self.err(FrontendError, f"declared symbol {name!r} cannot be a binder", tok)
         if name in STRUCTURAL_KEYWORDS:
-            raise self.err(_Final, f"keyword {name!r} cannot be a binder", tok)
+            raise self.err(FrontendError, f"keyword {name!r} cannot be a binder", tok)
         if self.scope is not None:
             if name in self.scope:
-                raise self.err(ScopeError, f"variable {name!r} is already bound", tok)
+                raise self.err(FrontendError, f"variable {name!r} is already bound", tok)
             self.scope.add(name)
         return name
 
     def bound(self, tok: Token) -> str:
         """The variable tok names, which inside a strategy must be bound."""
         if self.scope is not None and tok.text not in self.scope:
-            raise self.err(ScopeError, f"variable {tok.text!r} has no earlier binding occurrence", tok)
+            raise self.err(FrontendError, f"variable {tok.text!r} has no earlier binding occurrence", tok)
         return tok.text
 
     def integer(self, tok: Token) -> int:
@@ -477,7 +450,7 @@ class _Parser:
             if self.peek(1).kind == "punct" and self.peek(1).text == "(":
                 kind = self.sig.kind_of(name)
                 if kind is None:
-                    raise self.err(UnknownIdentifierError, f"undeclared symbol {name!r} applied to arguments", t)
+                    raise self.err(FrontendError, f"undeclared symbol {name!r} applied to arguments", t)
                 if kind != "func":
                     raise self.err(ParseError, f"{kind} predicate {name!r} cannot appear inside a term", t)
                 return self._call(t)
@@ -510,7 +483,7 @@ class _Parser:
         self.eat_punct(")")
         arity = self.sig.arity_of(name)
         if arity is not None and arity != len(args):
-            raise self.err(ArityMismatchError, f"{name} expects {arity} argument(s), got {len(args)}", open_tok)
+            raise self.err(FrontendError, f"{name} expects {arity} argument(s), got {len(args)}", open_tok)
         return _CALLS[self.sig.kind_of(name)](name, tuple(args))
 
     # -- atom layer (heap conjuncts, pure operands)
@@ -603,7 +576,7 @@ class _Parser:
         e = Entailment(universals, lhs, existentials, rhs)
         problems = well_formed_report(e)
         if problems:
-            raise self.err(IllFormedEntailmentError, "; ".join(problems), start)
+            raise self.err(FrontendError, "; ".join(problems), start)
         return e
 
     # -- strategies
@@ -633,7 +606,7 @@ class _Parser:
         if name in UNDECLARABLE or self.sig.kind_of(name) is not None:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
         if any(s.name == name for s in defined):
-            raise self.err(DuplicateDeclarationError, f"strategy {name!r} is already defined", name_tok)
+            raise self.err(FrontendError, f"strategy {name!r} is already defined", name_tok)
         self.scope = set()
         priority: int | None = None
         patterns: list[Pattern] = []
@@ -689,7 +662,7 @@ class _Parser:
         atoms: list[PatternAtom] = [self._pattern_formula()]
         for tok in exists_toks:
             if tok.text not in atoms[0].binders:
-                raise self.err(ScopeError, f"exists binder {tok.text!r} is not `?`-bound by the pattern it opens", tok)
+                raise self.err(FrontendError, f"exists binder {tok.text!r} is not `?`-bound by the pattern it opens", tok)
         while not self._at_section_start():
             atoms.append(self._pattern_formula())
         patterns = [Pattern(side, atoms[0], tuple(t.text for t in exists_toks))]
@@ -718,7 +691,7 @@ class _Parser:
             self.eat_punct(")")
             self.eat_punct(";")
             if len(items) > 1 and "instantiate" in (t.text, items[0].keyword):
-                raise self.err(MixedInstantiateError, "instantiate cannot be combined with other operations", t)
+                raise self.err(FrontendError, "instantiate cannot be combined with other operations", t)
         if not items:
             raise self.err(ParseError, f"expected at least one {section} item")
         return items
@@ -750,11 +723,11 @@ def parse_signature(text: str, path: str = "<input>") -> Signature:
         arity = p.expect("int", message="expected a numeric arity")
         p.expect("punct", ";", "expected ';' after the declaration")
         if name.text in UNDECLARABLE:
-            raise p.err(DuplicateDeclarationError, f"{name.text!r} is reserved and cannot be declared", name)
-        try:
-            sig.declare(name.text, decl.text, p.integer(arity))
-        except DuplicateDeclarationError as exc:
-            raise p.err(DuplicateDeclarationError, exc.message, name) from None
+            raise p.err(FrontendError, f"{name.text!r} is reserved and cannot be declared", name)
+        n = p.integer(arity)
+        if name.text in sig.entries:
+            raise p.err(FrontendError, f"{name.text} is already declared", name)
+        sig.declare(name.text, decl.text, n)
     return sig
 
 

@@ -509,10 +509,7 @@ class Context:
     def __init__(self, hyps: Iterable[PureFormula]) -> None:
         st = _State()
         for h in hyps:
-            try:
-                _assert_formula(h, st, True)
-            except TypeError:
-                continue
+            _assert_formula(h, st, True)
         self._st = st
         self._answers: dict[PureFormula, QueryResult] = {}
         self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes

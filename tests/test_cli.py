@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -126,6 +127,18 @@ class TestPurify:
         assert rc == 1
         assert out.splitlines()[0].startswith("step_limit: ")
         assert out.splitlines()[-1] == "framed 0/1"
+
+    def test_max_steps_must_be_positive(self, capsys):
+        rc = run_cli(
+            "frame",
+            "--sig", corpus("common.sig"),
+            "--strategies", corpus("common.stg"),
+            "--input", corpus("common_cells.sle"),
+            "--max-steps", "0",
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert (out, err) == ("", "max_steps must be positive\n")
 
     def test_missing_input_flag(self, capsys):
         rc = run_cli("purify", "--sig", corpus("sll.sig"), "--strategies", corpus("sll.stg"))
@@ -413,6 +426,13 @@ class TestValidate:
         assert rc == 2
         assert capsys.readouterr().err == f"{bad}:{where}: integer literal of 5000 digits is too long\n"
 
+    def test_output_file(self, tmp_path, capsys):
+        out_file = tmp_path / "ok.txt"
+        rc = run_cli("validate", "--sig", corpus("sll.sig"), "--strategies", corpus("sll.stg"), "-o", str(out_file))
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        assert out_file.read_text() == "ok: 3 declarations, 3 strategies, 0 entailments\n"
+
     def test_without_input(self, capsys):
         rc = run_cli("validate", "--sig", corpus("array.sig"), "--strategies", corpus("array.stg"))
         out = capsys.readouterr().out
@@ -445,6 +465,54 @@ class TestStrategyComposition:
         err = capsys.readouterr().err
         assert rc == 2
         assert "sll_absorb_lseg" in err and "already defined" in err
+
+
+# One token of a corpus file: an identifier or number, an operator, or any
+# other single character; spaces and comments are skipped.
+_TOKEN = re.compile(r"\s+|//[^\n]*|[\w']+|\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||.")
+_REPLACEMENTS = [
+    "forall", "exists", "emp", "true", "strategy", "action", "instantiate", "spatial",  # keywords
+    "lseg", "data_at", "field_addr", "x",  # symbols
+    "(", ")", ",", ";", ":", "*", "?", "|--", "->", "-*", "!",  # punctuation
+    "7" * 5000,  # beyond Python's digit limit on `int`
+]
+
+
+def one_token_mutants(n, seed):
+    """n (corpus file, text) pairs, each the file with one token deleted,
+    doubled or replaced."""
+    rng = random.Random(seed)
+    texts = {p: p.read_text() for p in sorted(CORPUS.iterdir()) if p.suffix in (".sig", ".stg", ".sle")}
+    spans = {
+        p: [m.span() for m in _TOKEN.finditer(t) if not m.group().isspace() and not m.group().startswith("//")]
+        for p, t in texts.items()
+    }
+    files = [p for p in texts if spans[p]]  # common.sig declares nothing
+    for _ in range(n):
+        path = rng.choice(files)
+        text = texts[path]
+        i, j = rng.choice(spans[path])
+        new = rng.choice(["", f"{text[i:j]} {text[i:j]}", rng.choice(_REPLACEMENTS)])
+        yield path, text[:i] + new + text[j:]
+
+
+def test_one_token_mutants_end_in_a_diagnostic(tmp_path, capsys):
+    """A mutant, run with the rest of its library, ends in a verdict or in
+    exactly one path:line:col diagnostic, and never in an exception."""
+    for k, (path, text) in enumerate(one_token_mutants(300, seed=20)):
+        lib = re.match(r"[a-z]+", path.name).group()
+        files = {".sig": CORPUS / f"{lib}.sig", ".stg": CORPUS / f"{lib}.stg", ".sle": min(CORPUS.glob(f"{lib}_*.sle"))}
+        files[path.suffix] = tmp_path / f"mutant{k}{path.suffix}"
+        files[path.suffix].write_text(text)
+        args = ["--sig", str(files[".sig"]), "--strategies", str(files[".stg"]), "--input", str(files[".sle"])]
+        for mode in ("validate", "frame"):
+            rc = run_cli(mode, *args)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), (path.name, text)
+            if rc == 2:
+                assert re.fullmatch(r"\S+:\d+:\d+: [^\n]*\n", err), (path.name, text, err)
+            else:
+                assert err == "", (path.name, text, err)
 
 
 def test_console_entry_point(tmp_path):

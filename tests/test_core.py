@@ -3,12 +3,17 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import importlib
+import inspect
 import pickle
+import pkgutil
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import sepstrat
 
 from sepstrat.core import (
     _KIDS,
@@ -16,7 +21,6 @@ from sepstrat.core import (
     Apply,
     Arith,
     DataAt,
-    DuplicateDeclarationError,
     Emp,
     Entailment,
     Eq,
@@ -80,12 +84,12 @@ class TestSignature:
     def test_duplicate_rejected(self):
         sig = Signature()
         sig.declare("f", "func", 1)
-        with pytest.raises(DuplicateDeclarationError):
+        with pytest.raises(ValueError):
             sig.declare("f", "func", 2)
 
     @pytest.mark.parametrize("name", ["emp", "true", "data_at", "field_addr"])
     def test_reserved_rejected(self, name):
-        with pytest.raises(DuplicateDeclarationError):
+        with pytest.raises(ValueError):
             Signature().declare(name, "pure", 1)
 
 
@@ -357,3 +361,21 @@ class TestInterning:
         f = Eq(Apply("app", (Var("x"), Var("y"))), Var("x"))
         assert free_vars(f) is free_vars(f) and isinstance(free_vars(f), frozenset)
         assert free_vars(ForallA(("x",), PureA(f))) == {"y"}
+
+
+def test_one_exception_class_per_kind_of_error():
+    """Bad input is a FrontendError, text the grammar does not fit the
+    ParseError subset of it, a bad trace a ReplayError; the CLI and the
+    solver each keep one private class.  A check of its own raises one of
+    these rather than a new class."""
+    defined = set()
+    for info in pkgutil.iter_modules(sepstrat.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"sepstrat.{info.name}")
+        defined |= {
+            name
+            for name, obj in vars(module).items()
+            if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        }
+    assert defined == {"FrontendError", "ParseError", "ReplayError", "_CliError", "_Budget"}

@@ -32,6 +32,7 @@ from sepstrat.frontend import (
     Strategy,
     parse_entailment,
     parse_strategies,
+    parse_term,
     print_heap,
     print_node,
 )
@@ -39,6 +40,12 @@ from sepstrat.matcher import match_strategy
 from sepstrat.smt import ProofStatus
 
 SIG = gen.test_signature()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def stg(text):
@@ -879,6 +886,24 @@ class TestReplay:
         with pytest.raises(ReplayError, match="trace 0 step 1: cannot parse recorded step"):
             replay_document(doc, sig, prog)
 
+    @given(field=st.sampled_from(["substitution", "input", "strategy"]), value=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_recorded_value_is_a_replay_error(self, common, field, value):
+        # a value replays only when it is a text that reads as the recorded one
+        doc, sig, prog = self.replayable(common, "common_cells")
+        tr = doc["traces"][0]
+        target, key, read = {
+            "substitution": (tr["steps"][0]["substitution"], next(iter(tr["steps"][0]["substitution"])), parse_term),
+            "input": (tr, "input", parse_entailment),
+            "strategy": (tr["steps"][0], "strategy", lambda text, sig: text),
+        }[field]
+        recorded, target[key] = target[key], value
+        try:
+            replay_document(doc, sig, prog)
+        except ReplayError:
+            return
+        assert isinstance(value, str) and read(value, sig) == read(recorded, sig)
+
     def test_negated_literal_index_replays(self, array):
         # i - x with i = x = 0 once printed as -0, which re-parses as 0
         sig, prog = array
@@ -993,6 +1018,7 @@ class TestReplay:
             (("traces", 0, "steps", 0, "substitution"), ["p"], "step 0: 'substitution' is not an object"),
             (("traces", 0, "steps", 0, "side_conditions"), {}, "step 0: 'side_conditions' is not an array"),
             (("traces", 0, "steps", 0, "side_conditions", 0), "0 <= i", "trace 0 step 0: not a JSON object"),
+            (("traces", 0, "input"), 5, "trace 0: 'input' is not a string"),
         ],
     )
     def test_malformed_document(self, array, path, value, match):

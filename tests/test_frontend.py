@@ -26,15 +26,9 @@ from sepstrat import core, frontend
 from sepstrat.frontend import (
     MAX_DEPTH,
     MAX_NESTING,
-    ArityMismatchError,
     ITEMS,
-    DuplicateDeclarationError,
     FrontendError,
-    IllFormedEntailmentError,
-    MixedInstantiateError,
     ParseError,
-    ScopeError,
-    UnknownIdentifierError,
     parse_assertion,
     parse_entailment,
     parse_entailments,
@@ -73,7 +67,7 @@ class TestTerms:
         assert t == Arith("-", Var("i"), IntLit(0))
 
     def test_function_arity_checked(self):
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(FrontendError):
             parse_term("app(x)", SIG)
 
     def test_unknown_function_rejected(self):
@@ -119,11 +113,11 @@ class TestEntailments:
         assert e.universals == ("p", "l") and e.existentials == ("q",)
 
     def test_unbound_variable_rejected(self):
-        with pytest.raises(IllFormedEntailmentError):
+        with pytest.raises(FrontendError):
             parse_entailment("forall p, listrep(p, l) |-- emp", SIG)
 
     def test_overlapping_binders_rejected(self):
-        with pytest.raises(IllFormedEntailmentError):
+        with pytest.raises(FrontendError):
             parse_entailment("forall x, x == x |-- exists x, x == x", SIG)
 
     def test_file_chunks_and_comments(self):
@@ -151,13 +145,12 @@ class TestSignatureFiles:
         assert print_signature(sig) == text
 
     def test_duplicate_declaration(self):
-        with pytest.raises(DuplicateDeclarationError):
+        with pytest.raises(FrontendError):
             parse_signature("func f/1;\nfunc f/1;\n")
 
     def test_one_duplicate_declaration_error(self):
-        assert DuplicateDeclarationError is core.DuplicateDeclarationError
         assert FrontendError is core.FrontendError
-        with pytest.raises(DuplicateDeclarationError) as info:
+        with pytest.raises(FrontendError) as info:
             parse_signature("func f/1;\nfunc f/2;\n", "lib.sig")
         assert str(info.value) == "lib.sig:2:6: f is already declared"
 
@@ -242,17 +235,17 @@ class TestStrategies:
             "strategy s\n  right: exists x, ?x == ?y\n"
             "  action: right_erase(x == y); instantiate(x -> y);\n"
         )
-        with pytest.raises(MixedInstantiateError):
+        with pytest.raises(FrontendError):
             parse_strategies(text, SIG)
 
     def test_unbound_action_variable(self):
         text = "strategy s\n  left: listrep(?p, ?l)\n  action: left_add(listrep(p, z));\n"
-        with pytest.raises(ScopeError):
+        with pytest.raises(FrontendError):
             parse_strategies(text, SIG)
 
     def test_rebinding_rejected(self):
         text = "strategy s\n  left: lseg(?p, ?p, ?l)\n  action: left_erase(lseg(p, p, l));\n"
-        with pytest.raises(ScopeError):
+        with pytest.raises(FrontendError):
             parse_strategies(text, SIG)
 
     def test_introduced_name_must_be_new(self):
@@ -260,12 +253,12 @@ class TestStrategies:
             "strategy s\n  left: listrep(?p, ?l)\n"
             "  action: exist_add(p); left_erase(listrep(p, l));\n"
         )
-        with pytest.raises(ScopeError):
+        with pytest.raises(FrontendError):
             parse_strategies(text, SIG)
 
     def test_duplicate_strategy_names(self):
         text = STG + "\nstrategy absorb\n  right: ?x == x\n  action: right_erase(x == x);\n"
-        with pytest.raises(DuplicateDeclarationError):
+        with pytest.raises(FrontendError):
             parse_strategies(text, SIG)
 
     def test_program_round_trip(self):
@@ -305,35 +298,35 @@ class TestOnePassScope:
         assert parse_strategies(print_program(prog), self.SLL) == prog
 
     @pytest.mark.parametrize(
-        "text, cls, where, message",
+        "text, where, message",
         [
             (
                 "strategy s\n  left: lseg(?p, q, ?q)\n  action: left_erase(lseg(p, q, q));\n",
-                ScopeError, "2:18", "variable 'q' has no earlier binding occurrence",
+                "2:18", "variable 'q' has no earlier binding occurrence",
             ),
             (
                 "strategy s\n  left: listrep(?p, ?l)\n  action:\n    exist_add(lseg);\n",
-                ParseError, "4:15", "declared symbol 'lseg' cannot be a binder",
+                "4:15", "declared symbol 'lseg' cannot be a binder",
             ),
             (
                 "strategy s\n  left: listrep(?p, ?l)\n  action:\n    exist_add(emp);\n",
-                ParseError, "4:15", "keyword 'emp' cannot be a binder",
+                "4:15", "keyword 'emp' cannot be a binder",
             ),
             (
                 "strategy s\n  left: listrep(?lseg, ?l)\n  action: left_erase(listrep(lseg, l));\n",
-                ParseError, "2:18", "declared symbol 'lseg' cannot be a binder",
+                "2:18", "declared symbol 'lseg' cannot be a binder",
             ),
             (
                 "strategy s\n  left: listrep(?p, ?l)\n  right: data_at(p + 4 * ?emp, ?v)\n  action: left_erase(listrep(p, l));\n",
-                ParseError, "3:27", "keyword 'emp' cannot be a binder",
+                "3:27", "keyword 'emp' cannot be a binder",
             ),
             (
                 "strategy s\n  right: exists y, lseg(?x, ?z, ?l) listrep(?y, ?m)\n  action: right_erase(listrep(y, m));\n",
-                ScopeError, "2:17", "exists binder 'y' is not `?`-bound by the pattern it opens",
+                "2:17", "exists binder 'y' is not `?`-bound by the pattern it opens",
             ),
             (
                 "strategy s\n  check: infer(0 <= p);\n  left: listrep(?p, ?l)\n  action: left_erase(listrep(p, l));\n",
-                ScopeError, "2:21", "variable 'p' has no earlier binding occurrence",
+                "2:21", "variable 'p' has no earlier binding occurrence",
             ),
         ],
         ids=[
@@ -341,15 +334,15 @@ class TestOnePassScope:
             "exists-binder", "section-order",
         ],
     )
-    def test_rejected_at_the_token(self, text, cls, where, message):
-        with pytest.raises(cls) as info:
+    def test_rejected_at_the_token(self, text, where, message):
+        with pytest.raises(FrontendError) as info:
             parse_strategies(text, self.SLL, "lib.stg")
         assert str(info.value) == f"lib.stg:{where}: {message}"
 
     def test_duplicate_name_after_a_prior_program(self):
         prior = parse_strategies(STG, SIG, "a.stg")
         text = "strategy inst\n  right: ?x == x\n  action: right_erase(x == x);\n"
-        with pytest.raises(DuplicateDeclarationError) as info:
+        with pytest.raises(FrontendError) as info:
             parse_strategies(text, SIG, "b.stg", prior)
         assert str(info.value) == "b.stg:1:10: strategy 'inst' is already defined"
         prog = parse_strategies(text.replace("inst", "other"), SIG, "b.stg", prior)
@@ -383,7 +376,7 @@ class TestNestingLimit:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_level_more_rejected_at_its_opening_token(self, case):
         parse, text, col = self.nested(case, MAX_NESTING + 1)
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(FrontendError) as info:
             parse(text, SIG, "deep.sle")
         assert str(info.value) == f"deep.sle:1:{col}: nesting deeper than {MAX_NESTING} levels"
 
@@ -419,13 +412,13 @@ class TestChainLimit:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_operand_more_rejected_at_its_operator(self, case):
         text, col = self.chain(case, 1)
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(FrontendError) as info:
             parse_entailments(text, SIG, "long.sle")
         assert str(info.value) == f"long.sle:1:{col}: operator chain deeper than {MAX_DEPTH} levels"
 
     def test_nesting_counts_toward_the_bound(self):
         text, _ = self.chain("sum", 0)
-        with pytest.raises(ParseError, match="operator chain deeper"):
+        with pytest.raises(FrontendError, match="operator chain deeper"):
             parse_entailments(text.replace("0 < ", "0 < nth(").replace(" |--", ", l) |--"), SIG)
 
     @pytest.mark.parametrize("op", [" + ", " && "])
@@ -433,7 +426,7 @@ class TestChainLimit:
         operand = "x" if op == " + " else "0 < x"
         chain = op.join([operand] * 2000)
         text = f"strategy s\n  left: ?x == x\n  check: infer(({chain}) == 0);\n  action: left_erase(x == x);\n"
-        with pytest.raises(ParseError, match="operator chain deeper"):
+        with pytest.raises(FrontendError, match="operator chain deeper"):
             parse_strategies(text, SIG)
 
 
