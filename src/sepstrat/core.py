@@ -16,10 +16,9 @@ Symbolic heaps and entailments stay plain value dataclasses over such nodes.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Mapping, Union
 
 ARITH_OPS = ("+", "-", "*")
 REL_OPS = ("!=", "<", "<=", ">", ">=")
@@ -432,16 +431,13 @@ def occurring_vars(x: Syntax) -> list[str]:
 # Fresh names
 
 
-def fresh_name(base: str, avoid: Iterable[str]) -> str:
+def fresh_name(base: str, avoid: AbstractSet[str]) -> str:
     """Return base, or base with the smallest prime-suffix not in avoid."""
-    taken = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
-    if base not in taken:
-        return base
-    for k in itertools.count(1):
-        cand = f"{base}'{k}"
-        if cand not in taken:
-            return cand
-    raise AssertionError("unreachable")
+    name, k = base, 0
+    while name in avoid:
+        k += 1
+        name = f"{base}'{k}"
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .core import (
     well_formed,
 )
 from .frontend import (
+    Item,
     Program,
     Strategy,
     parse_entailment,
@@ -44,6 +45,7 @@ from .frontend import (
 )
 from .matcher import Delta, MatchStore, conjunct_lists, match_strategy
 from .smt import ProofStatus
+from .soundness import scan
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -122,13 +124,15 @@ def apply_action(
 
     Returns the new entailment, reusing each heap no operation touched, the
     binding extended with the names chosen for forall_add/exist_add, and the
-    `Delta` the action made.  A pre-seeded binding for such a name forces
-    that choice (used by trace replay).
+    net change as a `Delta`.  A pre-seeded binding for such a name forces
+    that choice (used by trace replay).  The net change is `soundness.scan`'s
+    on the substituted operations, as for the strategy's condition, and each
+    net erase removes the first occurrence of its formula left in e.
 
     e must be well formed, as `run` checks of its input; every step keeps it
-    so.  Then the names in use are the binders and the free variables of the
-    conjuncts appended and kept, and the result is well formed when each of
-    those is in scope: a left one among the universals, a right one among
+    so.  The parser scope-checks every action variable, so the names in use
+    are the binders, and the result is well formed when each appended
+    conjunct is in scope: a left one among the universals, a right one among
     the universals and existentials.  `instantiate` needs no such check."""
     sigma = dict(binding)
     lists = conjunct_lists(e)
@@ -149,50 +153,44 @@ def apply_action(
         rewritten = tuple((li, p) for li in (2, 3) for p, f in enumerate(after[li]) if f is not lists[li][p])
         return e2, sigma, Delta(rewritten=rewritten)
 
-    left: dict[int, list] = {}  # list number -> e's conjuncts not erased, once one is
-    erased: tuple[list, ...] = ([], [], [], [])
-    added: tuple[list, ...] = ([], [], [], [])  # appended and not erased again
-    universals, existentials = list(e.universals), list(e.existentials)
+    binders = {*e.universals, *e.existentials}
+    ops = []
     for op in s.action:
-        side, _, verb = op.keyword.partition("_")
-        if side in ("left", "right"):
-            g = substitute(op.arg, sigma)
-            li = 2 * (side == "right") + (not isinstance(g, PureFormula))
-            if verb == "add":
-                if not isinstance(g, Emp):
-                    added[li].append(g)
-                continue
-            if li not in left:
-                left[li] = list(lists[li])
-            if g in left[li]:  # e's occurrences come first, as `list.remove` finds them
-                left[li].remove(g)
-                erased[li].append(g)
-            elif g in added[li]:
-                added[li].remove(g)
-            else:
+        if op.keyword in ("forall_add", "exist_add"):
+            name = sigma.get(op.arg)
+            if name is None:
+                name = sigma[op.arg] = Var(fresh_name(op.arg, binders))
+            elif not isinstance(name, Var) or name.name in binders:
                 return None
-            continue
-        # forall_add, exist_add
-        names = set(universals).union(existentials, *(free_vars(f) for a in added for f in a))
-        seeded = sigma.get(op.arg)
-        if seeded is not None:
-            if not isinstance(seeded, Var) or seeded.name in names:
-                return None
-            name = seeded.name
+            binders.add(name.name)
+            ops.append(Item(op.keyword, name.name))
         else:
-            names.update(*map(free_vars, sigma.values()))
-            name = fresh_name(op.arg, names)
-            sigma[op.arg] = Var(name)
-        (universals if side == "forall" else existentials).append(name)
-    u = set(universals)
-    ux = u.union(existentials)
-    if any(not free_vars(f) <= (ux if li > 1 else u) for li, a in enumerate(added) for f in a):
-        return None
-    new = [(*left.get(li, lists[li]), *added[li]) if li in left or added[li] else lists[li] for li in range(4)]
+            ops.append(Item(op.keyword, substitute(op.arg, sigma)))
+    net = scan(ops)
+    universals = {*e.universals, *net.vl_forall}
+    erased: tuple[list, ...] = ([], [], [], [])
+    added: tuple[list, ...] = ([], [], [], [])
+    for r, (minus, plus) in enumerate(((net.l_minus, net.l_plus), (net.r_minus, net.r_plus))):
+        for f in minus:
+            erased[2 * r + (not isinstance(f, PureFormula))].append(f)
+        for f in plus:
+            if not free_vars(f) <= (binders if r else universals):
+                return None
+            if not isinstance(f, Emp):  # the unit of *, which no list holds
+                added[2 * r + (not isinstance(f, PureFormula))].append(f)
+    new = list(lists)
+    for li, gone in enumerate(erased):
+        if gone or added[li]:
+            kept = list(lists[li])
+            for f in gone:
+                if f not in kept:
+                    return None
+                kept.remove(f)
+            new[li] = (*kept, *added[li])
     lhs = e.lhs if new[0] is lists[0] and new[1] is lists[1] else SymbolicHeap(new[0], new[1])
     rhs = e.rhs if new[2] is lists[2] and new[3] is lists[3] else SymbolicHeap(new[2], new[3])
     delta = Delta(tuple(map(tuple, erased)), tuple(map(tuple, added)))
-    return Entailment(tuple(universals), lhs, tuple(existentials), rhs), sigma, delta
+    return Entailment(e.universals + net.vl_forall, lhs, e.existentials + net.vl_exists, rhs), sigma, delta
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +364,7 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     if type(version) is not int or version != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
+    keys: dict[str, set[str]] = {}  # per strategy, its pattern binders and the names its action introduces
 
     def term(x: str, text, where: str) -> Term:
         if not isinstance(text, str):
@@ -398,11 +397,11 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             binding = {x: term(x, text, where) for x, text in substitution.items()}
             if not _matches_at(s, binding, cur):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
-            # the pattern binders and the names the action introduces; any
-            # other recorded key is left out, so the comparison below sees it
-            keys = {b for p in s.patterns for b in p.atom.binders}
-            keys.update(op.arg for op in s.action if op.keyword in ("forall_add", "exist_add"))
-            seeded = {x: t for x, t in binding.items() if x in keys}
+            if s.name not in keys:
+                net = scan(s.action)
+                keys[s.name] = {b for p in s.patterns for b in p.atom.binders}.union(net.vl_forall, net.vl_exists)
+            # any other recorded key is left out, so the comparison below sees it
+            seeded = {x: t for x, t in binding.items() if x in keys[s.name]}
             conditions = run_checks(s, seeded, cur, contexts)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")

@@ -40,10 +40,11 @@ def conjunct_lists(e: Entailment) -> tuple[tuple, tuple, tuple, tuple]:
 
 
 class Delta(NamedTuple):
-    """What one step changed, per conjunct list by list number: the input's
+    """A step's net change, per conjunct list by list number: the input's
     conjuncts it erased, each the first occurrence left at the time, and the
-    ones it appended and kept, in order; and the (list number, position) of
-    each conjunct that `instantiate` rewrote in place."""
+    ones it appended, in order, an add that an erase cancels being neither;
+    and the (list number, position) of each conjunct that `instantiate`
+    rewrote in place."""
 
     erased: tuple[tuple, ...] = ((), (), (), ())
     added: tuple[tuple, ...] = ((), (), (), ())

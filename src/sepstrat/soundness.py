@@ -1,10 +1,13 @@
-"""Soundness condition generation.
+"""Soundness condition generation, and the operation scan it shares with
+the engine.
 
-For an operation-sequence strategy, the infer checks (as assumptions) and
-virtual erase/add pairs (one per pattern) are injected ahead of the real
-action.
-A left-to-right scan with per-side cancellation yields the six-tuple
-(vl_forall, sc, l_minus, l_plus, r_plus, r_minus), from which the condition
+`scan` is the one rule for the net effect of an operation list: an erase
+cancels the latest earlier add of the same formula on its side, and is
+otherwise a net erase.  `engine.apply_action` scans a step's substituted
+operations.  `analyze` scans a strategy's operations after the infer checks
+(as assumptions) and virtual erase/add pairs (one per pattern), and so
+yields the six-tuple (vl_forall, sc, l_minus, l_plus, r_plus, r_minus) from
+which the condition
 
     sc && l_minus |-- exists vl_forall, l_plus * (forall v, r_plus -* r_minus)
 
@@ -14,7 +17,7 @@ r_minus.  Instantiation strategies need no condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .core import (
     AndA,
@@ -36,15 +39,19 @@ from .frontend import Item, Strategy
 Formula = PureFormula | SpatialAtom
 
 
-@dataclass(frozen=True, slots=True)
-class SoundnessAnalysis:
+class SoundnessAnalysis(NamedTuple):
+    """An operation list's net effect as `scan` finds it (minus: erased and
+    not added first, plus: added and not erased again), and the wand's
+    variables v, which `analyze` fills in."""
+
     vl_forall: tuple[str, ...]
     sc: tuple[PureFormula, ...]
     l_minus: tuple[Formula, ...]
     l_plus: tuple[Formula, ...]
     r_plus: tuple[Formula, ...]
     r_minus: tuple[Formula, ...]
-    v: tuple[str, ...]
+    v: tuple[str, ...] = ()
+    vl_exists: tuple[str, ...] = ()
 
 
 def inject_virtual_ops(s: Strategy) -> list[Item]:
@@ -61,45 +68,51 @@ def inject_virtual_ops(s: Strategy) -> list[Item]:
     return assumes + pairs + list(s.action)
 
 
-def analyze(ops: list[Item]) -> SoundnessAnalysis:
-    vl: list[str] = []
+def scan(ops: Iterable[Item]) -> SoundnessAnalysis:
+    """The net effect of ops, read left to right: an erase cancels the latest
+    earlier add of the same formula on its side, and is otherwise a net
+    erase.  Each list keeps operation order.  `*_absent` checks and
+    `instantiate` contribute nothing."""
     sc: list[PureFormula] = []
-    minus: dict[str, list[Formula]] = {"left": [], "right": []}
-    plus: dict[str, list[Formula]] = {"left": [], "right": []}
+    names: tuple[list[str], list[str]] = ([], [])  # forall_add, exist_add
+    minus: tuple[list[Formula], list[Formula]] = ([], [])
+    plus: tuple[list[Formula], list[Formula]] = ([], [])
     for op in ops:
         side, _, verb = op.keyword.partition("_")
-        if op.keyword == "infer":
+        if side == "infer":
             sc.append(op.arg)
-        elif op.keyword == "forall_add":
-            vl.append(op.arg)
-        elif side in plus and verb == "add":
-            plus[side].append(op.arg)
+        elif side in ("forall", "exist"):
+            names[side == "exist"].append(op.arg)
+        elif verb == "add":
+            plus[side == "right"].append(op.arg)
         elif verb == "erase":
-            if op.arg in plus[side]:
-                plus[side].remove(op.arg)
+            added = plus[side == "right"]
+            if op.arg in added:
+                del added[max(i for i, f in enumerate(added) if f == op.arg)]
             else:
-                minus[side].append(op.arg)
-    outside: set[str] = set(vl)
-    for f in sc + minus["left"] + plus["left"]:
-        outside |= set(occurring_vars(f))
-    v: list[str] = []
-    for f in plus["right"] + minus["right"]:
-        for x in occurring_vars(f):
-            if x not in outside and x not in v:
-                v.append(x)
+                minus[side == "right"].append(op.arg)
+    (l_minus, r_minus), (l_plus, r_plus) = minus, plus
     return SoundnessAnalysis(
-        vl_forall=tuple(vl),
-        sc=tuple(sc),
-        l_minus=tuple(minus["left"]),
-        l_plus=tuple(plus["left"]),
-        r_plus=tuple(plus["right"]),
-        r_minus=tuple(minus["right"]),
-        v=tuple(v),
+        tuple(names[0]), tuple(sc), tuple(l_minus), tuple(l_plus), tuple(r_plus), tuple(r_minus), (), tuple(names[1])
     )
 
 
-def _group(pures: list[PureFormula], spatials: list[SpatialAtom]) -> Assertion:
+def analyze(ops: list[Item]) -> SoundnessAnalysis:
+    a = scan(ops)
+    outside = set(a.vl_forall).union(*map(occurring_vars, a.sc + a.l_minus + a.l_plus))
+    return a._replace(v=_vars_outside(a.r_plus + a.r_minus, outside))
+
+
+def _vars_outside(nodes: tuple, bound: set[str]) -> tuple[str, ...]:
+    """The variables of nodes in first-occurrence order, less bound."""
+    occurring = dict.fromkeys(x for f in nodes for x in occurring_vars(f))
+    return tuple(x for x in occurring if x not in bound)
+
+
+def _group(fs: tuple[Formula, ...]) -> Assertion:
     """Pure conjuncts first, the spatial part last: p1 && .. && (s1 * .. * sn)."""
+    pures = [f for f in fs if isinstance(f, PureFormula)]
+    spatials = [f for f in fs if isinstance(f, SpatialAtom)]
     spatial: Assertion
     if not spatials:
         spatial = SpatialA(Emp())
@@ -115,29 +128,16 @@ def _group(pures: list[PureFormula], spatials: list[SpatialAtom]) -> Assertion:
     return parts[0] if len(parts) == 1 else AndA(tuple(parts))
 
 
-def _group_formulas(fs: tuple[Formula, ...]) -> Assertion:
-    pures = [f for f in fs if isinstance(f, PureFormula)]
-    spatials = [f for f in fs if isinstance(f, SpatialAtom)]
-    return _group(pures, spatials)
-
-
 def condition_of(a: SoundnessAnalysis) -> SoundnessCondition:
-    hypothesis = _group(
-        [*a.sc, *(f for f in a.l_minus if isinstance(f, PureFormula))],
-        [f for f in a.l_minus if isinstance(f, SpatialAtom)],
-    )
-    wand: Assertion = Wand(_group_formulas(a.r_plus), _group_formulas(a.r_minus))
+    hypothesis = _group(a.sc + a.l_minus)
+    wand: Assertion = Wand(_group(a.r_plus), _group(a.r_minus))
     if a.v:
         wand = ForallA(a.v, wand)
-    conclusion: Assertion = SepConj((_group_formulas(a.l_plus), wand))
+    conclusion: Assertion = SepConj((_group(a.l_plus), wand))
     if a.vl_forall:
         conclusion = ExistsA(a.vl_forall, conclusion)
-    bound = set(a.vl_forall) | set(a.v)
-    free: list[str] = []
-    for x in occurring_vars(hypothesis) + occurring_vars(conclusion):
-        if x not in bound and x not in free:
-            free.append(x)
-    return SoundnessCondition(hypothesis=hypothesis, conclusion=conclusion, free_vars=tuple(free))
+    free = _vars_outside((hypothesis, conclusion), set(a.vl_forall) | set(a.v))
+    return SoundnessCondition(hypothesis=hypothesis, conclusion=conclusion, free_vars=free)
 
 
 def soundness_of(s: Strategy) -> SoundnessCondition | None:

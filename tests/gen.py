@@ -115,9 +115,9 @@ def spatial_atoms(draw, names: tuple[str, ...] = VAR_NAMES):
 
 
 @st.composite
-def heaps(draw, max_conjuncts: int = 4):
-    pures = draw(st.lists(pure_atoms(), max_size=max_conjuncts))
-    spatials = draw(st.lists(spatial_atoms(), max_size=max_conjuncts))
+def heaps(draw, max_conjuncts: int = 4, names: tuple[str, ...] = VAR_NAMES):
+    pures = draw(st.lists(pure_atoms(names), max_size=max_conjuncts))
+    spatials = draw(st.lists(spatial_atoms(names), max_size=max_conjuncts))
     return SymbolicHeap(tuple(pures), tuple(spatials))
 
 

@@ -165,7 +165,10 @@ def brute_match(s: Strategy, e: Entailment) -> list[PatternSubstitution]:
 
 # ---------------------------------------------------------------------------
 # Reference action: every list rewritten as a whole, the names in use read off
-# every conjunct, and the result checked by the full well-formedness walk.
+# every conjunct, and the result checked by the full well-formedness walk.  An
+# erase cancels the latest conjunct the action appended, when one is equal,
+# and otherwise removes the input's first occurrence; `emp` is appended only
+# to be cancelled, and dropped at the end.
 
 
 def reference_apply_action(
@@ -187,12 +190,12 @@ def reference_apply_action(
         e2 = Entailment(e.universals, e.lhs, remaining, substitute(e.rhs, {v.name: t}))
         return (e2, sigma) if well_formed(e2) else None
 
-    lp, ls = list(e.lhs.pures), list(e.lhs.spatials)
-    rp, rs = list(e.rhs.pures), list(e.rhs.spatials)
+    # each list holds (conjunct, appended by this action)
+    lp, ls, rp, rs = ([(f, False) for f in x] for x in (e.lhs.pures, e.lhs.spatials, e.rhs.pures, e.rhs.spatials))
     universals, existentials = list(e.universals), list(e.existentials)
 
     def current_names() -> set[str]:
-        return set(universals).union(existentials, *map(free_vars, lp + ls + rp + rs))
+        return set(universals).union(existentials, *(free_vars(f) for f, _ in lp + ls + rp + rs))
 
     for op in s.action:
         side, _, verb = op.keyword.partition("_")
@@ -201,12 +204,13 @@ def reference_apply_action(
             pure = isinstance(g, PureFormula)
             target = (lp if pure else ls) if side == "left" else (rp if pure else rs)
             if verb == "add":
-                if not isinstance(g, Emp):
-                    target.append(g)
-            elif isinstance(g, Emp) or g not in target:
+                target.append((g, True))
+                continue
+            mine = [i for i, (f, new) in enumerate(target) if new and f == g]
+            theirs = [i for i, (f, new) in enumerate(target) if not new and f == g]
+            if not mine and not theirs:
                 return None
-            else:
-                target.remove(g)
+            del target[mine[-1] if mine else theirs[0]]
             continue
         seeded = sigma.get(op.arg)
         if seeded is not None:
@@ -217,12 +221,11 @@ def reference_apply_action(
             name = fresh_name(op.arg, current_names().union(*map(free_vars, sigma.values())))
             sigma[op.arg] = Var(name)
         (universals if side == "forall" else existentials).append(name)
-    e2 = Entailment(
-        tuple(universals),
-        SymbolicHeap(tuple(lp), tuple(ls)),
-        tuple(existentials),
-        SymbolicHeap(tuple(rp), tuple(rs)),
-    )
+
+    def heap(pures: list, spatials: list) -> SymbolicHeap:
+        return SymbolicHeap(tuple(f for f, _ in pures), tuple(f for f, _ in spatials if not isinstance(f, Emp)))
+
+    e2 = Entailment(tuple(universals), heap(lp, ls), tuple(existentials), heap(rp, rs))
     return (e2, sigma) if well_formed(e2) else None
 
 

@@ -11,7 +11,7 @@ import gen
 import helpers
 from conftest import CORPUS, load_entailments, load_library, load_perfbench
 from sepstrat import engine, frontend, matcher, smt
-from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, well_formed
+from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, free_vars, well_formed
 from sepstrat.engine import (
     ReductionTrace,
     ReplayError,
@@ -273,27 +273,47 @@ class TestInstantiate:
 
 @st.composite
 def operations(draw):
-    """An entailment e; an action whose operands are e's own conjuncts, on
-    their side, or generated ones that may mention unbound names; and a
-    binding that may seed the names the action adds."""
+    """An entailment e, a binding, and an action scoped as the parser scopes
+    one: an operand's variables are e's binders, the binding's names or
+    names an earlier forall_add/exist_add introduced.  The binding maps
+    names to terms over e's binders, and may seed an introduced name with
+    itself, with a binder or with a term that is not a variable.  An operand
+    is one of e's own conjuncts, on its side, or a generated one."""
     e = draw(gen.entailments(max_conjuncts=4))
+    binders = (*e.universals, *e.existentials)
+    binding = draw(st.dictionaries(st.sampled_from(gen.VAR_NAMES), gen.terms(max_depth=1, names=binders), max_size=2))
     own = [("left", f) for f in (*e.lhs.pures, *e.lhs.spatials)]
     own += [("right", f) for f in (*e.rhs.pures, *e.rhs.spatials)]
-    placed = st.tuples(st.sampled_from(["left", "right"]), gen.pure_atoms() | gen.spatial_atoms())
-    placed = st.sampled_from(own) | placed if own else placed
-    op = st.tuples(st.sampled_from(["add", "erase"]), placed).map(lambda t: (f"{t[1][0]}_{t[0]}", t[1][1]))
-    op |= st.tuples(st.sampled_from(["forall_add", "exist_add"]), st.sampled_from(gen.VAR_NAMES))
-    action = tuple(Item(k, a) for k, a in draw(st.lists(op, min_size=1, max_size=5)))
-    values = st.one_of(gen.variables, gen.terms(max_depth=1))
-    binding = draw(st.just({}) | st.dictionaries(st.sampled_from(gen.VAR_NAMES), values, max_size=2))
-    return e, Strategy("generated", 0, (), (), action), binding
+    scope = [*binders, *binding]
+    introducible = [x for x in gen.VAR_NAMES if x not in binding]
+    action = []
+    for _ in range(draw(st.integers(1, 5))):
+        if introducible and draw(st.integers(0, 3)) == 0:
+            x = draw(st.sampled_from(introducible))
+            introducible.remove(x)
+            scope.append(x)
+            action.append(Item(draw(st.sampled_from(["forall_add", "exist_add"])), x))
+            continue
+        names = tuple(scope)
+        placed = st.tuples(st.sampled_from(["left", "right"]), gen.pure_atoms(names) | gen.spatial_atoms(names))
+        side, f = draw(st.sampled_from(own) | placed if own else placed)
+        action.append(Item(f"{side}_{draw(st.sampled_from(['add', 'erase']))}", f))
+    for op in action:
+        if op.keyword in ("forall_add", "exist_add") and draw(st.integers(0, 3)) == 0:
+            seeds = [Var(op.arg), *map(Var, binders)]
+            binding[op.arg] = draw(st.sampled_from(seeds) | gen.int_lits)
+    return e, Strategy("generated", 0, (), (), tuple(action)), binding
 
 
 @st.composite
 def instantiations(draw):
-    """An entailment e with existentials, and instantiate(x -> term) with x
-    bound to one of them or to another name."""
-    e = draw(gen.entailments(max_conjuncts=4).filter(lambda e: e.existentials))
+    """An entailment e with existentials, most of them in its consequent, and
+    instantiate(x -> term) with x bound to one of them or to another name."""
+    rhs = draw(gen.heaps(max_conjuncts=4))
+    exist = draw(st.sets(st.sampled_from(sorted(free_vars(rhs)) or gen.VAR_NAMES), min_size=1))
+    lhs = draw(gen.heaps(max_conjuncts=4, names=tuple(x for x in gen.VAR_NAMES if x not in exist)))
+    universals = sorted((free_vars(lhs) | free_vars(rhs)) - exist)
+    e = Entailment(tuple(universals), lhs, tuple(sorted(exist)), rhs)
     names = st.sampled_from([*e.universals, *e.existentials, *gen.VAR_NAMES])
     target = draw(st.sampled_from(e.existentials) | names)
     term = draw(st.sampled_from([*e.universals, *e.existentials]).map(Var) | gen.terms(max_depth=2))
@@ -331,21 +351,18 @@ class TestDelta:
     @pytest.mark.parametrize(
         "ops,existentials",
         [
-            # the appended listrep takes l3, so the fresh name is l3'1, which
-            # leaves the listrep's l3 unbound
-            ((("right_add", "listrep(q, l3)"), ("exist_add", "l3")), None),
-            # an appended conjunct erased again takes no name
-            (
-                (("right_add", "listrep(q, l3)"), ("right_erase", "listrep(q, l3)"), ("exist_add", "l3"), ("right_add", "l3 == q")),
-                ("l3",),
-            ),
+            # the appended listrep takes q'1, since q is a binder
+            ((("exist_add", "q"), ("right_add", "listrep(p, q)")), ("q'1",)),
+            # an add erased again cancels, and the input's equal conjunct
+            # keeps its place
+            ((("left_add", "data_at(p, q)"), ("left_erase", "data_at(p, q)")), ()),
             ((("exist_add", "v"), ("left_add", "v == p")), None),  # an existential on the left
             ((("right_add", "zz == p"),), None),  # an unbound name
-            ((("left_add", "v == p"), ("forall_add", "v")), None),  # v'1 leaves v unbound
+            ((("forall_add", "p"), ("left_add", "p == q")), ()),  # p'1, which the add sees
         ],
     )
     def test_named_actions(self, ops, existentials):
-        e = ent("forall p q, data_at(p, q) |-- emp")
+        e = ent("forall p q, data_at(p, q) * data_at(q, p) |-- emp")
         action = []
         for keyword, arg in ops:
             if keyword not in ("exist_add", "forall_add"):

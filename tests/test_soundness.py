@@ -7,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from sepstrat.core import alpha_equivalent, normalize, occurring_vars
+from conftest import CORPUS, load_library, load_perfbench
+from sepstrat.core import PureFormula, alpha_equivalent, normalize, occurring_vars, substitute
+from sepstrat.engine import apply_action, run
 from sepstrat.frontend import (
     Item,
     Pattern,
     PatternAtom,
     Strategy,
     parse_assertion,
+    parse_entailments,
     parse_heap,
+    parse_signature,
     parse_strategies,
     print_node,
 )
+from sepstrat.matcher import conjunct_lists
 from sepstrat.soundness import (
     SoundnessAnalysis,
     analyze,
@@ -162,6 +167,11 @@ class TestAnalyze:
         f = sp("listrep(p, l1)")
         a = analyze([Item("left_erase", f), Item("left_add", f)])
         assert a.l_minus == (f,) and a.l_plus == (f,)
+
+    def test_erase_cancels_the_latest_add(self):
+        f, g = sp("data_at(p, v0)"), pu("x == y")
+        a = analyze([Item("left_add", f), Item("left_add", g), Item("left_add", f), Item("left_erase", f)])
+        assert a.l_plus == (f, g) and a.l_minus == ()
 
     def test_cancellation_is_per_side(self):
         f = pu("x == y")
@@ -325,3 +335,85 @@ class TestCorpusInvariants:
                     assert parse_assertion(print_node(a), sig) is a
                     checked += 1
         assert checked == 20
+
+
+# ---------------------------------------------------------------------------
+# Every operation step is an instance of its strategy's condition: the
+# condition's l_minus/l_plus/r_minus/r_plus under the recorded substitution,
+# netted as multisets, erased from the step's input (first occurrences) and
+# appended in order, give the step's four conjunct lists, and they are the
+# net change, the `Delta`, that the action reports.
+
+PT2_SIG = "spatial pt/2;\n"
+PT2_STG = (
+    "strategy pt2\n  left: pt(?p, ?v)\n  right: pt(p, ?w)\n"
+    "  action: left_add(pt(w, w)); left_erase(pt(w, w)); left_erase(pt(p, v)); right_erase(pt(p, w));\n"
+)
+# the add of pt(w, w) is cancelled by its erase, so the input's pt(b, b)
+# stays where it is, which the second goal shows
+PT2_GOALS = "forall a b c, pt(b, b) * pt(a, c) |-- pt(a, b)\n\nforall a b c d, pt(b, b) * pt(a, c) * pt(d, d) |-- pt(a, b)\n"
+
+
+def _condition_instance(s, sigma):
+    """Per list number, the net erased formulas (a multiset) and the net
+    added ones (in order) of s's condition under sigma.  A minus formula
+    cancels the first equal plus formula, which is a pattern's re-add when
+    one is equal, since those come first."""
+    a = analyze(inject_virtual_ops(s))
+    erased, added = [Counter() for _ in range(4)], [[] for _ in range(4)]
+    for r, (minus, plus) in enumerate(((a.l_minus, a.l_plus), (a.r_minus, a.r_plus))):
+        plus = [substitute(f, sigma) for f in plus]
+        for f in (substitute(f, sigma) for f in minus):
+            if f in plus:
+                plus.remove(f)
+            else:
+                erased[2 * r + (not isinstance(f, PureFormula))][f] += 1
+        for f in plus:
+            added[2 * r + (not isinstance(f, PureFormula))].append(f)
+    return a, erased, added
+
+
+def _operation_steps(prog, entailments):
+    """(strategy, substitution, input, result) of every non-instantiate step
+    of running prog on each entailment."""
+    for e in entailments:
+        before = e
+        for ts in run(prog, e).steps:
+            s = prog.by_name(ts.strategy)
+            if s.action[0].keyword != "instantiate":
+                yield s, dict(ts.substitution), before, ts.entailment_after
+            before = ts.entailment_after
+
+
+def _runs(source):
+    if source == "corpus":
+        for lib in ("array", "common", "sll"):
+            sig, prog = load_library(lib)
+            for path in sorted(CORPUS.glob(f"{lib}_*.sle")):
+                yield from _operation_steps(prog, parse_entailments(path.read_text(), sig, path.name))
+    elif source == "pt2":
+        sig = parse_signature(PT2_SIG)
+        yield from _operation_steps(parse_strategies(PT2_STG, sig), parse_entailments(PT2_GOALS, sig))
+    else:
+        batch = load_perfbench("workloads").WORKLOADS[source](1)
+        sig, prog = load_library(batch.library)
+        yield from _operation_steps(prog, parse_entailments(batch.text, sig, f"{source}.sle"))
+
+
+@pytest.mark.parametrize("source", ["corpus", "cells", "sll", "arrays", "pt2"])
+def test_steps_are_instances_of_their_condition(source):
+    checked = 0
+    for s, sigma, before, after in _runs(source):
+        a, erased, added = _condition_instance(s, sigma)
+        lists = [list(x) for x in conjunct_lists(before)]
+        for li in range(4):
+            for f in erased[li].elements():
+                lists[li].remove(f)
+            lists[li] += added[li]
+        assert tuple(map(tuple, lists)) == conjunct_lists(after)
+        assert after.universals == (*before.universals, *(sigma[x].name for x in a.vl_forall))
+        e2, _, delta = apply_action(s, sigma, before)
+        assert e2 == after
+        assert [Counter(x) for x in delta.erased] == erased and [list(x) for x in delta.added] == added
+        checked += 1
+    assert checked > 0
