@@ -2,18 +2,18 @@
 
 A step picks the first applicable (strategy, match) pair: strategies ordered
 by (priority, declaration index), matches in the matcher's order.  A run
-takes its matches from one `MatchStore`, which keeps them across steps.
-Checks and the action run per candidate match; a failure moves on to the
-next candidate.
+takes its matches from one `MatchStore`, which keeps them across steps and
+yields only the ready ones: `*_absent` checks are part of the match (see
+`matcher`).  The `infer` checks and the action run per candidate match; a
+failure moves on to the next candidate.
 Applied steps are never undone.  Traces serialize to a versioned JSON
 document and can be replayed against it; replay checks each recorded match
-directly, without a store.
+directly, without a store, by `matcher.unready`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -34,7 +34,6 @@ from .core import (
     well_formed,
 )
 from .frontend import (
-    Item,
     Program,
     Strategy,
     parse_entailment,
@@ -43,7 +42,7 @@ from .frontend import (
     print_heap,
     print_node,
 )
-from .matcher import Delta, MatchStore, conjunct_lists, match_strategy
+from .matcher import Delta, MatchStore, Plan, conjunct_lists, match_strategy, unready
 from .smt import ProofStatus
 from .soundness import scan
 
@@ -94,18 +93,18 @@ class ReductionTrace:
 def run_checks(
     s: Strategy, binding: Mapping[str, Term], e: Entailment, contexts: dict | None = None
 ) -> list[SideCondition] | None:
-    """Evaluate the strategy's checks under the binding; None on failure.
+    """Solve the strategy's `infer` checks under the binding, in order, from
+    e's antecedent pures; None once one is not proven.  The `*_absent`
+    checks belong to the match, which the matcher decides.
 
     `contexts` is the solver's cache of one `smt.Context` per antecedent
     pures tuple, kept for one run or one trace, and each context keeps its
     answers by goal; without it each query gets a one-shot context."""
     conditions: list[SideCondition] = []
     for c in s.checks:
-        f = substitute(c.arg, binding)
-        if c.keyword != "infer":  # left_absent, right_absent
-            if f in (e.lhs if c.keyword == "left_absent" else e.rhs).pures:
-                return None
+        if c.keyword != "infer":
             continue
+        f = substitute(c.arg, binding)
         res = smt.infer(e.lhs.pures, f, contexts)
         conditions.append(SideCondition(f, res.status))
         if res.status is not ProofStatus.PROVEN:
@@ -142,11 +141,9 @@ def apply_action(
         if not isinstance(v, Var) or v.name not in e.existentials:
             return None
         t = substitute(term, sigma)
-        fv = free_vars(t)
-        if v.name in fv:
-            return None
         remaining = tuple(x for x in e.existentials if x != v.name)
-        if not fv <= set(e.universals) | set(remaining):
+        # t may use the universals and the other existentials only, so not v
+        if not free_vars(t) <= set(e.universals) | set(remaining):
             return None
         e2 = Entailment(e.universals, e.lhs, remaining, substitute(e.rhs, {v.name: t}))
         after = conjunct_lists(e2)
@@ -163,9 +160,9 @@ def apply_action(
             elif not isinstance(name, Var) or name.name in binders:
                 return None
             binders.add(name.name)
-            ops.append(Item(op.keyword, name.name))
+            ops.append((op.keyword, name.name))
         else:
-            ops.append(Item(op.keyword, substitute(op.arg, sigma)))
+            ops.append((op.keyword, substitute(op.arg, sigma)))
     net = scan(ops)
     universals = {*e.universals, *net.vl_forall}
     erased: tuple[list, ...] = ([], [], [], [])
@@ -324,39 +321,19 @@ def _field(obj: dict, key: str, where: str, kind: type | None = None, default=_R
     return value
 
 
-def _matches_at(s: Strategy, binding: Mapping[str, Term], e: Entailment) -> bool:
-    """Whether the binding is a match of s's patterns against distinct
-    conjunct occurrences of e: one the matcher finds, held back by a
-    `*_absent` check or not.  The binding must bind every pattern binder,
-    each pattern under it must occur in its list, as often as the patterns
-    that instantiate to it, and each `exists` binder must be bound to an
-    existential."""
-    if not all(b in binding for p in s.patterns for b in p.atom.binders):
-        return False
-    lists = conjunct_lists(e)
-    need: Counter = Counter()
-    for p in s.patterns:
-        f = p.atom.formula
-        need[2 * (p.side == "right") + (not isinstance(f, PureFormula)), substitute(f, binding)] += 1
-        for b in p.exists_binders:
-            t = binding[b]
-            if type(t) is not Var or t.name not in e.existentials:
-                return False
-    return all(lists[li].count(f) >= n for (li, f), n in need.items())
-
-
 def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     """Re-execute every step of a trace document; raises ReplayError on any
     divergence from the recorded entailments, substitutions or verdicts, and
     on a document of the wrong shape.
 
-    Each trace's input is parsed once, and each distinct substitution text
-    once per call.  A step is checked directly: the recorded substitution
-    must match the strategy's patterns at the current entailment, and the
-    action, seeded with it, must return it unchanged, with no key added or
-    left over.  Every recorded entailment, side condition goal and frame must
-    equal the printer's text for what replay computes.  Every side condition
-    is solved again, per trace, through one context per hypothesis set.
+    Each trace's input is parsed once, each distinct substitution text once
+    per call, and each strategy compiled once per call.  A step is checked
+    directly: the recorded substitution must be a ready match at the current
+    entailment (`matcher.unready`), and the action, seeded with it, must
+    return it unchanged, with no key added or left over.  Every recorded
+    entailment, side condition goal and frame must equal the printer's text
+    for what replay computes.  Every side condition is solved again, per
+    trace, through one context per hypothesis set.
     Only a trace whose last entailment keeps a spatial conjunct builds a
     match store, to ask whether a step still applies."""
     _object(doc, "document")
@@ -364,7 +341,8 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     if type(version) is not int or version != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
-    keys: dict[str, set[str]] = {}  # per strategy, its pattern binders and the names its action introduces
+    # per strategy, its plan and its keys: the pattern binders and the names its action introduces
+    compiled: dict[str, tuple[Plan, frozenset[str]]] = {}
 
     def term(x: str, text, where: str) -> Term:
         if not isinstance(text, str):
@@ -395,14 +373,17 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
             if s is None:
                 raise ReplayError(f"{where}: unknown strategy {name!r}")
             binding = {x: term(x, text, where) for x, text in substitution.items()}
-            if not _matches_at(s, binding, cur):
+            if s.name not in compiled:
+                plan = Plan(s)
+                introduced = (op.arg for op in s.action if op.keyword in ("forall_add", "exist_add"))
+                compiled[s.name] = plan, plan.binders.union(introduced)
+            plan, keys = compiled[s.name]
+            why = unready(plan, binding, cur)
+            if why in ("patterns", "exists"):
                 raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
-            if s.name not in keys:
-                net = scan(s.action)
-                keys[s.name] = {b for p in s.patterns for b in p.atom.binders}.union(net.vl_forall, net.vl_exists)
             # any other recorded key is left out, so the comparison below sees it
-            seeded = {x: t for x, t in binding.items() if x in keys[s.name]}
-            conditions = run_checks(s, seeded, cur, contexts)
+            seeded = {x: t for x, t in binding.items() if x in keys}
+            conditions = None if why else run_checks(s, seeded, cur, contexts)
             if conditions is None:
                 raise ReplayError(f"{where}: checks of {s.name} no longer pass")
             recorded = _field(st, "side_conditions", where, list, [])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     AndA,
@@ -127,8 +128,7 @@ class Pattern:
     exists_binders: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Item:
+class Item(NamedTuple):
     """One check or action item, by its `.stg` keyword.  arg is a pure
     formula for a check, a conjunct for `*_add`/`*_erase`, a name for
     `forall_add`/`exist_add`, and a (variable, term) pair for

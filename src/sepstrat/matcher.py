@@ -6,6 +6,13 @@ matches nth(i - 0, l).  Matches come out in a deterministic order: by the
 conjunct occurrence of the first pattern, then of the second, and so on, each
 in heap insertion order.
 
+A match is ready to fire when its patterns occur as distinct conjunct
+occurrences ("patterns"), its `exists` binders are bound to existentials
+("exists") and none of its `left_absent`/`right_absent` formulas is present
+("absent").  That is the one readiness rule: a run reads the ready matches
+from a store, replay checks a recorded binding with `unready`, and the
+engine is left only the `infer` checks.
+
 A `MatchStore` keeps every strategy's matches of one entailment and updates
 them as the entailment is rewritten, in the manner of Rete (Forgy 1982) and
 TREAT (Miranker 1987).  Each conjunct occurrence carries a serial that
@@ -22,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import _FIELDS, Entailment, PureFormula, SpatialAtom, Term, Var, substitute
-from .frontend import PatternAtom, Strategy
+from .core import _FIELDS, Entailment, PureFormula, Term, Var, substitute
+from .frontend import Strategy
 
 LEFT = "left"
 RIGHT = "right"
@@ -93,16 +100,6 @@ def _match(pat, target, m: dict[str, Term], binders: frozenset[str]) -> dict[str
     return m
 
 
-def match_atom(
-    pat: PatternAtom,
-    target: PureFormula | SpatialAtom,
-    partial: Mapping[str, Term],
-) -> dict[str, Term] | None:
-    """Match one pattern conjunct against one conjunct occurrence, extending
-    the partial binding.  Returns the extended mapping or None."""
-    return _match(pat.formula, target, dict(partial), frozenset(pat.binders))
-
-
 def _shape(f) -> tuple:
     """(head, first child) of a conjunct: its class with its first label
     (predicate name or operator), and its first argument."""
@@ -118,10 +115,11 @@ def _shape(f) -> tuple:
     return (type(f), label), first
 
 
-class _Plan:
-    """A strategy compiled for the store: per pattern its list number, head,
+class Plan:
+    """A strategy compiled for matching: per pattern its list number, head,
     formula and the variable of its first argument; the binders in pattern
-    order; the `*_absent` formulas with the pure list they look in."""
+    order; the `exists` binders; the `*_absent` formulas with the pure list
+    they look in."""
 
     def __init__(self, s: Strategy) -> None:
         self.pats = []
@@ -135,6 +133,26 @@ class _Plan:
         absent = {"left_absent": 0, "right_absent": 2}
         self.absent = tuple((absent[c.keyword], c.arg) for c in s.checks if c.keyword in absent)
         self.exists = tuple(b for p in s.patterns for b in p.exists_binders)
+
+    def witnessed(self, bindings: Mapping[str, Term], existentials) -> bool:
+        """Whether every `exists` binder is bound to one of existentials."""
+        return all(type(t := bindings[b]) is Var and t.name in existentials for b in self.exists)
+
+
+def unready(plan: Plan, binding: Mapping[str, Term], e: Entailment) -> str | None:
+    """None when the binding is a ready match of plan's strategy at e, as a
+    store at e yields; else the first condition it fails, by name."""
+    if not plan.binders <= binding.keys():
+        return "patterns"
+    lists = conjunct_lists(e)
+    need = [(li, substitute(f, binding)) for li, _, f, _ in plan.pats]
+    if any(lists[li].count(f) < need.count((li, f)) for li, f in need):
+        return "patterns"
+    if not plan.witnessed(binding, e.existentials):
+        return "exists"
+    if any(substitute(f, binding) in lists[li] for li, f in plan.absent):
+        return "absent"
+    return None
 
 
 class _Match:
@@ -152,16 +170,17 @@ class MatchStore:
 
     A strategy's matches are found the first time they are asked for and
     kept from then on.  A match is keyed by the serials of the occurrences it
-    uses, so sorting the keys gives the matcher's order.  A match whose
-    `left_absent` or `right_absent` formula, under its bindings, is present
-    is held back until that formula is erased."""
+    uses, so sorting the keys gives the matcher's order.  A match that fails
+    "exists" is not kept: only rewriting a conjunct it uses, as `instantiate`
+    does, could change that.  One that fails "absent" is held back until its
+    formula is erased."""
 
     def __init__(self, strategies, e: Entailment) -> None:
         self.entailment = e
         self.strategies = tuple(strategies)  # in the order they are tried
         self._number = {id(s): si for si, s in enumerate(self.strategies)}
         n = len(self.strategies)
-        self._plans: list[_Plan | None] = [None] * n  # None until first asked for
+        self._plans: list[Plan | None] = [None] * n  # None until first asked for
         self._listeners: dict[tuple, list[tuple[int, int]]] = {}  # (list, head) -> patterns
         self._matches: list[dict[tuple, _Match]] = [{} for _ in range(n)]
         self._ready: list[list[tuple]] = [[] for _ in range(n)]  # unblocked keys, sorted
@@ -251,9 +270,9 @@ class MatchStore:
 
     # -- the join
 
-    def _activate(self, si: int) -> _Plan:
+    def _activate(self, si: int) -> Plan:
         """Compile strategy si, find its matches and keep them from now on."""
-        plan = self._plans[si] = _Plan(self.strategies[si])
+        plan = self._plans[si] = Plan(self.strategies[si])
         for i, (li, head, _, _) in enumerate(plan.pats):
             self._listeners.setdefault((li, head), []).append((si, i))
         li, head = plan.pats[0][:2]
@@ -299,8 +318,10 @@ class MatchStore:
                 self._extend(si, plan, rest, m2, slots, first, new)
         slots[best] = None
 
-    def _record(self, si: int, plan: _Plan, key: tuple, m: dict[str, Term]) -> None:
+    def _record(self, si: int, plan: Plan, key: tuple, m: dict[str, Term]) -> None:
         bindings = {b: m[b] for b in plan.order if b in m}
+        if plan.exists and not plan.witnessed(bindings, self.entailment.existentials):
+            return
         absent, blocks = (), 0
         if plan.absent:
             absent = tuple(dict.fromkeys((li, substitute(f, bindings)) for li, f in plan.absent))
@@ -324,11 +345,8 @@ class MatchStore:
         si = self._number[id(s)]
         plan = self._plans[si] or self._activate(si)
         keys = sorted(self._matches[si]) if held else self._ready[si][:]
-        existentials = set(self.entailment.existentials) if plan.exists else ()
         for key in keys:
             bindings = self._matches[si][key].bindings
-            if any(type(t := bindings[b]) is not Var or t.name not in existentials for b in plan.exists):
-                continue
             if not held:
                 yield PatternSubstitution(bindings, None)
                 continue
@@ -341,9 +359,8 @@ def match_strategy(s: Strategy, e: Entailment, store: MatchStore | None = None) 
     """Substitutions matching the strategy's patterns against distinct
     conjunct occurrences of the entailment, in deterministic order.
 
-    With a store (which must be at e) the matches come from it, those held
-    back by a present `*_absent` formula are left out, and only the bindings
-    are given; without one, every match is given in full."""
+    With a store, which must be at e, only the ready matches, and only their
+    bindings; without one, every match in full, held back or not."""
     if store is None:
         return MatchStore((s,), e).matches(s, held=True)
     if store.entailment is not e:

@@ -68,29 +68,30 @@ def inject_virtual_ops(s: Strategy) -> list[Item]:
     return assumes + pairs + list(s.action)
 
 
-def scan(ops: Iterable[Item]) -> SoundnessAnalysis:
-    """The net effect of ops, read left to right: an erase cancels the latest
-    earlier add of the same formula on its side, and is otherwise a net
-    erase.  Each list keeps operation order.  `*_absent` checks and
-    `instantiate` contribute nothing."""
+def scan(ops: Iterable[tuple[str, object]]) -> SoundnessAnalysis:
+    """The net effect of ops, (keyword, arg) pairs such as `Item`s, read
+    left to right: an erase cancels the latest earlier add of the same
+    formula on its side, and is otherwise a net erase.  Each list keeps
+    operation order.  `*_absent` checks and `instantiate` contribute
+    nothing."""
     sc: list[PureFormula] = []
     names: tuple[list[str], list[str]] = ([], [])  # forall_add, exist_add
     minus: tuple[list[Formula], list[Formula]] = ([], [])
     plus: tuple[list[Formula], list[Formula]] = ([], [])
-    for op in ops:
-        side, _, verb = op.keyword.partition("_")
+    for keyword, arg in ops:
+        side, _, verb = keyword.partition("_")
         if side == "infer":
-            sc.append(op.arg)
+            sc.append(arg)
         elif side in ("forall", "exist"):
-            names[side == "exist"].append(op.arg)
+            names[side == "exist"].append(arg)
         elif verb == "add":
-            plus[side == "right"].append(op.arg)
+            plus[side == "right"].append(arg)
         elif verb == "erase":
             added = plus[side == "right"]
-            if op.arg in added:
-                del added[max(i for i, f in enumerate(added) if f == op.arg)]
+            if arg in added:
+                del added[max(i for i, f in enumerate(added) if f == arg)]
             else:
-                minus[side == "right"].append(op.arg)
+                minus[side == "right"].append(arg)
     (l_minus, r_minus), (l_plus, r_plus) = minus, plus
     return SoundnessAnalysis(
         tuple(names[0]), tuple(sc), tuple(l_minus), tuple(l_plus), tuple(r_plus), tuple(r_minus), (), tuple(names[1])

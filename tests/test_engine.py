@@ -11,7 +11,19 @@ import gen
 import helpers
 from conftest import CORPUS, load_entailments, load_library, load_perfbench
 from sepstrat import engine, frontend, matcher, smt
-from sepstrat.core import DataAt, Entailment, Eq, IntLit, Rel, SymbolicHeap, Var, free_vars, well_formed
+from sepstrat.core import (
+    DataAt,
+    Entailment,
+    Eq,
+    IntLit,
+    PureFormula,
+    Rel,
+    SymbolicHeap,
+    Var,
+    free_vars,
+    substitute,
+    well_formed,
+)
 from sepstrat.engine import (
     ReductionTrace,
     ReplayError,
@@ -89,7 +101,13 @@ def infer_calls(monkeypatch):
     return calls
 
 
+def unready(s, binding, e):
+    return matcher.unready(matcher.Plan(s), binding, e)
+
+
 class TestRunChecks:
+    # A `*_absent` check is part of the match, which matcher.unready decides;
+    # run_checks solves only `infer` and passes over it.
     ABSENT = stg(
         "strategy s\n  left: data_at(?p, ?v)\n  check: left_absent(p != p);\n"
         "  action: left_add(p != p);\n"
@@ -97,11 +115,13 @@ class TestRunChecks:
 
     def test_absence_holds(self):
         e = ent("forall p v, data_at(p, v) |-- emp")
-        assert run_checks(self.ABSENT, first_binding(self.ABSENT, e), e) == []
+        b = first_binding(self.ABSENT, e)
+        assert unready(self.ABSENT, b, e) is None and run_checks(self.ABSENT, b, e) == []
 
     def test_absence_fails_on_structural_presence(self):
         e = ent("forall p v, p != p && data_at(p, v) |-- emp")
-        assert run_checks(self.ABSENT, first_binding(self.ABSENT, e), e) is None
+        b = first_binding(self.ABSENT, e)
+        assert unready(self.ABSENT, b, e) == "absent" and run_checks(self.ABSENT, b, e) == []
 
     def test_absence_is_structural_not_semantic(self):
         # q != p is logically the same fact but not structurally equal
@@ -111,7 +131,7 @@ class TestRunChecks:
         )
         e = ent("forall p q v w, q != p && data_at(p, v) * data_at(q, w) |-- emp")
         b = {"p": Var("p"), "q": Var("q"), "v": Var("v"), "w": Var("w")}
-        assert run_checks(s, b, e) == []
+        assert unready(s, b, e) is None and run_checks(s, b, e) == []
 
     def test_right_absent(self):
         s = stg(
@@ -119,9 +139,10 @@ class TestRunChecks:
             "  action: left_erase(data_at(p, v));\n"
         )
         free = ent("forall p v, data_at(p, v) |-- emp")
-        assert run_checks(s, first_binding(s, free), free) == []
+        assert unready(s, first_binding(s, free), free) is None
         present = ent("forall p v, data_at(p, v) |-- v == 0")
-        assert run_checks(s, first_binding(s, present), present) is None
+        assert unready(s, first_binding(s, present), present) == "absent"
+        assert run_checks(s, first_binding(s, present), present) == []
 
     def test_infer_records_condition(self):
         s = stg(
@@ -278,7 +299,11 @@ def operations(draw):
     names an earlier forall_add/exist_add introduced.  The binding maps
     names to terms over e's binders, and may seed an introduced name with
     itself, with a binder or with a term that is not a variable.  An operand
-    is one of e's own conjuncts, on its side, or a generated one."""
+    is most often one an earlier operation of the action used, on its side,
+    so that adds and erases of one formula interleave; else one of e's own
+    conjuncts, on its side, or a generated one.  Half the actions open with
+    add f, add g in f's list, add f, erase f: the erase cancels the second
+    add of f, which leaves f before g."""
     e = draw(gen.entailments(max_conjuncts=4))
     binders = (*e.universals, *e.existentials)
     binding = draw(st.dictionaries(st.sampled_from(gen.VAR_NAMES), gen.terms(max_depth=1, names=binders), max_size=2))
@@ -286,7 +311,19 @@ def operations(draw):
     own += [("right", f) for f in (*e.rhs.pures, *e.rhs.spatials)]
     scope = [*binders, *binding]
     introducible = [x for x in gen.VAR_NAMES if x not in binding]
-    action = []
+
+    def fresh():
+        names = tuple(scope)
+        placed = st.tuples(st.sampled_from(["left", "right"]), gen.pure_atoms(names) | gen.spatial_atoms(names))
+        return st.sampled_from(own) | placed if own else placed
+
+    action, used = [], []  # used: the (side, operand) of each add and erase so far
+    if draw(st.booleans()):
+        side, f = draw(fresh())
+        g = draw((gen.pure_atoms if isinstance(f, PureFormula) else gen.spatial_atoms)(tuple(scope)))
+        for x, verb in ((f, "add"), (g, "add"), (f, "add"), (f, "erase")):
+            used.append((side, x))
+            action.append(Item(f"{side}_{verb}", x))
     for _ in range(draw(st.integers(1, 5))):
         if introducible and draw(st.integers(0, 3)) == 0:
             x = draw(st.sampled_from(introducible))
@@ -294,9 +331,8 @@ def operations(draw):
             scope.append(x)
             action.append(Item(draw(st.sampled_from(["forall_add", "exist_add"])), x))
             continue
-        names = tuple(scope)
-        placed = st.tuples(st.sampled_from(["left", "right"]), gen.pure_atoms(names) | gen.spatial_atoms(names))
-        side, f = draw(st.sampled_from(own) | placed if own else placed)
+        side, f = draw(st.sampled_from(used) if used and draw(st.integers(0, 2)) else fresh())
+        used.append((side, f))
         action.append(Item(f"{side}_{draw(st.sampled_from(['add', 'erase']))}", f))
     for op in action:
         if op.keyword in ("forall_add", "exist_add") and draw(st.integers(0, 3)) == 0:
@@ -1060,8 +1096,18 @@ class TestReplay:
 
 # ---------------------------------------------------------------------------
 # The match store against a naive oracle: the same strategy order, the
-# brute-force matcher's matches in its order, run_checks and apply_action on
-# every candidate, nothing kept from one step to the next.
+# brute-force matcher's matches in its order, the `*_absent` checks read off
+# the entailment here, run_checks and apply_action on every candidate,
+# nothing kept from one step to the next.
+
+
+def absent_present(s, binding, e):
+    """Whether a `*_absent` formula of s under the binding is a pure of its side of e."""
+    return any(
+        substitute(c.arg, binding) in (e.lhs if c.keyword == "left_absent" else e.rhs).pures
+        for c in s.checks
+        if c.keyword in ("left_absent", "right_absent")
+    )
 
 
 def oracle_run(prog, e, max_steps):
@@ -1070,6 +1116,8 @@ def oracle_run(prog, e, max_steps):
     def oracle_step(cur):
         for s in order:
             for m in helpers.brute_match(s, cur):
+                if absent_present(s, m.bindings, cur):
+                    continue
                 conditions = run_checks(s, m.bindings, cur)
                 if conditions is None:
                     continue
@@ -1238,6 +1286,48 @@ class TestMatchStore:
         ]
         assert tr.verdict is Verdict.STEP_LIMIT
         assert trace_json(tr) == trace_json(oracle_run(CELLS, e, 12))
+
+
+# ---------------------------------------------------------------------------
+# One readiness rule: at every step entailment of a run, the ready matches
+# its store yields are the one-shot matcher's matches, held back or not, that
+# matcher.unready accepts, in the same order.
+
+
+def assert_store_is_ready_by_the_rule(prog, e):
+    """Step e with one store; before each step and at the end, compare each
+    strategy's ready matches with the rule's.  Returns the step count."""
+    order = engine._ordered(prog)
+    plans = [matcher.Plan(s) for s in order]
+    store = matcher.MatchStore(order, e)
+    cur, steps = e, 0
+    while True:
+        fresh = matcher.MatchStore(order, cur)
+        for s, plan in zip(order, plans):
+            want = [m.bindings for m in fresh.matches(s, held=True) if matcher.unready(plan, m.bindings, cur) is None]
+            assert [m.bindings for m in store.matches(s)] == want, s.name
+        ts = step(prog, cur, store)
+        if ts is None:
+            return steps
+        cur, steps = ts.entailment_after, steps + 1
+
+
+@pytest.mark.parametrize("source,every", [("corpus", 1), ("cells", 1), ("sll", 10), ("arrays", 10)])
+def test_ready_matches_follow_the_rule(source, every):
+    # the corpus and perfbench `cells` seed 1 whole, every tenth `sll` and
+    # `arrays` goal of seed 1
+    if source == "corpus":
+        goals = [
+            (prog, e)
+            for path in sorted(CORPUS.glob("*.sle"))
+            for sig, prog in [load_library(path.stem.split("_")[0])]
+            for e in load_entailments(path.stem, sig)
+        ]
+    else:
+        batch = load_perfbench("workloads").WORKLOADS[source](1)
+        sig, prog = load_library(batch.library)
+        goals = [(prog, e) for e in frontend.parse_entailments(batch.text, sig)[::every]]
+    assert sum(assert_store_is_ready_by_the_rule(prog, e) for prog, e in goals) > len(goals)
 
 
 def cells_goal(k):

@@ -7,8 +7,8 @@ import gen
 import helpers
 from conftest import CORPUS
 from sepstrat.core import IntLit, Var, occurring_vars, substitute
-from sepstrat.frontend import PatternAtom, parse_entailment, parse_strategies
-from sepstrat.matcher import match_atom, match_strategy
+from sepstrat.frontend import parse_entailment, parse_strategies
+from sepstrat.matcher import _match, match_strategy
 
 SIG = gen.test_signature()
 
@@ -174,5 +174,5 @@ def test_brute_force_equivalence(e):
 @settings(max_examples=150)
 def test_pattern_of_every_variable_recovers_the_substitution(f, sigma):
     vs = occurring_vars(f)
-    got = match_atom(PatternAtom(f, tuple(vs)), substitute(f, sigma), {})
+    got = _match(f, substitute(f, sigma), {}, frozenset(vs))
     assert got == {v: sigma[v] for v in vs}

@@ -173,8 +173,9 @@ def test_monotonicity(data, goal, extra):
 
 
 # ---------------------------------------------------------------------------
-# Finite-model soundness: sample queries biased toward provable shapes, then
-# verify every Proven answer against exhaustive grid enumeration.
+# Finite-model soundness: queries biased toward provable shapes, each Proven
+# answer checked against exhaustive grid enumeration.  Acceptance C8 runs 500
+# of them as they are; the big-constants test below shifts them.
 
 GRID_VARS = ("x", "y", "z")
 GRID_FNS = ("f", "g")
@@ -225,21 +226,6 @@ def _biased_query(rng):
     k = IntLit(rng.randint(-2, 2))
     hyps = [Eq(a, Arith("+", b, k)), _random_atom(rng)]
     return hyps, Eq(Arith("-", a, k), b)
-
-
-def test_no_grid_countermodel():
-    rng = random.Random(0xC8)
-    proven = 0
-    attempts = 0
-    while proven < 500:
-        attempts += 1
-        assert attempts < 20000, "query generator failed to produce enough Proven cases"
-        hyps, goal = _biased_query(rng)
-        if infer(hyps, goal).status != PROVEN:
-            continue
-        proven += 1
-        cm = helpers.find_grid_countermodel(hyps, goal, bound=3, carrier=3)
-        assert cm is None, (hyps, goal, cm)
 
 
 # ---------------------------------------------------------------------------
