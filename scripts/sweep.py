@@ -13,6 +13,16 @@ replayed (`replay_document`).  Families:
     sll_chain     k list segments into a trailing listrep (sll library)
     arrays        k arrays read in range (array library)
 
+One family grows the library instead of the goal:
+
+    library_size  the arrays goal at k = 8, its library padded with N
+                  strategies of priority 0, the lowest value, so that every
+                  step tries them before any shipped one; each matches
+                  every (array, read) pair as arr_load_cell does, with an
+                  `infer` check that never holds.  Rows give N, the best
+                  run time, steps, ms_per_step and `check_calls`, the
+                  `engine.run_checks` calls of one run
+
 Three more families time `smt.infer` alone: 2k queries against one
 hypothesis set, asked through one solver context as a run asks them.  Each
 row gives the best time of all of them over REPEAT rounds, each round with
@@ -61,6 +71,52 @@ FAMILIES = {
     "sll_chain": ("sll", lambda wl, rng, k: wl.sll_goal(rng, k, None), range(10, 81, 10)),
     "arrays": ("array", lambda wl, rng, k: wl.arrays_goal(rng, k, k), range(4, 17)),
 }
+
+
+# library_size: (library, the arrays goal size, padding sizes)
+LIBRARY_SIZE = ("array", 8, (0, 25, 50, 100))
+
+
+def _padding(n: int) -> str:
+    """n strategies, before every shipped one in priority order, that match
+    each (array, read) pair and whose check n + j < 0 never holds on an
+    arrays goal, whose antecedent holds 0 <= i_1 and i_bound < n."""
+    return "".join(
+        f"strategy pad_{j}\n  priority: 0\n  left: store_array(?p, ?x, ?y, ?l)\n"
+        f"  right: data_at(p + 4 * ?i, ?v)\n  check: infer(y + {j} < x);\n"
+        f"  action: left_erase(store_array(p, x, y, l));\n\n"
+        for j in range(n)
+    )
+
+
+def _library_size_row(wl, n: int, repeat: int) -> dict:
+    lib, k, _ = LIBRARY_SIZE
+    sig, _ = _library(lib)
+    prog = frontend.parse_strategies((ROOT / "corpus" / f"{lib}.stg").read_text() + _padding(n), sig, "padded")
+    goal = wl.arrays_goal(random.Random(1), k, k)
+    e = frontend.parse_entailment(goal.text, sig)
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        trace = engine.run(prog, e)
+        best = min(best, time.perf_counter() - t0)
+    if trace.verdict.value != goal.expected or any(ts.strategy.startswith("pad_") for ts in trace.steps):
+        raise RuntimeError(f"library_size N={n}: {trace.verdict.value}, expected {goal.expected} with no padding step")
+    calls = 0
+    real = engine.run_checks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    engine.run_checks = counting
+    try:
+        engine.run(prog, e)
+    finally:
+        engine.run_checks = real
+    ms, steps = best * 1000, len(trace.steps)
+    return {"n": n, "ms": round(ms, 3), "steps": steps, "ms_per_step": round(ms / steps, 4), "check_calls": calls}
 
 
 BIG = 2**60
@@ -146,9 +202,10 @@ def _later_layers(text: str, sig, prog, repeat: int) -> tuple[float, float]:
 
 def sweep(sizes=None, repeat: int = REPEAT) -> dict:
     """{family: [{k, ms, steps, ms_per_step, serialise_ms, replay_ms}, ...]},
-    with rows {k, ms, queries, proven, ms_per_query} for the solver
-    families; `sizes` maps a family to the sizes to run instead of its
-    default range."""
+    with rows {n, ms, steps, ms_per_step, check_calls} for library_size and
+    {k, ms, queries, proven, ms_per_query} for the solver families; `sizes`
+    maps a family to the sizes (or paddings) to run instead of its default
+    range."""
     wl = _load_workloads()
     out = {}
     for family, (lib, make, default) in FAMILIES.items():
@@ -177,6 +234,7 @@ def sweep(sizes=None, repeat: int = REPEAT) -> dict:
                 "replay_ms": round(replay * 1000, 3),
             })
         out[family] = rows
+    out["library_size"] = [_library_size_row(wl, n, repeat) for n in (sizes or {}).get("library_size", LIBRARY_SIZE[2])]
     for family, (make, default) in SOLVER_FAMILIES.items():
         out[family] = [_solver_row(k, make(k), repeat) for k in (sizes or {}).get(family, default)]
     return out

@@ -5,7 +5,9 @@ by (priority, declaration index), matches in the matcher's order.  A run
 takes its matches from one `MatchStore`, which keeps them across steps and
 yields only the ready ones: `*_absent` checks are part of the match (see
 `matcher`).  The `infer` checks and the action run per candidate match; a
-failure moves on to the next candidate.
+failure moves on to the next candidate.  A candidate whose checks fail is
+parked in the store until the antecedent pures change, since until then
+they would fail again; one whose action fails stays ready.
 Applied steps are never undone.  Traces serialize to a versioned JSON
 document and can be replayed against it; replay checks each recorded match
 directly, without a store, by `matcher.unready`.
@@ -13,9 +15,9 @@ directly, without a store, by `matcher.unready`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Mapping
 
 from . import smt
@@ -206,9 +208,9 @@ def step(
     A run passes its match store, which must be at e and which an applied
     step moves to its result, and its solver contexts (see `run_checks`).
     The store's strategies are tried in its order, so prog is read only when
-    no store is given.  A store or contexts left out are made for this
-    step.  `_verdict` calls it once past a run's last step to ask whether
-    one still applies."""
+    no store is given, and a match whose checks fail is parked in it.  A
+    store or contexts left out are made for this step.  `_verdict` calls it
+    once past a run's last step to ask whether one still applies."""
     if store is None:
         store = MatchStore(_ordered(prog), e)
     elif store.entailment is not e:
@@ -218,6 +220,7 @@ def step(
         for m in match_strategy(s, e, store):
             conditions = run_checks(s, m.bindings, e, contexts)
             if conditions is None:
+                store.park(s, m)
                 continue
             applied = apply_action(s, m.bindings, e)
             if applied is None:
@@ -297,7 +300,42 @@ def traces_to_document(traces: Iterable[ReductionTrace]) -> dict:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`json.dumps(doc, indent=2)` and a newline, byte for byte, for a
+    document of dicts with string keys, lists, strings, integers and None.
+    `indent` makes `json` use its pure-Python encoder; this writer puts the
+    same text together around `json`'s C string encoder."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, put) -> None:
+    """Put value's JSON text, where newline starts a line at its depth."""
+    cls = type(value)
+    if cls is str:
+        put(_string(value))
+    elif cls is dict or cls is list:
+        if not value:
+            put("{}" if cls is dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if cls is dict else "[") + inner
+        for k, v in value.items() if cls is dict else enumerate(value):
+            head = sep + _string(k) + ": " if cls is dict else sep
+            if type(v) is str:
+                put(head + _string(v))
+            else:
+                put(head)
+                _write(v, inner, put)
+            sep = "," + inner
+        put(newline + ("}" if cls is dict else "]"))
+    elif value is None:
+        put("null")
+    elif cls is int:
+        put(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot write a {cls.__name__} into a trace document")
 
 
 _REQUIRED = object()

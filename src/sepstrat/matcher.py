@@ -19,7 +19,10 @@ TREAT (Miranker 1987).  Each conjunct occurrence carries a serial that
 follows its list order.  A step kills the matches that used an erased
 occurrence and joins only the new occurrences against the rest, both read
 off the step's `Delta`, so its cost follows the size of the change, not of
-the heap.
+the heap.  A ready match whose `infer` checks failed is parked, held back
+like an absent one, until a step changes the antecedent pures that the
+checks are solved against; so a match's checks fail at most once while
+those stay as they are.
 """
 
 from __future__ import annotations
@@ -156,12 +159,13 @@ def unready(plan: Plan, binding: Mapping[str, Term], e: Entailment) -> str | Non
 
 
 class _Match:
-    __slots__ = ("bindings", "absent", "blocks")
+    __slots__ = ("key", "bindings", "absent", "blocks")
 
-    def __init__(self, bindings: dict[str, Term], absent: tuple, blocks: int) -> None:
+    def __init__(self, key: tuple, bindings: dict[str, Term], absent: tuple, blocks: int) -> None:
+        self.key = key
         self.bindings = bindings
         self.absent = absent  # distinct (list number, formula) pairs
-        self.blocks = blocks  # how many of them are present
+        self.blocks = blocks  # how many of them are present, plus one while parked
 
 
 class MatchStore:
@@ -173,7 +177,9 @@ class MatchStore:
     uses, so sorting the keys gives the matcher's order.  A match that fails
     "exists" is not kept: only rewriting a conjunct it uses, as `instantiate`
     does, could change that.  One that fails "absent" is held back until its
-    formula is erased."""
+    formula is erased, and one that `park` takes until list 0, the
+    antecedent pures, changes.  A held match's `blocks` counts its reasons:
+    its present absent formulas, plus one while parked."""
 
     def __init__(self, strategies, e: Entailment) -> None:
         self.entailment = e
@@ -192,6 +198,7 @@ class MatchStore:
         self._buckets: dict[tuple, set[int]] = {}
         self._serials: list[list[int]] = [[], [], [], []]  # ascending, in list order
         self._next = 0
+        self._parked: list[tuple[int, _Match]] = []  # (strategy, match) parked since list 0 last changed
         self.advance(e, Delta(added=conjunct_lists(e)))  # from the empty entailment
 
     # -- keeping up with the entailment
@@ -240,6 +247,25 @@ class MatchStore:
         for li, s, f in born:
             for si, i in self._listeners.get((li, self._occ[s][2]), ()):
                 self._join(si, i, s, f, new)
+        if self._parked and (delta.erased[0] or delta.added[0]):
+            # the antecedent pures changed, so a parked match's checks may now
+            # pass; one killed since it was parked is gone from _matches, and
+            # an instantiate rewrite records a new match under the same key
+            for si, m in self._parked:
+                if self._matches[si].get(m.key) is m:
+                    m.blocks -= 1
+                    if not m.blocks:
+                        self._set_ready(si, m.key, True)
+            self._parked = []
+
+    def park(self, s: Strategy, m: _Match) -> None:
+        """Hold back m, a ready match of s whose `infer` checks fail, until
+        the antecedent pures change: the checks read only those and m's
+        bindings, and the solver gives a goal the same answer every time."""
+        si = self._number[id(s)]
+        m.blocks += 1
+        self._set_ready(si, m.key, False)
+        self._parked.append((si, m))
 
     def _count(self, a: tuple, d: int) -> None:
         """Add d to the occurrences of pure a; a match is held back while any
@@ -326,7 +352,7 @@ class MatchStore:
         if plan.absent:
             absent = tuple(dict.fromkeys((li, substitute(f, bindings)) for li, f in plan.absent))
             blocks = sum(self._present[a] > 0 for a in absent)
-        self._matches[si][key] = _Match(bindings, absent, blocks)
+        self._matches[si][key] = _Match(key, bindings, absent, blocks)
         if not blocks:
             self._set_ready(si, key, True)
         for s in key:
@@ -336,31 +362,34 @@ class MatchStore:
 
     # -- reading matches
 
-    def matches(self, s: Strategy, held: bool = False) -> Iterator[PatternSubstitution]:
+    def matches(self, s: Strategy, held: bool = False) -> Iterator[PatternSubstitution | _Match]:
         """The matches of s in the matcher's order.  With `held`, every match,
-        each with its own bindings and its `used_conjuncts`.  Without, only
-        those not held back by a present `*_absent` formula, which is what a
-        step reads: their bindings are the store's own, to be read and not
-        changed, and `used_conjuncts` is None."""
+        parked or held back or not, each as a `PatternSubstitution` with its
+        own bindings and its `used_conjuncts`.  Without, only the ready ones,
+        which is what a step reads: the store's own records, whose `bindings`
+        are to be read and not changed, and which `park` takes."""
         si = self._number[id(s)]
         plan = self._plans[si] or self._activate(si)
         keys = sorted(self._matches[si]) if held else self._ready[si][:]
         for key in keys:
-            bindings = self._matches[si][key].bindings
+            m = self._matches[si][key]
             if not held:
-                yield PatternSubstitution(bindings, None)
+                yield m
                 continue
             lists = (p[0] for p in plan.pats)
             used = {j: (*_LISTS[li], bisect_left(self._serials[li], c)) for j, (li, c) in enumerate(zip(lists, key))}
-            yield PatternSubstitution(dict(bindings), used)
+            yield PatternSubstitution(dict(m.bindings), used)
 
 
-def match_strategy(s: Strategy, e: Entailment, store: MatchStore | None = None) -> Iterator[PatternSubstitution]:
+def match_strategy(
+    s: Strategy, e: Entailment, store: MatchStore | None = None
+) -> Iterator[PatternSubstitution | _Match]:
     """Substitutions matching the strategy's patterns against distinct
     conjunct occurrences of the entailment, in deterministic order.
 
-    With a store, which must be at e, only the ready matches, and only their
-    bindings; without one, every match in full, held back or not."""
+    With a store, which must be at e, only the ready matches, as the store's
+    records (see `MatchStore.matches`); without one, every match in full,
+    held back or not."""
     if store is None:
         return MatchStore((s,), e).matches(s, held=True)
     if store.entailment is not e:

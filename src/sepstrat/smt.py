@@ -10,8 +10,11 @@ with the reason no refutation was found.
 
 A `Context` asserts one hypothesis set once and answers goals against it:
 each negated goal atom starts from a copy of the hypotheses' closure, and
-some bounds are proven by lookup in the shortest-path closure of the
-hypotheses' difference constraints (Cotton and Maler 2006).
+many bounds are decided by one lookup in the shortest-path closure of the
+hypotheses' difference constraints (Cotton and Maler 2006): proven when the
+negated goal closes a negative cycle, and unknown at once when hypotheses
+and negated goal form a difference system without one, which then has an
+integer model.
 """
 
 from __future__ import annotations
@@ -492,6 +495,15 @@ def _refuted(cc: _CC, diseqs: list[tuple[int, int]]) -> bool:
     return cc.unsat or any(cc.equal(a, b) for a, b in diseqs)
 
 
+def _linear(cc: _CC, n: int) -> bool:
+    """Whether node n is a variable, a literal, true, false, a sum, a
+    difference or a product with a literal factor."""
+    kind, op = cc.labels[n]
+    if kind != "ar":
+        return kind in ("var", "int", "bconst")
+    return op != "*" or any(cc.labels[k][0] == "int" for k in cc.kids[n])
+
+
 class Context:
     """One hypothesis set, asserted once, against which goals are decided.
 
@@ -499,12 +511,13 @@ class Context:
     rows are built as the refutation loop's first round builds them, and so
     is the shortest-path closure of their difference rows.  Every negated
     goal atom starts from that state.  A bound's row is built on the closure
-    itself or, when the row adds nodes, on a copy: it is proven by lookup
-    when the row is one difference edge closing a negative cycle, and
-    otherwise runs the loop on a copy.  An equality or predicate is merged
-    into a copy, and a disequality's node pair joins the hypotheses'.  The
-    answer depends on the goal alone, so each goal is decided once and its
-    answer kept."""
+    itself or, when the row adds nodes, on a copy, and `_lookup` decides it
+    when it can: proven when the row closes a negative cycle, no refutation
+    when the hypotheses and the row are a difference system over linear
+    terms without one.  Otherwise the bound runs the loop on a copy.  An
+    equality or predicate is merged into a copy, and a disequality's node
+    pair joins the hypotheses'.  The answer depends on the goal alone, so
+    each goal is decided once and its answer kept."""
 
     def __init__(self, hyps: Iterable[PureFormula]) -> None:
         st = _State()
@@ -514,16 +527,23 @@ class Context:
         self._answers: dict[PureFormula, QueryResult] = {}
         self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes
         self._hyp_rows: tuple[_Lia, _Lia] | None = None  # bound rows, equality rows
-        self._paths: tuple[bool, dict, list] | None = None  # negative cycle, index, dist
+        # negative cycle, index, dist, and whether the hypotheses are a difference system
+        self._paths: tuple[bool, dict, list, bool] | None = None
         try:
             cc = _CC()
             self._diseqs = [(cc.node(_TRUE), cc.node(_FALSE))] + _closure(st, cc)  # node pairs kept apart
             cc.propagate()
             if not _refuted(cc, self._diseqs):  # else every query is refuted before its rows
                 self._hyp_rows = bounds, eqs = _rows(st.bounds, (), cc), _rows((), st.eqs, cc)
-                index, dist = _Lia(bounds.constraints + eqs.constraints).shortest_paths()
+                rows = bounds.constraints + eqs.constraints
+                index, dist = _Lia(rows).shortest_paths()
                 cycle = bounds.contradiction or eqs.contradiction or any(dist[i][i] < 0 for i in range(len(dist)))
-                self._paths = (cycle, index, dist)
+                difference = (
+                    not st.diseqs
+                    and all(_edge(coeffs) is not None for coeffs, _ in rows)
+                    and all(_linear(cc, n) for n in range(len(cc.labels)))  # so no predicate either
+                )
+                self._paths = (cycle, index, dist, difference)
             self._cc = cc
         except _Budget:
             pass  # so does every query
@@ -550,20 +570,38 @@ class Context:
                 return QueryResult(ProofStatus.UNKNOWN, reason=why)
         return QueryResult(ProofStatus.PROVEN)
 
-    def _closes_cycle(self, goal: _Lia) -> bool:
-        """True when goal, the negated goal's row under the hypotheses'
-        closure, closes a negative cycle with their difference rows:
-        a contradiction the loop's first round refutes by Fourier-Motzkin or,
-        past its budget, by the difference closure."""
-        cycle, index, dist = self._paths
+    def _lookup(self, goal: _Lia, cc: _CC) -> bool | None:
+        """Whether the hypotheses and the negated goal, whose row under cc is
+        goal, are contradictory, as read off the shortest-path closure of the
+        hypotheses' difference rows; None when only the loop can tell.
+
+        True when the row closes a negative cycle with those rows: a
+        contradiction the loop's first round refutes by Fourier-Motzkin or,
+        past its budget, by the difference closure.  False when the
+        hypotheses are a difference system with no negative cycle and no
+        disequality but true and false's, every node of cc is a variable, a
+        literal or linear arithmetic (so no predicate is asserted), and the
+        row is at most one edge and closes no cycle: the system's
+        shortest-path potentials are then an integer model (Cormen et al.,
+        Introduction to Algorithms, 24.4), so no sound refutation exists,
+        and the loop, which adds at most one literal node per node, would
+        not run out of nodes either."""
+        cycle, index, dist, difference = self._paths
         if cycle or goal.contradiction:
             return True
-        if len(goal.constraints) != 1:  # the row holds whatever the values
-            return False
-        (coeffs, k), = goal.constraints
-        u, w = _edge(coeffs) or (None, None)
-        back = dist[index[w]][index[u]] if u in index and w in index else None
-        return back is not None and k + back < 0
+        if goal.constraints:
+            (coeffs, k), = goal.constraints
+            edge = _edge(coeffs)
+            if edge is None:
+                return None
+            u, w = edge
+            back = dist[index[w]][index[u]] if u in index and w in index else None
+            if back is not None and k + back < 0:
+                return True
+        new_nodes = range(len(self._cc.labels), len(cc.labels))  # the goal's, when cc is a copy
+        if not difference or 2 * len(cc.labels) > _MAX_NODES or not all(_linear(cc, n) for n in new_nodes):
+            return None
+        return False
 
     def _refute(self, neg: _State) -> str | None:
         """None when the hypotheses and neg, one negated goal atom, are
@@ -578,8 +616,9 @@ class Context:
             if l not in cc.term_ids or r not in cc.term_ids:  # the goal's row adds nodes
                 cc = cc.copy()
             goal = _rows(neg.bounds, (), cc)
-            if self._closes_cycle(goal):
-                return None
+            refuted = self._lookup(goal, cc)
+            if refuted is not None:
+                return None if refuted else NO_REFUTATION
             bounds, eqs = self._hyp_rows
             lia = _Lia(
                 bounds.constraints + goal.constraints + eqs.constraints,

@@ -202,3 +202,88 @@ def strategy_defs(draw, name: str = "s"):
 def programs(draw, max_strategies: int = 3):
     n = draw(st.integers(1, max_strategies))
     return Program(tuple(draw(strategy_defs(f"s{i}")) for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# Linear systems for the solver.  Terms are over LINEAR_NAMES.
+
+LINEAR_NAMES = ("p", "q", "x", "y", "i", "n")
+
+
+def _difference_row(u: str | None, w: str | None, d: int, form: int):
+    """u - w <= d, written in one of five ways; None stands for 0."""
+    if w is None:
+        return Rel("<=", Var(u), IntLit(d)) if form % 2 else Rel(">=", IntLit(d), Var(u))
+    if u is None:
+        return Rel(">=", Var(w), IntLit(-d)) if form % 2 else Rel("<=", IntLit(-d), Var(w))
+    U, W = Var(u), Var(w)
+    return (
+        Rel("<=", Arith("-", U, W), IntLit(d)),
+        Rel("<=", U, Arith("+", W, IntLit(d))),
+        Rel("<", U, Arith("+", W, IntLit(d + 1))),
+        Rel(">=", Arith("+", W, IntLit(d)), U),
+        Rel(">=", W, Arith("-", U, IntLit(d))),
+    )[form]
+
+
+@st.composite
+def difference_systems(draw):
+    """(hyps, unknown, other): hypotheses that hold in a drawn integer model,
+    most of them difference rows and the rest not (a scaled or summed row, a
+    product, a disequality, a predicate, a bound on a function application);
+    bound goals that fail in the model, so no sound solver proves them; and
+    bound goals that hold in it, which may or may not follow.  Values reach
+    past float precision when the model is shifted by 2**60."""
+    shift = draw(st.sampled_from((0, 2**60)))
+    value = {v: shift + draw(st.integers(-6, 6)) for v in LINEAR_NAMES}
+    value[None] = 0
+    ends = st.lists(st.sampled_from((None,) + LINEAR_NAMES), min_size=2, max_size=2, unique=True)
+
+    def row(d_offset: int):
+        u, w = draw(ends)
+        return _difference_row(u, w, value[u] - value[w] + d_offset, draw(st.integers(0, 4)))
+
+    def other():
+        u, w = (Var(v) for v in draw(st.lists(st.sampled_from(LINEAR_NAMES), min_size=2, max_size=2, unique=True)))
+        a, b = value[u.name], value[w.name]
+        slack = draw(st.integers(0, 2))
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            c = draw(st.sampled_from((2, 3, -2)))
+            return Rel("<=", Arith("*", IntLit(c), u), Arith("+", w, IntLit(c * a - b + slack)))
+        if kind == 1:
+            return Rel("<=", Arith("+", u, w), IntLit(a + b + slack))
+        if kind == 2:
+            return Rel("<=", Arith("*", u, w), IntLit(a * b + slack))
+        if kind == 3 and a != b:
+            return Rel("!=", u, w)
+        if kind == 4:
+            return PredP("neg", (u, w, IntLit(slack)))
+        # app(u, w) takes a value below every bound drawn for it
+        return Rel("<=", Apply("app", (u, w)), IntLit(slack))
+
+    hyps = [
+        row(draw(st.integers(0, 3))) if draw(st.integers(0, 3)) else other()  # three in four a difference row
+        for _ in range(draw(st.integers(1, 7)))
+    ]
+    unknown = [row(-1 - draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 4)))]
+    holds = [row(draw(st.integers(0, 2))) for _ in range(draw(st.integers(0, 3)))]
+    return hyps, unknown, holds
+
+
+@st.composite
+def dense_linear_systems(draw):
+    """Equalities sum(c_v * v) == k over the six LINEAR_NAMES with
+    coefficients in -3..3, zero the least likely: enough to run
+    Fourier-Motzkin past a small budget.  Equalities, not bounds, so that a
+    closure numbers their terms first, whatever the goal."""
+    rows = []
+    coefficient = st.sampled_from((1, -1, 2, -2, 3, -3, 0))
+    for _ in range(draw(st.integers(6, 9))):
+        coeffs = draw(st.lists(coefficient, min_size=len(LINEAR_NAMES), max_size=len(LINEAR_NAMES)))
+        terms = [Arith("*", IntLit(c), Var(v)) for c, v in zip(coeffs, LINEAR_NAMES) if c]
+        lhs = terms[0] if terms else IntLit(0)
+        for t in terms[1:]:
+            lhs = Arith("+", lhs, t)
+        rows.append(Eq(lhs, IntLit(draw(st.integers(-5, 5)))))
+    return rows

@@ -250,8 +250,9 @@ class ReferenceContext(smt.Context):
                 if l not in cc.term_ids or r not in cc.term_ids:
                     cc = cc.copy()
                 goal = smt._rows(neg.bounds, (), cc)
-                if self._closes_cycle(goal):
-                    return None
+                refuted = self._lookup(goal, cc)
+                if refuted is not None:
+                    return None if refuted else smt.NO_REFUTATION
                 bounds, eqs = self._hyp_rows
                 lia = smt._Lia(
                     bounds.constraints + goal.constraints + eqs.constraints,

@@ -309,14 +309,32 @@ class TestReasons:
         assert infer(hs, parse_pure("x <= y", SIG)).reason == smt.BUDGET_NODES
         assert smt.Context(hs).infer(parse_pure("x == y", SIG)).reason == smt.BUDGET_NODES
 
+    def test_node_budget_of_the_loop_on_a_difference_system(self, monkeypatch):
+        # the hypotheses fit in 7 nodes, and the loop pins x to 3, a literal
+        # it must add; so the lookup leaves the query to the loop
+        hs, goal = pures("x <= y + 1", "y <= 2", "y + 1 <= x", "2 <= y"), parse_pure("x <= 2", SIG)
+        assert infer(hs, goal).reason == smt.NO_REFUTATION
+        monkeypatch.setattr(smt, "_MAX_NODES", 7)
+        assert infer(hs, goal).reason == smt.BUDGET_NODES
+
     def test_fourier_motzkin_budget(self, monkeypatch):
-        # four rows, and the first derived row is one too many
-        hs, goal = pures("x <= y", "y <= z", "z <= x + 5"), parse_pure("z <= x", SIG)
+        # four rows, and the first derived row is one too many; the row of
+        # z <= x + y + 5 is no difference edge, so the lookup leaves the
+        # query to the loop
+        hs, goal = pures("x <= y", "y <= z", "z <= x + y + 5"), parse_pure("z <= x", SIG)
         assert infer(hs, goal).reason == smt.NO_REFUTATION
         monkeypatch.setattr(smt, "_MAX_FM_CONSTRAINTS", 3)
         assert infer(hs, goal).reason == smt.BUDGET_FM
         # a contradiction the difference closure finds still proves
         assert infer(hs, parse_pure("x <= z", SIG)).status == PROVEN
+
+    def test_difference_system_needs_no_budget(self, monkeypatch):
+        # a difference system with no negative cycle: the lookup answers
+        # where the loop would run out of budget
+        hs, goal = pures("x <= y", "y <= z", "z <= x + 5"), parse_pure("z <= x", SIG)
+        monkeypatch.setattr(smt, "_MAX_FM_CONSTRAINTS", 3)
+        assert infer(hs, goal).reason == smt.NO_REFUTATION
+        assert _without_lookup(hs, goal).reason == smt.BUDGET_FM
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +378,15 @@ def _fm_refutes(rows, goal) -> bool:
     return lia.fm_unsat()
 
 
+def _loop_only():
+    """Every bound goal runs the refutation loop: the lookup never answers."""
+    return mock.patch.object(smt.Context, "_lookup", lambda self, goal, cc: None)
+
+
 def _without_lookup(hyps, goal) -> QueryResult:
     """The refutation loop's answer alone, from a one-shot context whose
-    lookup never fires."""
-    with mock.patch.object(smt.Context, "_closes_cycle", lambda self, goal: False):
+    lookup never answers."""
+    with _loop_only():
         return infer(hyps, goal)
 
 
@@ -375,7 +398,9 @@ def test_lookup_proves_exactly_what_fourier_motzkin_refutes(rows, goal_row):
     neg = smt._State()
     smt._assert_formula(_row_formula(*goal_row), neg, False)
     refuted = _fm_refutes(rows, goal_row)
-    assert ctx._closes_cycle(smt._rows(neg.bounds, (), ctx._cc.copy())) == refuted
+    cc = ctx._cc.copy()
+    # on a difference system the lookup always answers, one way or the other
+    assert ctx._lookup(smt._rows(neg.bounds, (), cc), cc) is refuted
     assert (ctx.infer(_row_formula(*goal_row)).status is PROVEN) == refuted
 
 
@@ -439,7 +464,7 @@ def test_shared_context_answers_as_one_shot_on_engine_queries(monkeypatch):
         contexts = {}
         shared = [real(h, g, contexts) for h, g in queries]
         assert shared == [real(h, g) for h, g in queries]
-        with mock.patch.object(smt.Context, "_closes_cycle", lambda self, goal: False):
+        with _loop_only():
             assert shared == [real(h, g) for h, g in queries]
         asked += len(queries)
     assert asked > 2 * 1200
@@ -456,13 +481,74 @@ def _not_a_bound_when_negated(f) -> bool:
 
 
 @pytest.mark.parametrize("fm_budget", [smt._MAX_FM_CONSTRAINTS, 30])
-@given(
-    st.lists(gen.pure_atoms(), max_size=6),
-    st.lists(gen.pure_atoms().filter(_not_a_bound_when_negated), min_size=1, max_size=4),
+def test_closure_copy_start_answers_as_a_fresh_closure(fm_budget):
+    # dense systems run Fourier-Motzkin past a budget of 30 rows, so that
+    # case checks the budget path too
+    reasons = set()
+
+    @given(
+        st.one_of(st.lists(gen.pure_atoms(), max_size=6), gen.dense_linear_systems()),
+        st.lists(gen.pure_atoms().filter(_not_a_bound_when_negated), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def check(hyps, goals):
+        with mock.patch.object(smt, "_MAX_FM_CONSTRAINTS", fm_budget):
+            ctx, ref = smt.Context(hyps), helpers.ReferenceContext(hyps)
+            for goal in goals:
+                got = ctx.infer(goal)
+                assert got == ref.infer(goal), goal
+                reasons.add(got.reason)
+
+    check()
+    assert fm_budget != 30 or smt.BUDGET_FM in reasons, reasons
+
+
+# ---------------------------------------------------------------------------
+# The lookup's no-refutation answer: on difference systems, some mixed with
+# rows that are no difference edge, the lookup and the loop give the same
+# status, and the same reason but where the loop runs out of budget; a goal
+# that fails in the system's model is never proven.
+
+
+@pytest.mark.parametrize(
+    "hyps,goal",
+    [
+        (["x <= 3", "x != 3"], "x <= 2"),  # a disequality
+        (["neg(x, y, 0)", "!(neg(y, y, 0))", "x <= y"], "x < y"),  # a predicate
+        (["x <= z", "app(x, x) < app(z, z)"], "x < z"),  # an application among the hypotheses
+        (["x <= z", "field_addr(x, data) < field_addr(z, data)"], "x < z"),  # a field address
+        (["x <= z", "z <= x"], "app(x, x) <= app(z, z)"),  # an application the goal adds
+        (["x <= 2", "2 <= x", "y <= 3", "3 <= y", "x * y <= z"], "6 <= z"),  # a product of unknowns
+        (["x <= 2", "2 <= x", "y <= 3", "3 <= y"], "x * y <= 6"),  # ... that the goal adds
+    ],
 )
-@settings(max_examples=100, deadline=None)
-def test_closure_copy_start_answers_as_a_fresh_closure(fm_budget, hyps, goals):
-    with mock.patch.object(smt, "_MAX_FM_CONSTRAINTS", fm_budget):
-        ctx, ref = smt.Context(hyps), helpers.ReferenceContext(hyps)
-        for goal in goals:
-            assert ctx.infer(goal) == ref.infer(goal), goal
+def test_lookup_leaves_to_the_loop(hyps, goal):
+    # difference rows all, no negative cycle, and the negated goal closes
+    # none; what makes each provable is outside the difference system
+    assert status(hyps, goal) == PROVEN
+
+
+def test_lookup_answers_as_the_loop_on_difference_systems():
+    lookups = []
+    real = smt.Context._lookup
+
+    def spy(self, goal, cc):
+        lookups.append(real(self, goal, cc))
+        return lookups[-1]
+
+    @given(gen.difference_systems())
+    @settings(max_examples=200, deadline=None)
+    def check(system):
+        hyps, unknown, holds = system
+        contexts = {}
+        for goal in unknown + holds:
+            with mock.patch.object(smt.Context, "_lookup", spy):
+                got = infer(hyps, goal, contexts)
+            loop = _without_lookup(hyps, goal)
+            assert got.status is loop.status, goal
+            assert got.reason == loop.reason or (got.reason, loop.reason) == (smt.NO_REFUTATION, smt.BUDGET_FM)
+            assert got.status is UNKNOWN or goal not in unknown
+
+    check()
+    # every outcome is reached: proven, no refutation, and left to the loop
+    assert {True, False, None} <= set(lookups), set(lookups)

@@ -1,5 +1,5 @@
 """Smoke test of scripts/sweep.py on the smallest size of each family,
-the solver families included."""
+the solver families included, and on two paddings of library_size."""
 
 from __future__ import annotations
 
@@ -24,8 +24,16 @@ def test_sweep_reports_each_family():
     sweep = _load_sweep()
     smallest = {family: [min(sizes)] for family, (_, _, sizes) in sweep.FAMILIES.items()}
     smallest |= {family: [min(sizes)] for family, (_, sizes) in sweep.SOLVER_FAMILIES.items()}
+    smallest["library_size"] = [0, 25]
     result = sweep.sweep(sizes=smallest, repeat=1)
-    assert sorted(result) == sorted([*sweep.FAMILIES, *sweep.SOLVER_FAMILIES])
+    assert sorted(result) == sorted([*sweep.FAMILIES, "library_size", *sweep.SOLVER_FAMILIES])
+    bare, padded = result.pop("library_size")
+    assert (bare["n"], padded["n"]) == (0, 25) and bare["steps"] == padded["steps"] > 0
+    for row in (bare, padded):
+        assert row["ms_per_step"] == pytest.approx(row["ms"] / row["steps"], abs=1e-3)
+    # a padded strategy's match is checked once, then parked: k = 8 arrays,
+    # each matched with its one read
+    assert padded["check_calls"] - bare["check_calls"] == 25 * 8
     for family in sweep.SOLVER_FAMILIES:
         [row] = result.pop(family)
         assert row["k"] == smallest[family][0]
