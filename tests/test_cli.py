@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import random
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -496,23 +501,45 @@ def one_token_mutants(n, seed):
         yield path, text[:i] + new + text[j:]
 
 
-def test_one_token_mutants_end_in_a_diagnostic(tmp_path, capsys):
+@functools.cache
+def mutant_runs() -> tuple[tuple[str, str, str, int, str], ...]:
+    """(file name, text, mode, exit code, stderr) of the 300 seed-20 mutants,
+    each run with the rest of its library under `validate` and `frame`.  In
+    stderr a mutant file reads `mutant<k>.<suffix>` and a corpus file
+    `corpus/<name>`, wherever the runs were made."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for k, (path, text) in enumerate(one_token_mutants(300, seed=20)):
+            lib = re.match(r"[a-z]+", path.name).group()
+            files = {".sig": CORPUS / f"{lib}.sig", ".stg": CORPUS / f"{lib}.stg", ".sle": min(CORPUS.glob(f"{lib}_*.sle"))}
+            files[path.suffix] = Path(tmp) / f"mutant{k}{path.suffix}"
+            files[path.suffix].write_text(text)
+            args = ["--sig", str(files[".sig"]), "--strategies", str(files[".stg"]), "--input", str(files[".sle"])]
+            for mode in ("validate", "frame"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = run_cli(mode, *args)
+                err = err.getvalue().replace(f"{tmp}/", "").replace(f"{CORPUS}/", "corpus/")
+                runs.append((path.name, text, mode, rc, err))
+    return tuple(runs)
+
+
+def mutant_diagnostics() -> str:
+    """One line per mutant run: its number, file, mode, exit code and stderr."""
+    return "".join(
+        f"{k // 2} {name} {mode} {rc}: {err or chr(10)}" for k, (name, _, mode, rc, err) in enumerate(mutant_runs())
+    )
+
+
+def test_one_token_mutants_end_in_a_diagnostic():
     """A mutant, run with the rest of its library, ends in a verdict or in
     exactly one path:line:col diagnostic, and never in an exception."""
-    for k, (path, text) in enumerate(one_token_mutants(300, seed=20)):
-        lib = re.match(r"[a-z]+", path.name).group()
-        files = {".sig": CORPUS / f"{lib}.sig", ".stg": CORPUS / f"{lib}.stg", ".sle": min(CORPUS.glob(f"{lib}_*.sle"))}
-        files[path.suffix] = tmp_path / f"mutant{k}{path.suffix}"
-        files[path.suffix].write_text(text)
-        args = ["--sig", str(files[".sig"]), "--strategies", str(files[".stg"]), "--input", str(files[".sle"])]
-        for mode in ("validate", "frame"):
-            rc = run_cli(mode, *args)
-            err = capsys.readouterr().err
-            assert rc in (0, 1, 2), (path.name, text)
-            if rc == 2:
-                assert re.fullmatch(r"\S+:\d+:\d+: [^\n]*\n", err), (path.name, text, err)
-            else:
-                assert err == "", (path.name, text, err)
+    for name, text, mode, rc, err in mutant_runs():
+        assert rc in (0, 1, 2), (name, text)
+        if rc == 2:
+            assert re.fullmatch(r"\S+:\d+:\d+: [^\n]*\n", err), (name, text, err)
+        else:
+            assert err == "", (name, text, err)
 
 
 def test_console_entry_point(tmp_path):

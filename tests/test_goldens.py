@@ -3,7 +3,9 @@
 For each `corpus/*.sle` input, `sepstrat frame --trace` stdout and trace JSON;
 for each corpus library, `print_program` of its parsed strategies; for the
 perfbench workloads at two seeds, the sha256 and byte length of the trace JSON
-of the whole batch.  Any change to the bytes is a change to the CLI output,
+of the whole batch; for the 300 one-token mutants of the corpus, the stderr
+of `validate` and `frame`, so that every diagnostic's position and wording is
+pinned.  Any change to the bytes is a change to the CLI output,
 the trace format, the printers or the rewriting itself, and needs a
 deliberate regeneration:
 
@@ -20,6 +22,7 @@ import pytest
 
 from conftest import CORPUS, GOLDENS, load_library, load_perfbench
 from sepstrat import engine
+from test_cli import mutant_diagnostics
 from sepstrat.cli import main
 from sepstrat.frontend import parse_entailments, print_program
 
@@ -84,6 +87,10 @@ def test_perfbench_trace(workload, seed):
     assert _perfbench_trace(workload, seed) == pinned[workload, str(seed)]
 
 
+def test_mutant_diagnostics():
+    assert mutant_diagnostics().encode() == (GOLDENS / "mutant_diagnostics.txt").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -96,4 +103,5 @@ if __name__ == "__main__":
         (GOLDENS / f"program_{lib}.stg").write_bytes(_program(lib))
     lines = [_perfbench_trace(w, seed) for w, seed in PERFBENCH_RUNS]
     (GOLDENS / "perfbench_traces.txt").write_text("\n".join(lines) + "\n")
-    print(f"wrote {2 * len(INPUTS) + len(LIBRARIES) + 1} goldens to {GOLDENS}", file=sys.stderr)
+    (GOLDENS / "mutant_diagnostics.txt").write_bytes(mutant_diagnostics().encode())
+    print(f"wrote {2 * len(INPUTS) + len(LIBRARIES) + 2} goldens to {GOLDENS}", file=sys.stderr)
