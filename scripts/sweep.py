@@ -23,6 +23,17 @@ One family grows the library instead of the goal:
                   run time, steps, ms_per_step and `check_calls`, the
                   `engine.run_checks` calls of one run
 
+One family times the parser alone:
+
+    parse         each perfbench workload's seed-1 batch at 25, 50, 100 and
+                  200 goals: `parse_entailments` of the batch text (source
+                  "batch") and `parse_entailment` of each goal's printed
+                  text, which is what a trace records as its input and
+                  replay parses (source "trace_inputs").  Rows give the
+                  workload, goals, source, chars, the best `parse_ms` and
+                  `chars_per_ms`, which stays flat while the parse cost is
+                  linear in the text
+
 Three more families time `smt.infer` alone: 2k queries against one
 hypothesis set, asked through one solver context as a run asks them.  Each
 row gives the best time of all of them over REPEAT rounds, each round with
@@ -149,6 +160,38 @@ def _eq_chain(k: int, c: int) -> list[tuple[list, list]]:
     return [(hyps, goals)]
 
 
+# parse: (workloads, goal counts)
+PARSE = (("cells", "sll", "arrays"), (25, 50, 100, 200))
+
+
+def _best_ms(fn, repeat: int) -> float:
+    """The best wall time of fn() over repeat calls, in milliseconds; fn's
+    result is dropped at once, so each call builds its nodes afresh."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1000
+
+
+def _parse_rows(wl, n: int, repeat: int) -> list[dict]:
+    rows = []
+    for workload in PARSE[0]:
+        batch = wl.WORKLOADS[workload](1, n)
+        sig, _ = _library(batch.library)
+        inputs = [frontend.print_entailment(e) for e in frontend.parse_entailments(batch.text, sig)]
+        timed = {
+            "batch": (len(batch.text), lambda: frontend.parse_entailments(batch.text, sig)),
+            "trace_inputs": (sum(map(len, inputs)), lambda: [frontend.parse_entailment(t, sig) for t in inputs]),
+        }
+        for source, (chars, fn) in timed.items():
+            ms = _best_ms(fn, repeat)
+            rows.append({"workload": workload, "goals": n, "source": source, "chars": chars,
+                         "parse_ms": round(ms, 3), "chars_per_ms": round(chars / ms, 1)})
+    return rows
+
+
 # family -> (query sets of size k, sizes)
 SOLVER_FAMILIES = {
     "ineq_chain": (lambda k: _ineq_chain(k, 1), range(4, 33, 4)),
@@ -202,7 +245,8 @@ def _later_layers(text: str, sig, prog, repeat: int) -> tuple[float, float]:
 
 def sweep(sizes=None, repeat: int = REPEAT) -> dict:
     """{family: [{k, ms, steps, ms_per_step, serialise_ms, replay_ms}, ...]},
-    with rows {n, ms, steps, ms_per_step, check_calls} for library_size and
+    with rows {n, ms, steps, ms_per_step, check_calls} for library_size,
+    {workload, goals, source, chars, parse_ms, chars_per_ms} for parse and
     {k, ms, queries, proven, ms_per_query} for the solver families; `sizes`
     maps a family to the sizes (or paddings) to run instead of its default
     range."""
@@ -235,6 +279,7 @@ def sweep(sizes=None, repeat: int = REPEAT) -> dict:
             })
         out[family] = rows
     out["library_size"] = [_library_size_row(wl, n, repeat) for n in (sizes or {}).get("library_size", LIBRARY_SIZE[2])]
+    out["parse"] = [row for n in (sizes or {}).get("parse", PARSE[1]) for row in _parse_rows(wl, n, repeat)]
     for family, (make, default) in SOLVER_FAMILIES.items():
         out[family] = [_solver_row(k, make(k), repeat) for k in (sizes or {}).get(family, default)]
     return out

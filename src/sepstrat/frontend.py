@@ -1,8 +1,10 @@
 """Concrete syntax: signatures, entailments, strategies, assertions.
 
-A lexer driven by one regular expression, and recursive-descent parsers.
-Terms, pure formulas and assertions are parsed by one precedence-climbing
-loop over OPERATORS, which the printer reads too.  The signature drives the
+A lexer that turns a text into its token strings with one regular
+expression call, and recursive-descent parsers over those strings; a
+token's line and column are recovered from its index only when a diagnostic
+is raised.  Terms, pure formulas and assertions are parsed by one
+precedence-climbing loop over OPERATORS, which the printer reads too.  The signature drives the
 classification of `*` (separating conjunction after a complete atom,
 multiplication inside a term) and of identifier applications (spatial
 predicate, pure predicate, or function).  Printers are exact inverses on
@@ -172,52 +174,56 @@ UNDECLARABLE = STRUCTURAL_KEYWORDS | SECTION_KEYWORDS | frozenset(ITEMS) | froze
 # Lexer
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        self.kind = kind  # "ident" | "int" | "punct" | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-# One alternative per token class, tried in this order at each position.  A
-# comment does not move the column.  Numbers are ASCII digits only, since
-# `int` rejects digits like `²` that `str.isdigit` accepts; an identifier is
-# a letter or `_` and then letters, digits, `_` and `'`, where `\w` is
-# `str.isalnum` or `_`, so its first character is checked for `str.isalpha`.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<int>[0-9]+)|(?P<ident>\w[\w']*)"
-    r"|(?P<punct>\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[(),;:*+\-/!?<>])"  # longest first
-)
+# One alternative per token, tried in this order at each position: a comment,
+# a number, an identifier, a punctuation (longest first), and any other
+# character but white space, which `_lex` reports as unexpected.  Numbers are
+# ASCII digits only, since `int` rejects digits like `²` that `str.isdigit`
+# accepts; an identifier is a letter or `_` and then letters, digits, `_` and
+# `'`, where `\w` is `str.isalnum` or `_`, so its first character is checked
+# for `str.isalpha`.
+_TOKEN = re.compile(r"//[^\n]*|[0-9]+|\w[\w']*|\|--|<->|->|-\*|==|!=|<=|>=|&&|\|\||[^ \t\r\n]")
+_PUNCTS = frozenset("|-- <-> -> -* == != <= >= && || ( ) , ; : * + - / ! ? < >".split())
 
 
-def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
-    """The tokens of text, then two eof tokens, so that looking one token
-    past the end still reads eof."""
-    toks: list[Token] = []
-    match = _TOKEN.match
-    i = 0
-    line = start_line
-    line_start = 0  # where column 1 of the line is
-    n = len(text)
-    while i < n:
-        m = match(text, i)
-        kind = m and m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = i + 1
-        elif kind == "comment":
-            line_start += m.end() - i  # only a newline or the end follows
-        elif kind != "space":
-            if kind is None or kind == "ident" and not (text[i].isalpha() or text[i] == "_"):
-                raise ParseError(f"unexpected character {text[i]!r}", path, line, i - line_start + 1)
-            toks.append(Token(kind, m.group(), line, i - line_start + 1))
-        i = m.end()
-    eof = Token("eof", "", line, n - line_start + 1)
-    toks += (eof, eof)
+def _lex(text: str, path: str, start_line: int = 1) -> list[str]:
+    """The token texts of text, comments dropped, then "" twice for the end,
+    so that looking one token past the end still reads it.  Positions are
+    left to `_position`, which only a diagnostic needs."""
+    toks = _TOKEN.findall(text)
+    if "//" in text:
+        toks = [t for t in toks if t[:2] != "//"]
+    bad = [t for t in set(toks) if t not in _PUNCTS and not (t[0].isalpha() or t[0] in "_0123456789")]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError(f"unexpected character {toks[i][0]!r}", path, *_position(text, start_line, i))
+    toks += ("", "")
     return toks
+
+
+def _position(text: str, start_line: int, index: int) -> tuple[int, int]:
+    """The (line, col) of token number index of `_lex(text, ...)`, read by
+    the same regular expression; past the last token, the end of text, where
+    a comment that ends the text takes no columns."""
+    at = len(text)
+    for m in _TOKEN.finditer(text):
+        if not m.group().startswith("//"):
+            if not index:
+                at = m.start()
+                break
+            index -= 1
+        elif m.end() == len(text):
+            at = m.start()
+    return start_line + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
+
+
+# The kind of a token of `_lex` by its first character: an ASCII digit starts
+# a number, a letter or `_` an identifier (so does every character outside
+# ASCII that `_lex` lets through), anything else is punctuation; "" is the end.
+_KINDS = dict.fromkeys("0123456789", "int") | dict.fromkeys("".join(_PUNCTS), "punct") | {"": "eof"}
+
+
+def _kind(tok: str) -> str:
+    return _KINDS.get(tok[:1], "ident")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +231,11 @@ def _lex(text: str, path: str, start_line: int = 1) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent over `_lex`'s token texts, each of a kind read from
+    its text (`_kind`) and named by its index: `err` keeps the index on the
+    error it builds, and `_parse_all` turns it into a position only when the
+    error leaves the parser, so an error that `attempt` catches costs none."""
+
     def __init__(self, text: str, sig: Signature, path: str, start_line: int = 1) -> None:
         self.sig = sig
         self.path = path
@@ -239,48 +250,43 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+    def next(self) -> int:
+        """Consume the next token, unless it is the end; its index."""
+        i = self.pos
+        if self.toks[i]:
+            self.pos = i + 1
+        return i
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def at(self, text: str) -> bool:
+        return self.toks[self.pos] == text
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_ident(self, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and (text is None or t.text == text)
-
-    def expect(self, kind: str, text: str | None = None, message: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None, message: str | None = None) -> int:
         """Consume the next token, which must be of this kind (and text)."""
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        i = self.pos
+        t = self.toks[i]
+        if (t != text) if text is not None else (_kind(t) != kind):
             want = repr(text) if text else "an identifier"
-            raise self.err(ParseError, message or f"expected {want}, found {t.text or 'end of input'!r}", t)
-        return self.next()
+            raise self.err(ParseError, message or f"expected {want}, found {t or 'end of input'!r}")
+        self.pos = i + 1
+        return i
 
-    def eat_punct(self, text: str) -> Token:
-        tok = self.expect("punct", text)
+    def eat_punct(self, text: str) -> int:
+        i = self.expect("punct", text)
         if text == "(":
-            self.descend(tok)
+            self.descend(i)
         elif text == ")":
             self.depth -= 1
-        return tok
+        return i
 
-    def descend(self, tok: Token) -> None:
-        """Enter one more nesting level, opened by tok; undone by `depth -= 1`."""
+    def descend(self, at: int) -> None:
+        """Enter one more nesting level, opened by token at; undone by `depth -= 1`."""
         if self.depth == MAX_NESTING:
-            raise self.err(FrontendError, f"nesting deeper than {MAX_NESTING} levels", tok)
+            raise self.err(FrontendError, f"nesting deeper than {MAX_NESTING} levels", at)
         self.depth += 1
 
-    def chained(self, left, h: int, right, op: Token) -> int:
-        """Height of the node that op builds from left, of height h (0 when
-        not yet known), and right; an error when it passes MAX_DEPTH."""
+    def chained(self, left, h: int, right, op: int) -> int:
+        """Height of the node that token op builds from left, of height h (0
+        when not yet known), and right; an error when it passes MAX_DEPTH."""
         h = 1 + max(h or core.height(left), core.height(right))
         if h + self.depth > MAX_DEPTH:
             raise self.err(FrontendError, f"operator chain deeper than {MAX_DEPTH} levels", op)
@@ -300,41 +306,43 @@ class _Parser:
             return None
 
     def expect_eof(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected trailing input {t.text!r}", self.path, t.line, t.col)
+        if self.toks[self.pos]:
+            raise self.err(ParseError, f"unexpected trailing input {self.toks[self.pos]!r}")
 
-    def err(self, cls: type[FrontendError], message: str, tok: Token | None = None) -> FrontendError:
-        t = tok or self.peek()
-        return cls(message, self.path, t.line, t.col)
+    def err(self, cls: type[FrontendError], message: str, at: int | None = None) -> FrontendError:
+        """An error at token index at, the next token by default."""
+        exc = cls(message, self.path)
+        exc.token = self.pos if at is None else at
+        return exc
 
-    def binder(self, tok: Token) -> str:
-        """The name tok binds: no declared symbol and no keyword; inside a
-        strategy, a name not bound yet, which it now is."""
-        name = tok.text
+    def binder(self, i: int) -> str:
+        """The name token i binds: no declared symbol and no keyword; inside
+        a strategy, a name not bound yet, which it now is."""
+        name = self.toks[i]
         if self.sig.kind_of(name) is not None:
-            raise self.err(FrontendError, f"declared symbol {name!r} cannot be a binder", tok)
+            raise self.err(FrontendError, f"declared symbol {name!r} cannot be a binder", i)
         if name in STRUCTURAL_KEYWORDS:
-            raise self.err(FrontendError, f"keyword {name!r} cannot be a binder", tok)
+            raise self.err(FrontendError, f"keyword {name!r} cannot be a binder", i)
         if self.scope is not None:
             if name in self.scope:
-                raise self.err(FrontendError, f"variable {name!r} is already bound", tok)
+                raise self.err(FrontendError, f"variable {name!r} is already bound", i)
             self.scope.add(name)
         return name
 
-    def bound(self, tok: Token) -> str:
-        """The variable tok names, which inside a strategy must be bound."""
-        if self.scope is not None and tok.text not in self.scope:
-            raise self.err(FrontendError, f"variable {tok.text!r} has no earlier binding occurrence", tok)
-        return tok.text
+    def bound(self, i: int) -> str:
+        """The variable token i names, which inside a strategy must be bound."""
+        name = self.toks[i]
+        if self.scope is not None and name not in self.scope:
+            raise self.err(FrontendError, f"variable {name!r} has no earlier binding occurrence", i)
+        return name
 
-    def integer(self, tok: Token) -> int:
-        """The value of an `int` token; Python's digit limit on `int`
-        becomes a diagnostic at the token."""
+    def integer(self, i: int) -> int:
+        """The value of `int` token i; Python's digit limit on `int` becomes
+        a diagnostic at the token."""
         try:
-            return int(tok.text)
+            return int(self.toks[i])
         except ValueError:
-            raise self.err(ParseError, f"integer literal of {len(tok.text)} digits is too long", tok) from None
+            raise self.err(ParseError, f"integer literal of {len(self.toks[i])} digits is too long", i) from None
 
     # -- expressions: terms, pure formulas and assertions
 
@@ -342,52 +350,56 @@ class _Parser:
         """Precedence climbing (Pratt 1973) over OPERATORS[grammar]: an
         operand, then every operator of level floor or tighter after it."""
         ops = OPERATORS[grammar]
-        left = self._operand(grammar, floor)
+        start = self.pos
+        left = self._primary() if grammar == "term" else self._operand(grammar, floor)
         h = 0  # the height of left, 0 while unknown
         # An operator from this level up that a right operand's own loop left
         # unconsumed was refused there (a `*` that separates heap conjuncts),
         # so the expression ends before it here too, without a second try.
         limit = _ATOM
         while True:
-            tok = self.peek()
-            level, assoc, node = ops.get(tok.text, _NO_OP)
+            i = self.pos
+            op = self.toks[i]
+            level, assoc, node = ops.get(op, _NO_OP)
             if assoc == "prefix" or not floor <= level < limit:
                 return left
-            self.next()
+            self.pos = i + 1
             if assoc == "flat":
                 parts = [left, self._climb(grammar, level + 1)]
-                while self.at_punct(tok.text):
-                    self.next()
+                while self.at(op):
+                    self.pos += 1
                     parts.append(self._climb(grammar, level + 1))
                 left, h = node(tuple(parts)), 0
             elif assoc == "right":
-                self.descend(tok)
+                self.descend(i)
                 right = self._climb(grammar, level)
                 self.depth -= 1
-                left, h = node(tok.text, left, right), 0
+                left, h = node(op, left, right), 0
             else:
-                if grammar == "term" and tok.text == "*":
+                if grammar == "term" and op == "*":
                     # A product only when a term follows: otherwise the `*` is
                     # the separating conjunction after the atom this term ends.
-                    right = self.attempt(self._climb, grammar, level + 1) if self._starts_term(self.peek()) else None
+                    right = self.attempt(self._climb, grammar, level + 1) if self._starts_term() else None
                     if right is None:
-                        self.pos -= 1
+                        self.pos = i
                         return left
                 else:
                     right = self._climb(grammar, level + 1)
-                h = self.chained(left, h, right, tok)
-                left, limit = node(tok.text, left, right), level + 1
+                # A term or pure node is no taller than the tokens it spans,
+                # so a chain needs its height only once it spans enough.
+                if self.pos - start + self.depth > MAX_DEPTH:
+                    h = self.chained(left, h, right, i)
+                left, limit = node(op, left, right), level + 1
 
     def _operand(self, grammar: str, floor: int):
-        level, assoc, node = OPERATORS[grammar].get(self.peek().text, _NO_OP)
+        """A pure or assertion operand, which may be a quantifier."""
+        level, assoc, node = OPERATORS[grammar].get(self.toks[self.pos], _NO_OP)
         if assoc == "prefix" and level >= floor:
             self.descend(self.next())
             binders = self._binder_list()
             body = self._climb(grammar, level)
             self.depth -= 1
             return node(binders, body)
-        if grammar == "term":
-            return self._primary()
         if grammar == "pure":
             return self._pure_atom()
         return self._assert_atom()
@@ -406,118 +418,111 @@ class _Parser:
 
     # -- term operands
 
-    def _starts_term(self, tok: Token) -> bool:
-        if tok.kind == "int":
-            return True
-        if tok.kind == "punct":
-            if tok.text in ("(", "-"):
-                return True
-            return tok.text == "?" and self.pattern_mode
-        if tok.kind == "ident":
-            name = tok.text
-            if name in ("emp", "true", "data_at", "forall", "exists"):
+    def _starts_term(self) -> bool:
+        tok = self.toks[self.pos]
+        kind = _kind(tok)
+        if kind == "ident":
+            if tok in ("emp", "true", "data_at", "forall", "exists") or tok in SECTION_KEYWORDS:
                 return False
-            if name in SECTION_KEYWORDS:
-                return False
-            kind = self.sig.kind_of(name)
-            return kind not in ("spatial", "pure")
-        return False
+            return self.sig.kind_of(tok) not in ("spatial", "pure")
+        return kind == "int" or tok in ("(", "-") or tok == "?" and self.pattern_mode
 
     def _primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            return IntLit(self.integer(self.next()))
-        if t.kind == "punct" and t.text == "-":
+        i = self.pos
+        t = self.toks[i]
+        kind = _kind(t)
+        if kind == "ident":
+            if t == "field_addr":
+                return self._call()
+            if self.toks[i + 1] == "(":
+                kind = self.sig.kind_of(t)
+                if kind is None:
+                    raise self.err(FrontendError, f"undeclared symbol {t!r} applied to arguments")
+                if kind != "func":
+                    raise self.err(ParseError, f"{kind} predicate {t!r} cannot appear inside a term")
+                return self._call()
+            if self.sig.kind_of(t) is not None:
+                raise self.err(ParseError, f"declared symbol {t!r} used without arguments")
+            if t in STRUCTURAL_KEYWORDS:
+                raise self.err(ParseError, f"keyword {t!r} cannot be used as a variable")
+            self.pos = i + 1
+            return Var(self.bound(i))
+        if kind == "int":
+            self.pos = i + 1
+            return IntLit(self.integer(i))
+        if t == "-":
             self.descend(self.next())
             inner = self._primary()
             self.depth -= 1
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return Arith("-", IntLit(0), inner)
-        if t.kind == "punct" and t.text == "(":
+        if t == "(":
             return self._parenthesised("term")
-        if t.kind == "punct" and t.text == "?":
+        if t == "?":
             if not self.pattern_mode:
                 raise self.err(ParseError, "`?` binders are only allowed in strategy patterns")
             self.next()
             name = self.binder(self.expect("ident"))
             self.binder_acc.append(name)
             return Var(name)
-        if t.kind == "ident":
-            name = t.text
-            if name == "field_addr":
-                return self._call(t)
-            if self.peek(1).kind == "punct" and self.peek(1).text == "(":
-                kind = self.sig.kind_of(name)
-                if kind is None:
-                    raise self.err(FrontendError, f"undeclared symbol {name!r} applied to arguments", t)
-                if kind != "func":
-                    raise self.err(ParseError, f"{kind} predicate {name!r} cannot appear inside a term", t)
-                return self._call(t)
-            if self.sig.kind_of(name) is not None:
-                raise self.err(ParseError, f"declared symbol {name!r} used without arguments", t)
-            if name in STRUCTURAL_KEYWORDS:
-                raise self.err(ParseError, f"keyword {name!r} cannot be used as a variable", t)
-            return Var(self.bound(self.next()))
-        raise self.err(ParseError, f"expected a term, found {t.text or 'end of input'!r}")
+        raise self.err(ParseError, f"expected a term, found {t or 'end of input'!r}")
 
-    def _call(self, tok: Token) -> Term | PureFormula | SpatialAtom:
-        """The `name(args)` form that tok, the next token, starts: `data_at`,
+    def _call(self) -> Term | PureFormula | SpatialAtom:
+        """The `name(args)` form that the next token starts: `data_at`,
         `field_addr`, or an application of a declared symbol, whose arity is
-        checked.  The caller has classified tok."""
-        self.next()
-        name = tok.text
+        checked.  The caller has classified the token."""
+        name = self.toks[self.pos]
+        self.pos += 1
         open_tok = self.eat_punct("(")
         if name in ("data_at", "field_addr"):
             first = self.parse_term()
             self.eat_punct(",")
-            second = self.expect("ident").text if name == "field_addr" else self.parse_term()
+            second = self.toks[self.expect("ident")] if name == "field_addr" else self.parse_term()
             self.eat_punct(")")
             return FieldAddr(first, second) if name == "field_addr" else DataAt(first, second)
         args: list[Term] = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             args.append(self.parse_term())
-            while self.at_punct(","):
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 args.append(self.parse_term())
         self.eat_punct(")")
-        arity = self.sig.arity_of(name)
-        if arity is not None and arity != len(args):
+        kind, arity = self.sig.entries[name]
+        if arity != len(args):
             raise self.err(FrontendError, f"{name} expects {arity} argument(s), got {len(args)}", open_tok)
-        return _CALLS[self.sig.kind_of(name)](name, tuple(args))
+        return _CALLS[kind](name, tuple(args))
 
     # -- atom layer (heap conjuncts, pure operands)
 
     def parse_atom(self) -> PureFormula | SpatialAtom:
-        t = self.peek()
-        if t.kind == "ident":
-            name = t.text
-            if name == "emp":
-                self.next()
-                return Emp()
-            if name == "true":
-                self.next()
-                return TrueF()
-            if name == "data_at" or self.sig.kind_of(name) in ("spatial", "pure"):
-                return self._call(t)
-        if t.kind == "punct" and t.text == "!":
+        t = self.toks[self.pos]
+        if t == "emp":
+            self.pos += 1
+            return Emp()
+        if t == "true":
+            self.pos += 1
+            return TrueF()
+        if t == "data_at" or self.sig.kind_of(t) in ("spatial", "pure"):
+            return self._call()
+        if t == "!":
             self.next()
             return Not(self._parenthesised("pure"))
-        if t.kind == "punct" and t.text == "(":
+        if t == "(":
             f = self.attempt(self._relational)
             return self._parenthesised("pure") if f is None else f
         return self._relational()
 
     def _relational(self) -> PureFormula:
         left = self.parse_term()
-        t = self.peek()
-        if t.kind == "punct" and t.text == "==":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "==":
+            self.pos += 1
             return Eq(left, self.parse_term())
-        if t.kind == "punct" and t.text in core.REL_OPS:
-            self.next()
-            return Rel(t.text, left, self.parse_term())
-        raise self.err(ParseError, f"expected a relational operator, found {t.text or 'end of input'!r}")
+        if t in core.REL_OPS:
+            self.pos += 1
+            return Rel(t, left, self.parse_term())
+        raise self.err(ParseError, f"expected a relational operator, found {t or 'end of input'!r}")
 
     def _pure_atom(self) -> PureFormula:
         a = self.parse_atom()
@@ -526,7 +531,7 @@ class _Parser:
         return a
 
     def _assert_atom(self) -> Assertion:
-        if self.at_punct("("):
+        if self.at("("):
             inner = self.attempt(self._parenthesised, "assertion")
             if inner is not None:
                 return inner
@@ -542,34 +547,32 @@ class _Parser:
             a = self.parse_atom()
             if isinstance(a, PureFormula):
                 pures.append(a)
-            elif isinstance(a, Emp):
-                pass
-            else:
+            elif not isinstance(a, Emp):
                 spatials.append(a)
-            if self.at_punct("*") or self.at_punct("&&"):
-                self.next()
-                continue
-            return SymbolicHeap(tuple(pures), tuple(spatials))
+            if self.toks[self.pos] not in ("*", "&&"):
+                return SymbolicHeap(tuple(pures), tuple(spatials))
+            self.pos += 1
 
     def _binder_list(self) -> tuple[str, ...]:
         names: list[str] = []
-        while self.at_ident():
-            names.append(self.binder(self.next()))
+        while _kind(self.toks[self.pos]) == "ident":
+            names.append(self.binder(self.pos))
+            self.pos += 1
         if not names:
             raise self.err(ParseError, "expected at least one binder name")
         self.eat_punct(",")
         return tuple(names)
 
     def parse_entailment(self) -> Entailment:
-        start = self.peek()
+        start = self.pos
         universals: tuple[str, ...] = ()
-        if self.at_ident("forall"):
+        if self.at("forall"):
             self.next()
             universals = self._binder_list()
         lhs = self.parse_heap()
         self.eat_punct("|--")
         existentials: tuple[str, ...] = ()
-        if self.at_ident("exists"):
+        if self.at("exists"):
             self.next()
             existentials = self._binder_list()
         rhs = self.parse_heap()
@@ -592,17 +595,13 @@ class _Parser:
             raise self.err(ParseError, "emp cannot be a pattern")
         return PatternAtom(f, tuple(self.binder_acc))
 
-    def _at_section_start(self) -> bool:
-        t = self.peek()
-        return t.kind == "eof" or (t.kind == "ident" and t.text in SECTION_KEYWORDS)
-
     def parse_strategy(self, defined: list[Strategy]) -> Strategy:
         """One strategy, read in one pass: a variable is bound by its `?`
         or by `forall_add`/`exist_add` before any bare use, in text order.
         Its name must differ from those of the defined strategies."""
         self.expect("ident", "strategy")
         name_tok = self.expect("ident")
-        name = name_tok.text
+        name = self.toks[name_tok]
         if name in UNDECLARABLE or self.sig.kind_of(name) is not None:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
         if any(s.name == name for s in defined):
@@ -613,26 +612,26 @@ class _Parser:
         checks: list[Item] = []
         action: tuple[Item, ...] | None = None
         while True:
-            t = self.peek()
-            if t.kind == "eof" or (t.kind == "ident" and t.text == "strategy"):
+            t = self.toks[self.pos]
+            if not t or t == "strategy":
                 break
-            if t.kind != "ident" or t.text not in SECTION_KEYWORDS:
-                raise self.err(ParseError, f"expected a strategy section, found {t.text or 'end of input'!r}")
+            if t not in SECTION_KEYWORDS:
+                raise self.err(ParseError, f"expected a strategy section, found {t!r}")
             if action is not None:
                 raise self.err(ParseError, "the action section must be the last section of a strategy")
-            self.next()
+            section = self.next()
             self.eat_punct(":")
-            if t.text == "priority":
+            if t == "priority":
                 if priority is not None:
-                    raise self.err(ParseError, "duplicate priority section", t)
-                neg = self.at_punct("-")
+                    raise self.err(ParseError, "duplicate priority section", section)
+                neg = self.at("-")
                 if neg:
                     self.next()
                 p = self.integer(self.expect("int", message="expected an integer priority"))
                 priority = -p if neg else p
-            elif t.text in ("left", "right"):
-                patterns.extend(self._parse_pattern_group(t.text))
-            elif t.text == "check":
+            elif t in ("left", "right"):
+                patterns.extend(self._parse_pattern_group(t))
+            elif t == "check":
                 checks.extend(self._parse_items("check"))
             else:
                 action = tuple(self._parse_items("action"))
@@ -641,45 +640,40 @@ class _Parser:
         if action is None:
             raise self.err(ParseError, f"strategy {name} has no action", name_tok)
         self.scope = None
-        return Strategy(
-            name=name,
-            priority=DEFAULT_PRIORITY if priority is None else priority,
-            patterns=tuple(patterns),
-            checks=tuple(checks),
-            action=action,
-        )
+        priority = DEFAULT_PRIORITY if priority is None else priority
+        return Strategy(name, priority, tuple(patterns), tuple(checks), action)
 
     def _parse_pattern_group(self, side: str) -> list[Pattern]:
         """The patterns of one section; each `exists x,` binder must be
         `?`-bound by the pattern it opens."""
-        exists_toks: list[Token] = []
-        while self.at_ident("exists"):
+        exists_toks: list[int] = []
+        while self.at("exists"):
             tok = self.next()
             if side != "right":
                 raise self.err(ParseError, "exists binders are only allowed on right patterns", tok)
             exists_toks.append(self.expect("ident"))
             self.eat_punct(",")
+        names = tuple(self.toks[i] for i in exists_toks)
         atoms: list[PatternAtom] = [self._pattern_formula()]
-        for tok in exists_toks:
-            if tok.text not in atoms[0].binders:
-                raise self.err(FrontendError, f"exists binder {tok.text!r} is not `?`-bound by the pattern it opens", tok)
-        while not self._at_section_start():
+        for i, name in zip(exists_toks, names):
+            if name not in atoms[0].binders:
+                raise self.err(FrontendError, f"exists binder {name!r} is not `?`-bound by the pattern it opens", i)
+        while self.toks[self.pos] and self.toks[self.pos] not in SECTION_KEYWORDS:
             atoms.append(self._pattern_formula())
-        patterns = [Pattern(side, atoms[0], tuple(t.text for t in exists_toks))]
-        patterns.extend(Pattern(side, a) for a in atoms[1:])
-        return patterns
+        return [Pattern(side, atoms[0], names), *(Pattern(side, a) for a in atoms[1:])]
 
     def _parse_items(self, section: str) -> list[Item]:
         """The `keyword(...);` items of a check or action section."""
         items: list[Item] = []
-        while ITEMS.get(self.peek().text) == section:
+        while ITEMS.get(self.toks[self.pos]) == section:
             t = self.next()
+            keyword = self.toks[t]
             self.eat_punct("(")
-            if t.text == "instantiate":
+            if keyword == "instantiate":
                 var = self.bound(self.expect("ident"))
                 self.eat_punct("->")
                 arg = (var, self.parse_term())
-            elif t.text in ("forall_add", "exist_add"):
+            elif keyword in ("forall_add", "exist_add"):
                 arg = self.binder(self.expect("ident"))
             else:
                 arg = self.parse_atom()
@@ -687,10 +681,10 @@ class _Parser:
                     raise self.err(ParseError, "checks take a pure formula", t)
                 if isinstance(arg, Emp):
                     raise self.err(ParseError, "emp cannot be added or erased", t)
-            items.append(Item(t.text, arg))
+            items.append(Item(keyword, arg))
             self.eat_punct(")")
             self.eat_punct(";")
-            if len(items) > 1 and "instantiate" in (t.text, items[0].keyword):
+            if len(items) > 1 and "instantiate" in (keyword, items[0].keyword):
                 raise self.err(FrontendError, "instantiate cannot be combined with other operations", t)
         if not items:
             raise self.err(ParseError, f"expected at least one {section} item")
@@ -699,12 +693,29 @@ class _Parser:
     def parse_program(self, prior: Program | None = None) -> Program:
         """prior's strategies, then the ones read here."""
         strategies = list(prior.strategies) if prior else []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if not self.at_ident("strategy"):
-                raise self.err(ParseError, f"expected 'strategy', found {t.text or 'end of input'!r}")
+        while self.toks[self.pos]:
             strategies.append(self.parse_strategy(strategies))
         return Program(tuple(strategies))
+
+    def parse_signature(self) -> Signature:
+        """self.sig, with the declarations read here added."""
+        while self.toks[self.pos]:
+            decl = self.next()
+            kind = self.toks[decl]
+            if kind not in DECLARATION_KINDS:
+                raise self.err(ParseError, f"expected 'spatial', 'pure' or 'func', found {kind!r}", decl)
+            name_tok = self.expect("ident", message="expected a symbol name")
+            self.expect("punct", "/", "expected '/' before the arity")
+            arity = self.expect("int", message="expected a numeric arity")
+            self.expect("punct", ";", "expected ';' after the declaration")
+            name = self.toks[name_tok]
+            if name in UNDECLARABLE:
+                raise self.err(FrontendError, f"{name!r} is reserved and cannot be declared", name_tok)
+            n = self.integer(arity)
+            if name in self.sig.entries:
+                raise self.err(FrontendError, f"{name} is already declared", name_tok)
+            self.sig.declare(name, kind, n)
+        return self.sig
 
 
 # ---------------------------------------------------------------------------
@@ -712,23 +723,7 @@ class _Parser:
 
 
 def parse_signature(text: str, path: str = "<input>") -> Signature:
-    sig = Signature()
-    p = _Parser(text, sig, path)
-    while p.peek().kind != "eof":
-        decl = p.next()
-        if decl.kind != "ident" or decl.text not in DECLARATION_KINDS:
-            raise p.err(ParseError, f"expected 'spatial', 'pure' or 'func', found {decl.text!r}", decl)
-        name = p.expect("ident", message="expected a symbol name")
-        p.expect("punct", "/", "expected '/' before the arity")
-        arity = p.expect("int", message="expected a numeric arity")
-        p.expect("punct", ";", "expected ';' after the declaration")
-        if name.text in UNDECLARABLE:
-            raise p.err(FrontendError, f"{name.text!r} is reserved and cannot be declared", name)
-        n = p.integer(arity)
-        if name.text in sig.entries:
-            raise p.err(FrontendError, f"{name.text} is already declared", name)
-        sig.declare(name.text, decl.text, n)
-    return sig
+    return _parse_all(_Parser.parse_signature, text, Signature(), path)
 
 
 def _chunks(text: str) -> list[tuple[int, str]]:
@@ -753,10 +748,15 @@ def _chunks(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_all(rule, text: str, sig: Signature, path: str, start_line: int = 1):
-    """rule applied to the start of text, which it must consume in full."""
+    """rule applied to the start of text, which it must consume in full; an
+    error leaves with the position of the token it names."""
     p = _Parser(text, sig, path, start_line)
-    x = rule(p)
-    p.expect_eof()
+    try:
+        x = rule(p)
+        p.expect_eof()
+    except FrontendError as exc:
+        exc.line, exc.col = _position(text, start_line, exc.token)
+        raise
     return x
 
 
@@ -785,7 +785,7 @@ def parse_term(text: str, sig: Signature, path: str = "<input>") -> Term:
 def parse_pure(text: str, sig: Signature, path: str = "<input>") -> PureFormula:
     f = _parse_all(_Parser.parse_atom, text, sig, path)
     if not isinstance(f, PureFormula):
-        raise ParseError("expected a pure formula", path, 1, 1)
+        raise ParseError("expected a pure formula", path, *_position(text, 1, 0))
     return f
 
 

@@ -511,7 +511,8 @@ def mutant_runs() -> tuple[tuple[str, str, str, int, str], ...]:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for k, (path, text) in enumerate(one_token_mutants(300, seed=20)):
             lib = re.match(r"[a-z]+", path.name).group()
-            files = {".sig": CORPUS / f"{lib}.sig", ".stg": CORPUS / f"{lib}.stg", ".sle": min(CORPUS.glob(f"{lib}_*.sle"))}
+            sle = min(CORPUS.glob(f"{lib}_*.sle"))
+            files = {".sig": CORPUS / f"{lib}.sig", ".stg": CORPUS / f"{lib}.stg", ".sle": sle}
             files[path.suffix] = Path(tmp) / f"mutant{k}{path.suffix}"
             files[path.suffix].write_text(text)
             args = ["--sig", str(files[".sig"]), "--strategies", str(files[".stg"]), "--input", str(files[".sle"])]

@@ -137,6 +137,12 @@ forall q l, lseg(q, q, l) |-- emp
         msg = str(info.value)
         assert msg.startswith("bad.sle:2:")
 
+    @pytest.mark.parametrize("text, position", [("  lseg(x, y, z)", "1:3"), ("\n\nlseg(x, y, z)", "3:1")])
+    def test_spatial_atom_as_pure_formula_is_reported_at_the_atom(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_pure(text, SIG, "f.pure")
+        assert str(info.value) == f"f.pure:{position}: expected a pure formula"
+
 
 class TestSignatureFiles:
     def test_round_trip(self):
@@ -666,7 +672,10 @@ def oracle_lex(text: str, path: str, start_line: int = 1) -> list[tuple[str, str
 
 
 def lex(text: str, path: str, start_line: int = 1) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.text, t.line, t.col) for t in frontend._lex(text, path, start_line)]
+    """The lexer's tokens, both eofs included, each with its kind as the
+    parser reads it and the position a diagnostic at it would report."""
+    toks = frontend._lex(text, path, start_line)
+    return [(frontend._kind(t), t, *frontend._position(text, start_line, i)) for i, t in enumerate(toks)]
 
 
 def _lexed(lexer, text: str, start_line: int):

@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, GOLDENS, load_library, load_perfbench
-from sepstrat import engine
 from test_cli import mutant_diagnostics
+from sepstrat import engine
 from sepstrat.cli import main
 from sepstrat.frontend import parse_entailments, print_program
 

@@ -1,5 +1,6 @@
 """Smoke test of scripts/sweep.py on the smallest size of each family,
-the solver families included, and on two paddings of library_size."""
+the solver and parse families included, and on two paddings of
+library_size."""
 
 from __future__ import annotations
 
@@ -25,8 +26,16 @@ def test_sweep_reports_each_family():
     smallest = {family: [min(sizes)] for family, (_, _, sizes) in sweep.FAMILIES.items()}
     smallest |= {family: [min(sizes)] for family, (_, sizes) in sweep.SOLVER_FAMILIES.items()}
     smallest["library_size"] = [0, 25]
+    smallest["parse"] = [25]
     result = sweep.sweep(sizes=smallest, repeat=1)
-    assert sorted(result) == sorted([*sweep.FAMILIES, "library_size", *sweep.SOLVER_FAMILIES])
+    assert sorted(result) == sorted([*sweep.FAMILIES, "library_size", "parse", *sweep.SOLVER_FAMILIES])
+    parse = result.pop("parse")
+    assert [(r["workload"], r["source"]) for r in parse] == [
+        (w, source) for w in sweep.PARSE[0] for source in ("batch", "trace_inputs")
+    ]
+    for row in parse:
+        assert row["goals"] == 25 and row["chars"] > 0 and row["parse_ms"] > 0
+        assert row["chars_per_ms"] == pytest.approx(row["chars"] / row["parse_ms"], rel=1e-2)
     bare, padded = result.pop("library_size")
     assert (bare["n"], padded["n"]) == (0, 25) and bare["steps"] == padded["steps"] > 0
     for row in (bare, padded):
