@@ -10,9 +10,14 @@ The artefacts, one file each:
     run_corpus.out                  `scripts/run_corpus.py --show-final`
     perfbench_<wl>_<seed>.out       `sepstrat frame --trace` on the perfbench
     perfbench_<wl>_<seed>.trace.json  cells/sll/arrays batches at seeds 1 and 7
+    smt_answers.out                 the answer to every `smt.infer` call the
+                                    runs above make, then to a fixed-seed
+                                    stream of generated solver queries
 
-Each `.out` file ends with an `exit: N` line.  The CLI runs in this process,
-on the `src/` of the checkout the script belongs to.
+Each `.out` file but the last ends with an `exit: N` line.  The CLI runs in
+this process, on the `src/` of the checkout the script belongs to.  An answer
+line reads `status reason: hypotheses |= goal`, hypotheses separated by `;`;
+the stream reaches every reason, and the file ends with a count of each.
 
 Usage, from the root of a checkout:
 
@@ -22,9 +27,11 @@ Usage, from the root of a checkout:
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import importlib.util
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -32,9 +39,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(ROOT / "src"))
 
-from sepstrat import cli  # noqa: E402
+from sepstrat import cli, smt  # noqa: E402
+from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, Rel, Var  # noqa: E402
+from sepstrat.frontend import print_node  # noqa: E402
 
 SEEDS = (1, 7)
+STREAM_SEED = 25
+STREAM_SIZE = 400
 
 
 def _load(name: str, path: Path):
@@ -57,6 +68,74 @@ def _library(lib: str) -> list[str]:
     return ["--sig", str(CORPUS / f"{lib}.sig"), "--strategies", str(CORPUS / f"{lib}.stg")]
 
 
+# ---------------------------------------------------------------------------
+# The generated solver queries: small formulas over x, y, z and the unary
+# functions f and g, mostly literals, some with `!`, `&&` and `||`; dense
+# linear systems that Fourier-Motzkin cannot eliminate within its budget; and
+# one sum with more distinct variables than a closure may hold nodes.
+
+
+def _term(rng: random.Random, depth: int = 2):
+    roll = rng.random()
+    if depth == 0 or roll < 0.5:
+        return Var(rng.choice("xyz")) if rng.random() < 0.7 else IntLit(rng.randint(-3, 3))
+    if roll < 0.7:
+        return Apply(rng.choice("fg"), (_term(rng, depth - 1),))
+    return Arith(rng.choice("+-*"), _term(rng, depth - 1), _term(rng, depth - 1))
+
+
+def _formula(rng: random.Random, depth: int = 2):
+    roll = rng.random()
+    if depth > 0 and roll < 0.15:
+        return Not(_formula(rng, depth - 1))
+    if depth > 0 and roll < 0.3:
+        return Bin(rng.choice(("&&", "&&", "||")), _formula(rng, depth - 1), _formula(rng, depth - 1))
+    op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+    l, r = _term(rng), _term(rng)
+    return Eq(l, r) if op == "==" else Rel(op, l, r)
+
+
+def _sum(terms: list):
+    """The terms added up as a balanced tree."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return Arith("+", _sum(terms[:mid]), _sum(terms[mid:]))
+
+
+def _dense(rng: random.Random) -> list:
+    """Sixteen bounds over six variables, with every coefficient nonzero, that
+    one integer point meets, so that only the budget stops the elimination."""
+    point = {v: rng.randint(-5, 5) for v in "abcdef"}
+    hyps = []
+    for _ in range(16):
+        coeffs = {v: rng.choice((1, -1, 2, -2, 3, -3)) for v in point}
+        lhs = _sum([Arith("*", IntLit(c), Var(v)) for v, c in coeffs.items()])
+        value = sum(c * point[v] for v, c in coeffs.items())
+        hyps.append(Rel("<=", lhs, IntLit(value + rng.randint(0, 3))))
+    return hyps
+
+
+def _stream() -> list[tuple[list, object]]:
+    rng = random.Random(STREAM_SEED)
+    queries = []
+    for i in range(STREAM_SIZE):
+        if i % 40 == 39:
+            queries.append((_dense(rng), Rel("<=", Var("a"), Var("b"))))
+            continue
+        hyps = [_formula(rng) for _ in range(rng.randint(0, 3))]
+        goal = rng.choice(hyps) if hyps and rng.random() < 0.3 else _formula(rng)
+        queries.append((hyps, goal))
+    wide = _sum([Var(f"v{i}") for i in range(smt._MAX_NODES // 2)])
+    queries.append(([Eq(wide, IntLit(0))], Rel("<=", Var("v0"), Var("v1"))))
+    return queries
+
+
+def _answer(hyps, goal, res: smt.QueryResult) -> str:
+    why = f"{res.status.value} {res.reason}" if res.reason else res.status.value
+    return f"{why}: {'; '.join(map(print_node, hyps))} |= {print_node(goal)}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -64,7 +143,30 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
+    answers: list[str] = []
+    reasons: collections.Counter = collections.Counter()
+    infer = smt.infer
 
+    def recording(hyps, goal, contexts=None):
+        res = infer(hyps, goal, contexts)
+        answers.append(_answer(hyps, goal, res))
+        reasons[res.reason or res.status.value] += 1
+        return res
+
+    smt.infer = recording
+    try:
+        _runs(outdir)
+        answers.append("# generated queries\n")
+        for hyps, goal in _stream():
+            recording(hyps, goal)
+    finally:
+        smt.infer = infer
+    answers.append(f"# answers: {', '.join(f'{why} {n}' for why, n in sorted(reasons.items()))}\n")
+    (outdir / "smt_answers.out").write_text("".join(answers))
+    return 0
+
+
+def _runs(outdir: Path) -> None:
     for stg in sorted(CORPUS.glob("*.stg")):
         _capture(outdir / f"soundness_{stg.stem}.out", cli.main, ["soundness", *_library(stg.stem)])
     for sle in sorted(CORPUS.glob("*.sle")):
@@ -85,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
             args = ["frame", *_library(batch.library), "--input", str(sle), "--trace", f"{stem}.trace.json"]
             _capture(stem.with_suffix(".out"), cli.main, args)
             sle.unlink()
-    return 0
 
 
 if __name__ == "__main__":

@@ -28,9 +28,16 @@ SPATIAL = "spatial"
 PURE = "pure"
 FUNC = "func"
 
-# Identifiers with fixed meaning in the surface syntax; they may not be
-# declared in a signature.
-RESERVED = frozenset({"emp", "true", "data_at", "field_addr"})
+# The words the grammar gives a fixed job: strategy sections, built-in
+# symbols and binders, check and action items (each with its section), and
+# declaration kinds.  None of them may be declared in a signature.
+SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
+STRUCTURAL_KEYWORDS = frozenset({"forall", "exists", "emp", "true", "data_at", "field_addr"})
+ITEMS = dict.fromkeys(("left_absent", "right_absent", "infer"), "check") | dict.fromkeys(
+    ("left_add", "right_add", "left_erase", "right_erase", "forall_add", "exist_add", "instantiate"), "action"
+)
+DECLARATION_KINDS = (SPATIAL, PURE, FUNC)
+RESERVED = SECTION_KEYWORDS | STRUCTURAL_KEYWORDS | frozenset(ITEMS) | frozenset(DECLARATION_KINDS)
 
 
 class FrontendError(Exception):
@@ -351,20 +358,21 @@ def height(x: Syntax) -> int:
 
 @dataclass
 class Signature:
-    """Declared predicate and function symbols: name -> (kind, arity)."""
+    """Declared predicate and function symbols: name -> (kind, arity), each
+    entered through `declare`."""
 
     entries: dict[str, tuple[str, int]]
 
-    def __init__(self, entries: Mapping[str, tuple[str, int]] | None = None) -> None:
-        self.entries = dict(entries) if entries else {}
+    def __init__(self) -> None:
+        self.entries = {}
 
     def declare(self, name: str, kind: str, arity: int) -> None:
-        if kind not in (SPATIAL, PURE, FUNC):
+        if kind not in DECLARATION_KINDS:
             raise ValueError(f"unknown declaration kind {kind!r}")
         if arity < 0:
             raise ValueError("arity must be non-negative")
         if name in RESERVED:
-            raise ValueError(f"{name} is a built-in and cannot be redeclared")
+            raise ValueError(f"{name!r} is reserved and cannot be declared")
         if name in self.entries:
             raise ValueError(f"{name} is already declared")
         self.entries[name] = (kind, arity)
@@ -372,10 +380,6 @@ class Signature:
     def kind_of(self, name: str) -> str | None:
         e = self.entries.get(name)
         return e[0] if e else None
-
-    def arity_of(self, name: str) -> int | None:
-        e = self.entries.get(name)
-        return e[1] if e else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    DECLARATION_KINDS,
+    ITEMS,
+    RESERVED,
+    SECTION_KEYWORDS,
+    STRUCTURAL_KEYWORDS,
     AndA,
     Apply,
     Arith,
@@ -94,11 +99,6 @@ _ATOM = 1 + max(level for ops in OPERATORS.values() for level, _, _ in ops.value
 # The node an application of a declared symbol builds, by the symbol's kind.
 _CALLS = {"spatial": PredS, "pure": PredP, "func": Apply}
 
-SECTION_KEYWORDS = frozenset({"strategy", "priority", "left", "right", "check", "action"})
-STRUCTURAL_KEYWORDS = frozenset({"forall", "exists", "emp", "true", "data_at", "field_addr"})
-DECLARATION_KINDS = ("spatial", "pure", "func")
-
-
 # ---------------------------------------------------------------------------
 # Errors
 
@@ -158,16 +158,6 @@ class Program:
             if s.name == name:
                 return s
         return None
-
-
-# The section, "check" or "action", of each item keyword.
-ITEMS = dict.fromkeys(("left_absent", "right_absent", "infer"), "check") | dict.fromkeys(
-    ("left_add", "right_add", "left_erase", "right_erase", "forall_add", "exist_add", "instantiate"), "action"
-)
-
-# Names that may not be declared in a signature: built-ins plus every word the
-# grammar gives a fixed job.
-UNDECLARABLE = STRUCTURAL_KEYWORDS | SECTION_KEYWORDS | frozenset(ITEMS) | frozenset(DECLARATION_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +592,7 @@ class _Parser:
         self.expect("ident", "strategy")
         name_tok = self.expect("ident")
         name = self.toks[name_tok]
-        if name in UNDECLARABLE or self.sig.kind_of(name) is not None:
+        if name in RESERVED or self.sig.kind_of(name) is not None:
             raise self.err(ParseError, f"{name!r} cannot be a strategy name", name_tok)
         if any(s.name == name for s in defined):
             raise self.err(FrontendError, f"strategy {name!r} is already defined", name_tok)
@@ -709,7 +699,7 @@ class _Parser:
             arity = self.expect("int", message="expected a numeric arity")
             self.expect("punct", ";", "expected ';' after the declaration")
             name = self.toks[name_tok]
-            if name in UNDECLARABLE:
+            if name in RESERVED:
                 raise self.err(FrontendError, f"{name!r} is reserved and cannot be declared", name_tok)
             n = self.integer(arity)
             if name in self.sig.entries:

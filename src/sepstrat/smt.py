@@ -23,7 +23,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Apply,
@@ -74,15 +74,16 @@ class _Budget(Exception):
 
 
 class _CC:
-    """Congruence closure over a term DAG with literal-valued classes."""
+    """Congruence closure over a term DAG with literal-valued classes.  A
+    node is keyed by the interned term or predicate it stands for; true and
+    false are nodes 0 and 1."""
 
     def __init__(self) -> None:
-        self.labels: list[tuple] = []
-        self.kids: list[tuple[int, ...]] = []
-        self.ids: dict[tuple, int] = {}
-        self.term_ids: dict[Term, int] = {}  # interned terms hash in O(1)
-        self.parent: list[int] = []
-        self.rank: list[int] = []
+        self.labels: list[tuple] = [_TRUE, _FALSE]
+        self.kids: list[tuple[int, ...]] = [(), ()]
+        self.ids: dict[Term | PredP, int] = {}  # interned nodes hash in O(1)
+        self.parent: list[int] = [0, 1]
+        self.rank: list[int] = [0, 0]
         self.class_lit: dict[int, int] = {}
         self.use: dict[int, list[int]] = {}
         self.sigs: dict[tuple, int] = {}
@@ -92,7 +93,7 @@ class _CC:
     def copy(self) -> "_CC":
         """An independent closure in the same state."""
         c = copy.copy(self)
-        for name in ("labels", "kids", "parent", "rank", "pending", "ids", "term_ids", "class_lit", "sigs"):
+        for name in ("labels", "kids", "parent", "rank", "pending", "ids", "class_lit", "sigs"):
             setattr(c, name, getattr(self, name).copy())
         c.use = {r: ns[:] for r, ns in self.use.items()}
         return c
@@ -103,7 +104,25 @@ class _CC:
             a = self.parent[a]
         return a
 
-    def _new_node(self, label: tuple, kids: tuple[int, ...]) -> int:
+    def add_term(self, t: Term | PredP) -> int:
+        n = self.ids.get(t)
+        if n is not None:
+            return n
+        match t:
+            case IntLit(v):
+                label, kids = ("int", v), ()
+            case Var(name):
+                label, kids = ("var", name), ()
+            case FieldAddr(base, fld):
+                label, kids = ("fld", fld), (self.add_term(base),)
+            case Apply(fn, args):
+                label, kids = ("app", fn), tuple(self.add_term(a) for a in args)
+            case PredP(name, args):
+                label, kids = ("pred", name), tuple(self.add_term(a) for a in args)
+            case Arith(op, l, r):
+                label, kids = ("ar", op), (self.add_term(l), self.add_term(r))
+            case _:
+                raise TypeError(f"add_term: unsupported term {t!r}")
         n = len(self.labels)
         if n >= _MAX_NODES:
             raise _Budget(BUDGET_NODES)
@@ -116,44 +135,19 @@ class _CC:
         for k in kids:
             self.use.setdefault(self.find(k), []).append(n)
         if kids:
-            sig = (label, tuple(self.find(k) for k in kids))
-            other = self.sigs.get(sig)
-            if other is not None and self.find(other) != n:
-                self.pending.append((n, other))
-            else:
-                self.sigs[sig] = n
+            self._enter(n)
+        self.ids[t] = n
         return n
 
-    def node(self, label: tuple, kids: tuple[int, ...] = ()) -> int:
-        key = (label, kids)
-        n = self.ids.get(key)
-        if n is None:
-            n = self._new_node(label, kids)
-            self.ids[key] = n
-        return n
-
-    def add_term(self, t: Term) -> int:
-        n = self.term_ids.get(t)
-        if n is not None:
-            return n
-        match t:
-            case IntLit(v):
-                n = self.node(("int", v))
-            case Var(name):
-                n = self.node(("var", name))
-            case FieldAddr(base, fld):
-                n = self.node(("fld", fld), (self.add_term(base),))
-            case Apply(fn, args):
-                n = self.node(("app", fn), tuple(self.add_term(a) for a in args))
-            case Arith(op, l, r):
-                n = self.node(("ar", op), (self.add_term(l), self.add_term(r)))
-            case _:
-                raise TypeError(f"add_term: unsupported term {t!r}")
-        self.term_ids[t] = n
-        return n
-
-    def add_pred(self, p: PredP) -> int:
-        return self.node(("pred", p.name), tuple(self.add_term(a) for a in p.args))
+    def _enter(self, n: int) -> None:
+        """Enter node n under its congruence signature, or queue its merge
+        with the node of another class already there."""
+        sig = (self.labels[n], tuple(map(self.find, self.kids[n])))
+        other = self.sigs.get(sig)
+        if other is not None and self.find(other) != self.find(n):
+            self.pending.append((n, other))
+        else:
+            self.sigs[sig] = n
 
     def merge(self, a: int, b: int) -> None:
         self.pending.append((a, b))
@@ -180,12 +174,7 @@ class _CC:
                 self.class_lit[ra] = lit
             moved = self.use.pop(rb, [])
             for p in moved:
-                sig = (self.labels[p], tuple(self.find(k) for k in self.kids[p]))
-                other = self.sigs.get(sig)
-                if other is not None and self.find(other) != self.find(p):
-                    self.pending.append((p, other))
-                else:
-                    self.sigs[sig] = p
+                self._enter(p)
             self.use.setdefault(ra, []).extend(moved)
 
     def equal(self, a: int, b: int) -> bool:
@@ -348,66 +337,43 @@ class _State:
     bounds: list[tuple[Term, Term, bool]] = field(default_factory=list)  # (l, r, strict): l <= r / l < r
     preds: list[tuple[PredP, bool]] = field(default_factory=list)
 
+    def add(self, f: PureFormula, positive: bool) -> None:
+        """Record one literal, or its negation when not positive."""
+        match f:
+            case TrueF():
+                if not positive:
+                    # an assumed falsehood: encode as 0 <= -1
+                    self.bounds.append((IntLit(0), IntLit(-1), False))
+            case Eq(l, r):
+                (self.eqs if positive else self.diseqs).append((l, r))
+            case Rel("!=", l, r):
+                (self.diseqs if positive else self.eqs).append((l, r))
+            case Rel(op, l, r):
+                a, b, strict = {"<": (l, r, True), "<=": (l, r, False), ">": (r, l, True), ">=": (r, l, False)}[op]
+                self.bounds.append((a, b, strict) if positive else (b, a, not strict))
+            case PredP():
+                self.preds.append((f, positive))
 
-def _assert_formula(f: PureFormula, st: _State, positive: bool) -> None:
-    """Record one fact; a shape it does not support, such as a disjunction,
-    adds nothing, which is conservative."""
+
+def _literals(f: PureFormula, positive: bool, add: Callable[[PureFormula, bool], None]) -> bool:
+    """Pass each literal of f, read through negations and conjunctions, to
+    add(atom, positive); whether every part of f was a literal.  `false`, a
+    negated `true`, is passed on but is no literal: a hypothesis that holds
+    it is contradictory, and a goal that asks for it is unsupported."""
     match f:
         case TrueF():
             if not positive:
-                # an assumed falsehood: encode as 0 <= -1
-                st.bounds.append((IntLit(0), IntLit(-1), False))
-        case Eq(l, r):
-            if positive:
-                st.eqs.append((l, r))
-            else:
-                st.diseqs.append((l, r))
-        case Rel(op, l, r):
-            if op == "!=":
-                if positive:
-                    st.diseqs.append((l, r))
-                else:
-                    st.eqs.append((l, r))
-                return
-            flipped = {"<": (l, r, True), "<=": (l, r, False), ">": (r, l, True), ">=": (r, l, False)}[op]
-            if not positive:
-                a, b, strict = flipped
-                flipped = (b, a, not strict)
-            st.bounds.append(flipped)
-        case PredP():
-            st.preds.append((f, positive))
+                add(f, False)
+            return positive
+        case Eq() | Rel() | PredP():
+            add(f, positive)
+            return True
         case Not(inner):
-            _assert_formula(inner, st, not positive)
+            return _literals(inner, not positive, add)
         case Bin("&&", l, r) if positive:
-            _assert_formula(l, st, True)
-            _assert_formula(r, st, True)
-        case Bin():
-            pass
-        case _:
-            raise TypeError(f"assert: unsupported formula {f!r}")
-
-
-def _goal_atoms(goal: PureFormula) -> list[tuple[PureFormula, bool]] | None:
-    """Flatten the goal into (atom, polarity) pairs, or None if unsupported."""
-    out: list[tuple[PureFormula, bool]] = []
-
-    def walk(f: PureFormula, polarity: bool) -> bool:
-        match f:
-            case TrueF():
-                return polarity  # a negative TrueF goal is unprovable, but legal
-            case Eq() | Rel() | PredP():
-                out.append((f, polarity))
-                return True
-            case Not(inner):
-                return walk(inner, not polarity)
-            case Bin("&&", l, r) if polarity:
-                return walk(l, polarity) and walk(r, polarity)
-            case _:
-                return False
-
-    if not walk(goal, True):
-        return None
-    return out
+            left = _literals(l, True, add)
+            return _literals(r, True, add) and left
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +391,7 @@ def _linearize(t: Term, cc: _CC) -> tuple[dict[int, int], int]:
     """Linear form of a term; +, - and literal-scaled * decompose, everything
     else is an atom keyed by its congruence class (literal-valued classes
     fold to their constant)."""
-    n = cc.term_ids.get(t)
+    n = cc.ids.get(t)
     if n is None:  # the first call adds every subterm, in add_term's order
         n = cc.add_term(t)
     match t:
@@ -480,14 +446,13 @@ def _rows(bounds: Sequence[tuple[Term, Term, bool]], eqs: Sequence[tuple[Term, T
 
 
 def _closure(st: _State, cc: _CC) -> list[tuple[int, int]]:
-    """Assert the state's equalities and predicates into cc, whose first nodes
-    are true and false; returns the node pairs of its disequalities."""
-    t_node, f_node = cc.node(_TRUE), cc.node(_FALSE)
+    """Assert the state's equalities and predicates into cc; returns the node
+    pairs of its disequalities."""
     for l, r in st.eqs:
         cc.merge(cc.add_term(l), cc.add_term(r))
     diseqs = [(cc.add_term(l), cc.add_term(r)) for l, r in st.diseqs]
     for p, positive in st.preds:
-        cc.merge(cc.add_pred(p), t_node if positive else f_node)
+        cc.merge(cc.add_term(p), 0 if positive else 1)  # true or false
     return diseqs
 
 
@@ -502,6 +467,64 @@ def _linear(cc: _CC, n: int) -> bool:
     if kind != "ar":
         return kind in ("var", "int", "bconst")
     return op != "*" or any(cc.labels[k][0] == "int" for k in cc.kids[n])
+
+
+def _exchange(st: _State, cc: _CC, diseq_nodes: list[tuple[int, int]], lia: _Lia | None) -> str | None:
+    """The refutation loop on st, whose equalities, predicates and
+    disequality node pairs cc already holds: None when it finds st
+    contradictory, otherwise why not.  Each round builds st's linear rows
+    under cc's classes, unless lia holds the first round's, and gives the
+    equalities their closure derives back to cc."""
+    budget = None
+    for _ in range(_MAX_EXCHANGE_ROUNDS):
+        if lia is None:
+            cc.propagate()
+            if _refuted(cc, diseq_nodes):
+                return None
+            lia = _rows(st.bounds, st.eqs, cc)
+        # terms the rows just added that congruence merges: the next
+        # round's rows read them as one atom
+        progressed = bool(cc.pending)
+        cc.propagate()
+        if _refuted(cc, diseq_nodes):
+            return None
+        try:
+            if lia.fm_unsat():
+                return None
+        except _Budget as exc:
+            budget = exc.args[0]
+        # A disequality with a ground side refutes when both strict orderings
+        # are impossible; non-ground pairs stay with congruence closure only.
+        for l, r in st.diseqs:
+            coeffs, k, ground = _le_row(l, r, cc)
+            if not ground:
+                continue
+            below, above = _Lia(lia.constraints), _Lia(lia.constraints)
+            below.add(coeffs, k - 1)
+            above.add({v: -c for v, c in coeffs.items()}, -k - 1)
+            try:
+                if below.fm_unsat() and above.fm_unsat():
+                    return None
+            except _Budget as exc:
+                budget = exc.args[0]
+        unsat, var_eqs, const_eqs = lia.difference_closure()
+        if unsat:
+            return None
+        for u, w in var_eqs:
+            if not cc.equal(u, w):
+                cc.merge(u, w)
+                progressed = True
+        for u, value in const_eqs:
+            vn = cc.add_term(IntLit(value))
+            if not cc.equal(u, vn):
+                cc.merge(u, vn)
+                progressed = True
+        if cc.unsat:
+            return None
+        if not progressed and not cc.pending:
+            break
+        lia = None
+    return budget or NO_REFUTATION
 
 
 class Context:
@@ -522,7 +545,7 @@ class Context:
     def __init__(self, hyps: Iterable[PureFormula]) -> None:
         st = _State()
         for h in hyps:
-            _assert_formula(h, st, True)
+            _literals(h, True, st.add)  # a part that is no literal adds nothing, which is conservative
         self._st = st
         self._answers: dict[PureFormula, QueryResult] = {}
         self._cc: _CC | None = None  # stays None when the hypotheses run out of nodes
@@ -531,7 +554,7 @@ class Context:
         self._paths: tuple[bool, dict, list, bool] | None = None
         try:
             cc = _CC()
-            self._diseqs = [(cc.node(_TRUE), cc.node(_FALSE))] + _closure(st, cc)  # node pairs kept apart
+            self._diseqs = [(0, 1)] + _closure(st, cc)  # node pairs kept apart: true and false first
             cc.propagate()
             if not _refuted(cc, self._diseqs):  # else every query is refuted before its rows
                 self._hyp_rows = bounds, eqs = _rows(st.bounds, (), cc), _rows((), st.eqs, cc)
@@ -556,12 +579,12 @@ class Context:
         return res
 
     def _decide(self, goal: PureFormula) -> QueryResult:
-        atoms = _goal_atoms(goal)
-        if atoms is None:
+        atoms: list[tuple[PureFormula, bool]] = []
+        if not _literals(goal, True, lambda atom, polarity: atoms.append((atom, polarity))):
             return QueryResult(ProofStatus.UNKNOWN, reason=UNSUPPORTED)
         for atom, polarity in atoms:
             neg = _State()  # refute hyps together with this sub-goal negated
-            _assert_formula(atom, neg, not polarity)
+            neg.add(atom, not polarity)
             try:
                 why = self._refute(neg)
             except _Budget as exc:
@@ -613,7 +636,7 @@ class Context:
         cc, lia = self._cc, None
         if neg.bounds and self._hyp_rows is not None:  # the first round's rows, in their order
             (l, r, _), = neg.bounds
-            if l not in cc.term_ids or r not in cc.term_ids:  # the goal's row adds nodes
+            if l not in cc.ids or r not in cc.ids:  # the goal's row adds nodes
                 cc = cc.copy()
             goal = _rows(neg.bounds, (), cc)
             refuted = self._lookup(goal, cc)
@@ -626,57 +649,7 @@ class Context:
             )
         if cc is self._cc:  # the loop merges into a closure of its own
             cc = cc.copy()
-        diseq_nodes = self._diseqs + _closure(neg, cc)
-        budget = None
-        for _ in range(_MAX_EXCHANGE_ROUNDS):
-            if lia is None:
-                cc.propagate()
-                if _refuted(cc, diseq_nodes):
-                    return None
-                lia = _rows(st.bounds, st.eqs, cc)
-            # terms the rows just added that congruence merges: the next
-            # round's rows read them as one atom
-            progressed = bool(cc.pending)
-            cc.propagate()
-            if _refuted(cc, diseq_nodes):
-                return None
-            try:
-                if lia.fm_unsat():
-                    return None
-            except _Budget as exc:
-                budget = exc.args[0]
-            # A disequality with a ground side refutes when both strict orderings
-            # are impossible; non-ground pairs stay with congruence closure only.
-            for l, r in st.diseqs:
-                coeffs, k, ground = _le_row(l, r, cc)
-                if not ground:
-                    continue
-                below, above = _Lia(lia.constraints), _Lia(lia.constraints)
-                below.add(coeffs, k - 1)
-                above.add({v: -c for v, c in coeffs.items()}, -k - 1)
-                try:
-                    if below.fm_unsat() and above.fm_unsat():
-                        return None
-                except _Budget as exc:
-                    budget = exc.args[0]
-            unsat, var_eqs, const_eqs = lia.difference_closure()
-            if unsat:
-                return None
-            for u, w in var_eqs:
-                if not cc.equal(u, w):
-                    cc.merge(u, w)
-                    progressed = True
-            for u, value in const_eqs:
-                vn = cc.node(("int", value))
-                if not cc.equal(u, vn):
-                    cc.merge(u, vn)
-                    progressed = True
-            if cc.unsat:
-                return None
-            if not progressed and not cc.pending:
-                break
-            lia = None
-        return budget or NO_REFUTATION
+        return _exchange(st, cc, self._diseqs + _closure(neg, cc), lia)
 
 
 def infer(

@@ -233,82 +233,18 @@ def reference_apply_action(
 # Reference solver start: a goal atom negated to an equality, disequality or
 # predicate asserted with the hypotheses into a fresh closure, its terms
 # numbered among theirs, as a one-shot refutation numbers them.  A bound goes
-# on from the context's prebuilt state, as in `smt.Context`.
+# on from the context's prebuilt state, as in `smt.Context`; either start
+# ends in the shared refutation loop.
 
 
 class ReferenceContext(smt.Context):
     def _refute(self, neg: smt._State) -> str | None:
+        if neg.bounds:
+            return super()._refute(neg)
         st = self._st
         st = smt._State(st.eqs + neg.eqs, st.diseqs + neg.diseqs, st.bounds + neg.bounds, st.preds + neg.preds)
-        lia = None
-        if neg.bounds:
-            if self._cc is None:
-                raise smt._Budget(smt.BUDGET_NODES)
-            cc, diseq_nodes = self._cc, self._diseqs
-            if self._hyp_rows is not None:
-                (l, r, _), = neg.bounds
-                if l not in cc.term_ids or r not in cc.term_ids:
-                    cc = cc.copy()
-                goal = smt._rows(neg.bounds, (), cc)
-                refuted = self._lookup(goal, cc)
-                if refuted is not None:
-                    return None if refuted else smt.NO_REFUTATION
-                bounds, eqs = self._hyp_rows
-                lia = smt._Lia(
-                    bounds.constraints + goal.constraints + eqs.constraints,
-                    bounds.contradiction or goal.contradiction or eqs.contradiction,
-                )
-            if cc is self._cc:
-                cc = cc.copy()
-        else:
-            cc = smt._CC()
-            diseq_nodes = [(cc.node(smt._TRUE), cc.node(smt._FALSE))] + smt._closure(st, cc)
-        budget = None
-        for _ in range(smt._MAX_EXCHANGE_ROUNDS):
-            if lia is None:
-                cc.propagate()
-                if smt._refuted(cc, diseq_nodes):
-                    return None
-                lia = smt._rows(st.bounds, st.eqs, cc)
-            progressed = bool(cc.pending)
-            cc.propagate()
-            if smt._refuted(cc, diseq_nodes):
-                return None
-            try:
-                if lia.fm_unsat():
-                    return None
-            except smt._Budget as exc:
-                budget = exc.args[0]
-            for l, r in st.diseqs:
-                coeffs, k, ground = smt._le_row(l, r, cc)
-                if not ground:
-                    continue
-                below, above = smt._Lia(lia.constraints), smt._Lia(lia.constraints)
-                below.add(coeffs, k - 1)
-                above.add({v: -c for v, c in coeffs.items()}, -k - 1)
-                try:
-                    if below.fm_unsat() and above.fm_unsat():
-                        return None
-                except smt._Budget as exc:
-                    budget = exc.args[0]
-            unsat, var_eqs, const_eqs = lia.difference_closure()
-            if unsat:
-                return None
-            for u, w in var_eqs:
-                if not cc.equal(u, w):
-                    cc.merge(u, w)
-                    progressed = True
-            for u, value in const_eqs:
-                vn = cc.node(("int", value))
-                if not cc.equal(u, vn):
-                    cc.merge(u, vn)
-                    progressed = True
-            if cc.unsat:
-                return None
-            if not progressed and not cc.pending:
-                break
-            lia = None
-        return budget or smt.NO_REFUTATION
+        cc = smt._CC()
+        return smt._exchange(st, cc, [(0, 1)] + smt._closure(st, cc), None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import sepstrat
 
 from sepstrat.core import (
     _KIDS,
+    RESERVED,
     AndA,
     Apply,
     Arith,
@@ -87,10 +88,11 @@ class TestSignature:
         with pytest.raises(ValueError):
             sig.declare("f", "func", 2)
 
-    @pytest.mark.parametrize("name", ["emp", "true", "data_at", "field_addr"])
+    @pytest.mark.parametrize("name", sorted(RESERVED))
     def test_reserved_rejected(self, name):
-        with pytest.raises(ValueError):
-            Signature().declare(name, "pure", 1)
+        for kind in ("spatial", "pure", "func"):
+            with pytest.raises(ValueError, match="is reserved and cannot be declared"):
+                Signature().declare(name, kind, 1)
 
 
 def _defined_subclasses(base):

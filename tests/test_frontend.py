@@ -160,10 +160,11 @@ class TestSignatureFiles:
             parse_signature("func f/1;\nfunc f/2;\n", "lib.sig")
         assert str(info.value) == "lib.sig:2:6: f is already declared"
 
-    @pytest.mark.parametrize("name", ["forall", "left_absent", "instantiate", "emp", "strategy"])
+    @pytest.mark.parametrize("name", sorted(core.RESERVED))
     def test_reserved_words_not_declarable(self, name):
-        with pytest.raises(FrontendError):
-            parse_signature(f"pure {name}/1;\n")
+        with pytest.raises(FrontendError) as info:
+            parse_signature(f"pure {name}/1;\n", "lib.sig")
+        assert str(info.value) == f"lib.sig:1:6: {name!r} is reserved and cannot be declared"
 
 
 STG = """\

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from unittest import mock
@@ -151,6 +152,26 @@ class TestGoalForms:
 
     def test_disequality_goal_with_bounds(self):
         assert status(["x < y"], "x != y") == PROVEN
+
+
+class TestLiteralWalk:
+    """One walk splits hypotheses and goals into literals: a hypothesis
+    drops a part that is no literal, and a goal with one is unsupported."""
+
+    @pytest.mark.parametrize(
+        "hyps,goal,expected",
+        [
+            pytest.param(["!(true)"], "x == y", PROVEN, id="false-hypothesis"),
+            pytest.param([], "!(true)", smt.UNSUPPORTED, id="false-goal"),
+            pytest.param(["(x == y && (p < q || q < p))"], "y == x", PROVEN, id="hypothesis-keeps-its-literals"),
+            pytest.param([], "((p < q || q < p) && x == y)", smt.UNSUPPORTED, id="goal-with-a-disjunction"),
+            pytest.param(["!((x == y && p < q))"], "x != y", smt.NO_REFUTATION, id="negated-conjunction-dropped"),
+            pytest.param(["x == y"], "!(!(x == y))", PROVEN, id="double-negation"),
+        ],
+    )
+    def test_answer(self, hyps, goal, expected):
+        r = infer(pures(*hyps), parse_pure(goal, SIG))
+        assert (r.status if r.status is PROVEN else r.reason) == expected
 
 
 class TestResultShape:
@@ -328,6 +349,15 @@ class TestReasons:
         # a contradiction the difference closure finds still proves
         assert infer(hs, parse_pure("x <= z", SIG)).status == PROVEN
 
+    def test_differential_stream_reaches_every_reason(self):
+        # scripts/differential.py records these answers for `diff -r`
+        path = CORPUS.parent / "scripts" / "differential.py"
+        spec = importlib.util.spec_from_file_location("sepstrat_differential", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        reasons = {infer(hyps, goal).reason for hyps, goal in module._stream()}
+        assert reasons == {None, smt.BUDGET_NODES, smt.BUDGET_FM, smt.UNSUPPORTED, smt.NO_REFUTATION}
+
     def test_difference_system_needs_no_budget(self, monkeypatch):
         # a difference system with no negative cycle: the lookup answers
         # where the loop would run out of budget
@@ -396,7 +426,7 @@ def test_lookup_proves_exactly_what_fourier_motzkin_refutes(rows, goal_row):
     # goal atoms the hypotheses do not mention get fresh nodes, off the paths
     ctx = smt.Context([_row_formula(*r) for r in rows])
     neg = smt._State()
-    smt._assert_formula(_row_formula(*goal_row), neg, False)
+    neg.add(_row_formula(*goal_row), False)
     refuted = _fm_refutes(rows, goal_row)
     cc = ctx._cc.copy()
     # on a difference system the lookup always answers, one way or the other
