@@ -13,8 +13,12 @@ The artefacts, one file each:
     smt_answers.out                 the answer to every `smt.infer` call the
                                     runs above make, then to a fixed-seed
                                     stream of generated solver queries
+    replay_rejections.out           the `ReplayError` text, or `accepted`,
+                                    of `replay_document` on fixed-seed
+                                    one-field mutations of the corpus and
+                                    seed-1 perfbench trace documents
 
-Each `.out` file but the last ends with an `exit: N` line.  The CLI runs in
+Each `.out` file but the last two ends with an `exit: N` line.  The CLI runs in
 this process, on the `src/` of the checkout the script belongs to.  An answer
 line reads `status reason: hypotheses |= goal`, hypotheses separated by `;`;
 the stream reaches every reason, and the file ends with a count of each.
@@ -31,6 +35,7 @@ import collections
 import contextlib
 import importlib.util
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -39,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(ROOT / "src"))
 
-from sepstrat import cli, smt  # noqa: E402
+from sepstrat import cli, engine, frontend, smt  # noqa: E402
 from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, Rel, Var  # noqa: E402
 from sepstrat.frontend import print_node  # noqa: E402
 
@@ -155,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     smt.infer = recording
     try:
-        _runs(outdir)
+        documents = _runs(outdir)
         answers.append("# generated queries\n")
         for hyps, goal in _stream():
             recording(hyps, goal)
@@ -163,10 +168,85 @@ def main(argv: list[str] | None = None) -> int:
         smt.infer = infer
     answers.append(f"# answers: {', '.join(f'{why} {n}' for why, n in sorted(reasons.items()))}\n")
     (outdir / "smt_answers.out").write_text("".join(answers))
+    (outdir / "replay_rejections.out").write_text("".join(_rejections(documents)))
     return 0
 
 
-def _runs(outdir: Path) -> None:
+# ---------------------------------------------------------------------------
+# One-field mutations of trace documents, and what replay says of each.
+
+
+def _mutations(doc: dict, prog, rng: random.Random):
+    """(label, mutated document) pairs: up to two of each kind, at steps or
+    traces drawn from rng, each changing one field of a copy of doc."""
+    traces = doc["traces"]
+    steps = [(t, i) for t, tr in enumerate(traces) for i in range(len(tr["steps"]))]
+    fresh = {
+        s.name: [op.arg for op in s.action if op.keyword in ("forall_add", "exist_add")] for s in prog.strategies
+    }
+    names = sorted(s.name for s in prog.strategies)
+
+    def value(st):  # another value of the substitution, or a name bound nowhere
+        others = sorted(set(st["substitution"].values()))
+        return lambda old: rng.choice([v for v in others if v != old] or ["zz"])
+
+    def named(st):  # the fresh names the step records
+        return [x for x in fresh[st["strategy"]] if x in st["substitution"]]
+
+    kinds = {  # kind -> (the steps it applies to, its change of one step)
+        "substitution value": (lambda st: st["substitution"], lambda st: _set_one(st["substitution"], rng, value(st))),
+        "dropped fresh name": (named, lambda st: st["substitution"].pop(rng.choice(named(st)))),
+        "stray key": (lambda st: True, lambda st: st["substitution"].setdefault("stray", "zz")),
+        "strategy name": (
+            lambda st: True,
+            lambda st: st.update(strategy=rng.choice([n for n in names + ["unknown"] if n != st["strategy"]])),
+        ),
+        "entailment_after": (lambda st: True, lambda st: st.update(entailment_after=st["entailment_after"] + " * emp")),
+        "side-condition status": (
+            lambda st: st["side_conditions"],
+            lambda st: rng.choice(st["side_conditions"]).update(status="unknown"),
+        ),
+    }
+    for kind, (applies, change) in kinds.items():
+        chosen = [(t, i) for t, i in steps if applies(traces[t]["steps"][i])]
+        for t, i in rng.sample(chosen, min(2, len(chosen))):
+            mutant = json.loads(json.dumps(doc))
+            change(mutant["traces"][t]["steps"][i])
+            yield f"{kind} at trace {t} step {i}", mutant
+    for t in rng.sample(range(len(traces)), min(2, len(traces))):
+        mutant = json.loads(json.dumps(doc))
+        mutant["traces"][t]["verdict"] = rng.choice([v.value for v in engine.Verdict])
+        yield f"verdict at trace {t}", mutant
+
+
+def _set_one(substitution: dict, rng: random.Random, new) -> None:
+    x = rng.choice(sorted(substitution))
+    substitution[x] = new(substitution[x])
+
+
+def _rejections(documents: list[tuple[Path, str]]) -> list[str]:
+    """One line per mutant of each (trace document, library): what
+    `replay_document` says of it, the mutants drawn from one fixed-seed
+    stream."""
+    rng = random.Random(STREAM_SEED)
+    lines = []
+    for path, lib in documents:
+        sig = frontend.parse_signature((CORPUS / f"{lib}.sig").read_text())
+        prog = frontend.parse_strategies((CORPUS / f"{lib}.stg").read_text(), sig)
+        for label, mutant in _mutations(json.loads(path.read_text()), prog, rng):
+            try:
+                engine.replay_document(mutant, sig, prog)
+                said = "accepted"
+            except engine.ReplayError as exc:
+                said = str(exc).replace("\n", "\n    ")
+            lines.append(f"{path.name}, {label}: {said}\n")
+    return lines
+
+
+def _runs(outdir: Path) -> list[tuple[Path, str]]:
+    """Write the CLI artefacts; return the frame-mode corpus and seed-1
+    perfbench trace documents, each with its library."""
+    documents = []
     for stg in sorted(CORPUS.glob("*.stg")):
         _capture(outdir / f"soundness_{stg.stem}.out", cli.main, ["soundness", *_library(stg.stem)])
     for sle in sorted(CORPUS.glob("*.sle")):
@@ -174,6 +254,8 @@ def _runs(outdir: Path) -> None:
             trace = outdir / f"{mode}_{sle.stem}.trace.json"
             args = [mode, *_library(sle.stem.split("_")[0]), "--input", str(sle), "--trace", str(trace)]
             _capture(outdir / f"{mode}_{sle.stem}.out", cli.main, args)
+            if mode == "frame":
+                documents.append((trace, sle.stem.split("_")[0]))
     run_corpus = _load("run_corpus", ROOT / "scripts" / "run_corpus.py")
     _capture(outdir / "run_corpus.out", run_corpus.main, ["--show-final"])
 
@@ -187,6 +269,9 @@ def _runs(outdir: Path) -> None:
             args = ["frame", *_library(batch.library), "--input", str(sle), "--trace", f"{stem}.trace.json"]
             _capture(stem.with_suffix(".out"), cli.main, args)
             sle.unlink()
+            if seed == 1:
+                documents.append((Path(f"{stem}.trace.json"), batch.library))
+    return documents
 
 
 if __name__ == "__main__":

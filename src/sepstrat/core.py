@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
-from typing import AbstractSet, Mapping, Union
+from typing import AbstractSet, Callable, Mapping, Union
 
 ARITH_OPS = ("+", "-", "*")
 REL_OPS = ("!=", "<", "<=", ">", ">=")
@@ -82,13 +82,14 @@ class _Interned(type):
         if node is None:
             node = super().__call__(*args)
             object.__setattr__(node, "_fv", _own_free_vars(node))
+            object.__setattr__(node, "_text", None)
             _NODES[key] = node
         return node
 
 
 class _Node(metaclass=_Interned):
     """Base of the four node kinds.  `_fv` holds the node's free variables;
-    `_text`, unset until a frontend printer fills it, its printed text;
+    `_text`, None until a frontend printer fills it, its printed text;
     `__weakref__` lets the table hold it weakly."""
 
     __slots__ = ("__weakref__", "_fv", "_text")
@@ -477,6 +478,36 @@ def _subst(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
         else:
             kids.append(_subst(c, mapping))
     return rebuild(x, kids) if kids else x
+
+
+def builder(x: Syntax) -> Callable[[Mapping[str, Term]], Syntax]:
+    """x compiled into a function of a binding that returns `substitute(x,
+    binding)`, made directly through the interning constructors: a variable
+    the binding lacks stays, and a closed subtree is x's own.  An operator
+    chain is built and run with one frame per level, as `_subst` runs; a
+    quantifier or a conjunction of assertions falls back to `substitute`."""
+    cls = type(x)
+    if not x._fv:
+        return lambda b: x
+    if cls is Var:
+        return lambda b: b.get(x.name, x)
+    if cls._tuple_fields and cls not in (Apply, PredP, PredS):
+        return lambda b: substitute(x, b)
+    parts = []  # per field: a builder of its value
+    for name, kid in _FIELDS[cls]:
+        v = getattr(x, name)
+        if type(v) is tuple:  # a call's arguments, nested no deeper than the parser's MAX_NESTING
+            parts.append(lambda b, kids=[builder(y) for y in v]: [g(b) for g in kids])
+        else:
+            parts.append(builder(v) if kid else lambda b, v=v: v)
+    if len(parts) == 3:
+        p, q, r = parts
+        return lambda b: cls(p(b), q(b), r(b))
+    if len(parts) == 2:
+        p, q = parts
+        return lambda b: cls(p(b), q(b))
+    (p,) = parts
+    return lambda b: cls(p(b))
 
 
 def _under_binders(

@@ -4,13 +4,15 @@ A step picks the first applicable (strategy, match) pair: strategies ordered
 by (priority, declaration index), matches in the matcher's order.  A run
 takes its matches from one `MatchStore`, which keeps them across steps and
 yields only the ready ones: `*_absent` checks are part of the match (see
-`matcher`).  The `infer` checks and the action run per candidate match; a
-failure moves on to the next candidate.  A candidate whose checks fail is
-parked in the store until the antecedent pures change, since until then
-they would fail again; one whose action fails stays ready.
+`matcher`).  The `infer` checks and the action run per candidate match,
+from the strategy's compiled plan (`matcher.plan_of`), and the action
+reuses the instances the match holds; a failure moves on to the next
+candidate.  A candidate whose checks fail is parked in the store until the
+antecedent pures change, since until then they would fail again; one whose
+action fails stays ready.
 Applied steps are never undone.  Traces serialize to a versioned JSON
 document and can be replayed against it; replay checks each recorded match
-directly, without a store, by `matcher.unready`.
+directly, without a store, by `matcher.unready`, through the same plans.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .frontend import (
     print_heap,
     print_node,
 )
-from .matcher import Delta, MatchStore, Plan, conjunct_lists, match_strategy, unready
+from .matcher import Delta, MatchStore, conjunct_lists, match_strategy, plan_of, unready
 from .smt import ProofStatus
 from .soundness import scan
 
@@ -103,10 +105,8 @@ def run_checks(
     pures tuple, kept for one run or one trace, and each context keeps its
     answers by goal; without it each query gets a one-shot context."""
     conditions: list[SideCondition] = []
-    for c in s.checks:
-        if c.keyword != "infer":
-            continue
-        f = substitute(c.arg, binding)
+    for build in plan_of(s).infer:
+        f = build(binding)
         res = smt.infer(e.lhs.pures, f, contexts)
         conditions.append(SideCondition(f, res.status))
         if res.status is not ProofStatus.PROVEN:
@@ -119,30 +119,34 @@ def run_checks(
 
 
 def apply_action(
-    s: Strategy, binding: Mapping[str, Term], e: Entailment
+    s: Strategy, binding: Mapping[str, Term], e: Entailment, held: list | None = None
 ) -> tuple[Entailment, dict[str, Term], Delta] | None:
     """Apply the strategy's action under the binding; None on failure.
 
     Returns the new entailment, reusing each heap no operation touched, the
     binding extended with the names chosen for forall_add/exist_add, and the
     net change as a `Delta`.  A pre-seeded binding for such a name forces
-    that choice (used by trace replay).  The net change is `soundness.scan`'s
-    on the substituted operations, as for the strategy's condition, and each
-    net erase removes the first occurrence of its formula left in e.
+    that choice (used by trace replay).  held, when given, is the match's
+    held instances (`Plan.held`), which an operation on one of them reuses.
+    The net change is `soundness.scan`'s on the instantiated operations,
+    each formula paired with its list number, as for the strategy's
+    condition, and each net erase removes the first occurrence of its
+    formula left in e.
 
     e must be well formed, as `run` checks of its input; every step keeps it
     so.  The parser scope-checks every action variable, so the names in use
     are the binders, and the result is well formed when each appended
     conjunct is in scope: a left one among the universals, a right one among
     the universals and existentials.  `instantiate` needs no such check."""
+    plan = plan_of(s)
     sigma = dict(binding)
     lists = conjunct_lists(e)
-    if s.action and s.action[0].keyword == "instantiate":
-        var, term = s.action[0].arg
+    if plan.instantiate:
+        var, build = plan.instantiate
         v = sigma.get(var)
         if not isinstance(v, Var) or v.name not in e.existentials:
             return None
-        t = substitute(term, sigma)
+        t = build(sigma)
         remaining = tuple(x for x in e.existentials if x != v.name)
         # t may use the universals and the other existentials only, so not v
         if not free_vars(t) <= set(e.universals) | set(remaining):
@@ -152,35 +156,37 @@ def apply_action(
         rewritten = tuple((li, p) for li in (2, 3) for p, f in enumerate(after[li]) if f is not lists[li][p])
         return e2, sigma, Delta(rewritten=rewritten)
 
-    binders = {*e.universals, *e.existentials}
+    binders = None  # the names in use, once an operation introduces one
     ops = []
-    for op in s.action:
-        if op.keyword in ("forall_add", "exist_add"):
-            name = sigma.get(op.arg)
-            if name is None:
-                name = sigma[op.arg] = Var(fresh_name(op.arg, binders))
-            elif not isinstance(name, Var) or name.name in binders:
-                return None
-            binders.add(name.name)
-            ops.append((op.keyword, name.name))
-        else:
-            ops.append((op.keyword, substitute(op.arg, sigma)))
+    for keyword, li, arg, reuse in plan.ops:  # arg: a builder, or the name a forall_add/exist_add binds
+        if li is not None:
+            ops.append((keyword, (li, arg(sigma) if reuse is None or held is None else held[reuse])))
+            continue
+        if binders is None:
+            binders = {*e.universals, *e.existentials}
+        name = sigma.get(arg)
+        if name is None:
+            name = sigma[arg] = Var(fresh_name(arg, binders))
+        elif not isinstance(name, Var) or name.name in binders:
+            return None
+        binders.add(name.name)
+        ops.append((keyword, name.name))
     net = scan(ops)
-    universals = {*e.universals, *net.vl_forall}
     erased: tuple[list, ...] = ([], [], [], [])
     added: tuple[list, ...] = ([], [], [], [])
-    for r, (minus, plus) in enumerate(((net.l_minus, net.l_plus), (net.r_minus, net.r_plus))):
-        for f in minus:
-            erased[2 * r + (not isinstance(f, PureFormula))].append(f)
-        for f in plus:
-            if not free_vars(f) <= (binders if r else universals):
+    for li, f in net.l_minus + net.r_minus:
+        erased[li].append(f)
+    left = (e.universals, net.vl_forall)
+    for scope, plus in ((left, net.l_plus), ((*left, e.existentials, net.vl_exists), net.r_plus)):
+        for li, f in plus:
+            if free_vars(f).difference(*scope):
                 return None
-            if not isinstance(f, Emp):  # the unit of *, which no list holds
-                added[2 * r + (not isinstance(f, PureFormula))].append(f)
+            if type(f) is not Emp:  # the unit of *, which no list holds
+                added[li].append(f)
     new = list(lists)
     for li, gone in enumerate(erased):
         if gone or added[li]:
-            kept = list(lists[li])
+            kept = list(lists[li]) if gone else lists[li]
             for f in gone:
                 if f not in kept:
                     return None
@@ -222,7 +228,7 @@ def step(
             if conditions is None:
                 store.park(s, m)
                 continue
-            applied = apply_action(s, m.bindings, e)
+            applied = apply_action(s, m.bindings, e, m.held)
             if applied is None:
                 continue
             e2, sigma, delta = applied
@@ -342,20 +348,21 @@ _REQUIRED = object()
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str = "") -> dict:
     if not isinstance(value, dict):
-        raise ReplayError(f"{where}: not a JSON object")
+        raise ReplayError(f"{where}not a JSON object")
     return value
 
 
-def _field(obj: dict, key: str, where: str, kind: type | None = None, default=_REQUIRED):
+def _field(obj: dict, key: str, kind: type | None = None, default=_REQUIRED, where: str = ""):
     """obj[key], which must be present unless a default is given and must be
-    of `kind` when one is given."""
+    of `kind` when one is given.  where prefixes the error; a step's errors
+    take theirs from the loop that replays it."""
     value = obj.get(key, default)
     if value is _REQUIRED:
-        raise ReplayError(f"{where}: missing {key!r}")
+        raise ReplayError(f"{where}missing {key!r}")
     if kind is not None and not isinstance(value, kind):
-        raise ReplayError(f"{where}: {key!r} is not {_JSON_KINDS[kind]}")
+        raise ReplayError(f"{where}{key!r} is not {_JSON_KINDS[kind]}")
     return value
 
 
@@ -364,86 +371,85 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     divergence from the recorded entailments, substitutions or verdicts, and
     on a document of the wrong shape.
 
-    Each trace's input is parsed once, each distinct substitution text once
-    per call, and each strategy compiled once per call.  A step is checked
-    directly: the recorded substitution must be a ready match at the current
-    entailment (`matcher.unready`), and the action, seeded with it, must
-    return it unchanged, with no key added or left over.  Every recorded
-    entailment, side condition goal and frame must equal the printer's text
-    for what replay computes.  Every side condition is solved again, per
-    trace, through one context per hypothesis set.
-    Only a trace whose last entailment keeps a spatial conjunct builds a
-    match store, to ask whether a step still applies."""
-    _object(doc, "document")
+    Each trace's input is parsed once and each distinct substitution text
+    once per call; each strategy is compiled once (`matcher.plan_of`), for
+    runs and replays alike.  A step is checked directly: the recorded
+    substitution must be a ready match at the current entailment
+    (`matcher.unready`), and the action, seeded with it and reusing the
+    instances that check built, must return it unchanged, with no key added
+    or left over.  Every recorded entailment, side condition goal and frame
+    must equal the printer's text for what replay computes.  Every side
+    condition is solved again, per trace, through one context per
+    hypothesis set.  Only a trace whose last entailment keeps a spatial
+    conjunct builds a match store, to ask whether a step still applies."""
+    _object(doc, "document: ")
     version = doc.get("schema_version")
     if type(version) is not int or version != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
-    # per strategy, its plan and its keys: the pattern binders and the names its action introduces
-    compiled: dict[str, tuple[Plan, frozenset[str]]] = {}
 
-    def term(x: str, text, where: str) -> Term:
+    def term(x: str, text) -> Term:
         if not isinstance(text, str):
-            raise ReplayError(f"{where}: cannot parse recorded step: the value of {x!r} is not a string")
+            raise ReplayError(f"cannot parse recorded step: the value of {x!r} is not a string")
         t = terms.get(text)
         if t is None:
             try:
                 t = terms[text] = parse_term(text, sig)
             except FrontendError as exc:
-                raise ReplayError(f"{where}: cannot parse recorded step: {exc}") from exc
+                raise ReplayError(f"cannot parse recorded step: {exc}") from exc
         return t
 
-    for t_idx, tr in enumerate(_field(doc, "traces", "document", list, [])):
-        tr = _object(tr, f"trace {t_idx}")
-        source = _field(tr, "input", f"trace {t_idx}", str)
+    for t_idx, tr in enumerate(_field(doc, "traces", list, [], "document: ")):
+        where = f"trace {t_idx}: "
+        tr = _object(tr, where)
+        source = _field(tr, "input", str, where=where)
         try:
             cur = parse_entailment(source, sig)
         except FrontendError as exc:
-            raise ReplayError(f"trace {t_idx}: cannot parse input: {exc}") from exc
+            raise ReplayError(f"{where}cannot parse input: {exc}") from exc
         contexts: dict = {}  # the solver's contexts for this trace
-        for s_idx, st in enumerate(_field(tr, "steps", f"trace {t_idx}", list, [])):
-            where = f"trace {t_idx} step {s_idx}"
-            st = _object(st, where)
-            name = _field(st, "strategy", where)
-            substitution = _field(st, "substitution", where, dict)
-            recorded_after = _field(st, "entailment_after", where)
-            s = prog.by_name(name)
-            if s is None:
-                raise ReplayError(f"{where}: unknown strategy {name!r}")
-            binding = {x: term(x, text, where) for x, text in substitution.items()}
-            if s.name not in compiled:
-                plan = Plan(s)
-                introduced = (op.arg for op in s.action if op.keyword in ("forall_add", "exist_add"))
-                compiled[s.name] = plan, plan.binders.union(introduced)
-            plan, keys = compiled[s.name]
-            why = unready(plan, binding, cur)
-            if why in ("patterns", "exists"):
-                raise ReplayError(f"{where}: recorded substitution does not match {s.name}")
-            # any other recorded key is left out, so the comparison below sees it
-            seeded = {x: t for x, t in binding.items() if x in keys}
-            conditions = None if why else run_checks(s, seeded, cur, contexts)
-            if conditions is None:
-                raise ReplayError(f"{where}: checks of {s.name} no longer pass")
-            recorded = _field(st, "side_conditions", where, list, [])
-            if len(recorded) != len(conditions):
-                raise ReplayError(f"{where}: side condition count differs")
-            for rec, got in zip(recorded, conditions):
-                rec = _object(rec, where)
-                goal = _field(rec, "goal", where)
-                if goal != print_node(got.goal) or _field(rec, "status", where) != got.status.value:
-                    raise ReplayError(f"{where}: side condition diverges on {goal!r}")
-            applied = apply_action(s, seeded, cur)
-            if applied is None:
-                raise ReplayError(f"{where}: action of {s.name} fails on replay")
-            cur, sigma, _ = applied
-            if sigma != binding:
-                raise ReplayError(f"{where}: recorded substitution differs from the one {s.name} makes")
-            got_after = print_entailment(cur)
-            if got_after != recorded_after:
-                raise ReplayError(
-                    f"{where}: entailment diverges:\n  got      {got_after}\n"
-                    f"  recorded {recorded_after}"
-                )
+        for s_idx, st in enumerate(_field(tr, "steps", list, [], where)):
+            try:
+                st = _object(st)
+                name = _field(st, "strategy")
+                substitution = _field(st, "substitution", dict)
+                recorded_after = _field(st, "entailment_after")
+                s = prog.by_name(name)
+                if s is None:
+                    raise ReplayError(f"unknown strategy {name!r}")
+                try:
+                    binding = {x: terms[text] for x, text in substitution.items()}
+                except (KeyError, TypeError):  # a text not parsed yet, or not a string
+                    binding = {x: term(x, text) for x, text in substitution.items()}
+                plan = plan_of(s)
+                held = plan.held(binding)
+                why = unready(plan, binding, cur, held)
+                if why in ("patterns", "exists"):
+                    raise ReplayError(f"recorded substitution does not match {s.name}")
+                # any other recorded key is left out, so the comparison below sees it
+                seeded = {x: t for x, t in binding.items() if x in plan.keys}
+                conditions = None if why else run_checks(s, seeded, cur, contexts)
+                if conditions is None:
+                    raise ReplayError(f"checks of {s.name} no longer pass")
+                recorded = _field(st, "side_conditions", list, [])
+                if len(recorded) != len(conditions):
+                    raise ReplayError("side condition count differs")
+                for rec, got in zip(recorded, conditions):
+                    rec = _object(rec)
+                    goal = _field(rec, "goal")
+                    if goal != print_node(got.goal) or _field(rec, "status") != got.status.value:
+                        raise ReplayError(f"side condition diverges on {goal!r}")
+                applied = apply_action(s, seeded, cur, held)
+                if applied is None:
+                    raise ReplayError(f"action of {s.name} fails on replay")
+                cur, sigma, _ = applied
+                if sigma != binding:
+                    raise ReplayError(f"recorded substitution differs from the one {s.name} makes")
+                got_after = print_entailment(cur)
+                if got_after != recorded_after:
+                    raise ReplayError(f"entailment diverges:\n  got      {got_after}\n  recorded {recorded_after}")
+            except ReplayError as exc:
+                raise ReplayError(f"trace {t_idx} step {s_idx}: {exc}") from exc.__cause__
         _check_verdict(tr, t_idx, prog, cur, contexts)
 
 

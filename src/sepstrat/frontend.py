@@ -14,7 +14,7 @@ the AST values this package produces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (
@@ -147,17 +147,21 @@ class Strategy:
     patterns: tuple[Pattern, ...]
     checks: tuple[Item, ...]
     action: tuple[Item, ...]  # one `instantiate` item, or operations
+    # its `matcher.Plan` once `matcher.plan_of` builds it; a copy starts without
+    compiled: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Program:
     strategies: tuple[Strategy, ...]
+    named: dict[str, Strategy] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the first definition of a name wins
+        object.__setattr__(self, "named", {s.name: s for s in reversed(self.strategies)})
 
     def by_name(self, name: str) -> Strategy | None:
-        for s in self.strategies:
-            if s.name == name:
-                return s
-        return None
+        return self.named.get(name) if isinstance(name, str) else None
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +871,9 @@ def _level(x) -> int:
 
 
 def print_heap(h: SymbolicHeap) -> str:
-    pures = " && ".join(print_node(p) for p in h.pures)
-    spatials = " * ".join(print_node(s) for s in h.spatials)
+    """The conjuncts' kept texts, printing only a conjunct not printed yet."""
+    pures = " && ".join([p._text or print_node(p) for p in h.pures])
+    spatials = " * ".join([s._text or print_node(s) for s in h.spatials])
     if pures and spatials:
         return f"{pures} && {spatials}"
     return pures or spatials or "emp"

@@ -23,6 +23,9 @@ the heap.  A ready match whose `infer` checks failed is parked, held back
 like an absent one, until a step changes the antecedent pures that the
 checks are solved against; so a match's checks fail at most once while
 those stay as they are.
+
+Each strategy is compiled once into a `Plan` (`plan_of`) that runs and
+replays share, with a direct instance builder for every template.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import _FIELDS, Entailment, PureFormula, Term, Var, substitute
+from .core import _FIELDS, Entailment, PureFormula, Term, Var, builder
 from .frontend import Strategy
 
 LEFT = "left"
@@ -119,10 +122,15 @@ def _shape(f) -> tuple:
 
 
 class Plan:
-    """A strategy compiled for matching: per pattern its list number, head,
-    formula and the variable of its first argument; the binders in pattern
-    order; the `exists` binders; the `*_absent` formulas with the pure list
-    they look in."""
+    """A strategy compiled once: per pattern its list number, head, formula
+    and first argument's variable; the binders in pattern order; the
+    `exists` binders; per `*_absent` formula its list and `core.builder`;
+    the builders of what a match holds (its patterns' instances, the
+    conjuncts it uses, then its absent ones); the `infer` builders; per
+    operation its keyword, list number (None for a name it introduces) and
+    builder or name, and which held instance it reuses, if its formula is a
+    held one over binders only; the `instantiate` variable and builder; and
+    `keys`, the binders and introduced names."""
 
     def __init__(self, s: Strategy) -> None:
         self.pats = []
@@ -133,37 +141,70 @@ class Plan:
             self.pats.append((li, head, f, a.name if type(a) is Var else None))
         self.order = tuple(dict.fromkeys(b for p in s.patterns for b in p.atom.binders))
         self.binders = frozenset(self.order)
-        absent = {"left_absent": 0, "right_absent": 2}
-        self.absent = tuple((absent[c.keyword], c.arg) for c in s.checks if c.keyword in absent)
         self.exists = tuple(b for p in s.patterns for b in p.exists_binders)
+        absent = [c for c in s.checks if c.keyword in ("left_absent", "right_absent")]
+        self.absent = tuple((2 * (c.keyword == "right_absent"), builder(c.arg)) for c in absent)
+        self.builders = tuple(builder(p[2]) for p in self.pats) + tuple(build for _, build in self.absent)
+        self.infer = tuple(builder(c.arg) for c in s.checks if c.keyword == "infer")
+        held = [p[2] for p in self.pats] + [c.arg for c in absent]
+        self.ops = []
+        self.instantiate = None
+        for keyword, arg in s.action:
+            if keyword == "instantiate":
+                self.instantiate = arg[0], builder(arg[1])
+            elif keyword in ("forall_add", "exist_add"):
+                self.ops.append((keyword, None, arg, None))
+            else:
+                reuse = held.index(arg) if arg in held and arg._fv <= self.binders else None
+                li = 2 * keyword.startswith(RIGHT) + (not isinstance(arg, PureFormula))
+                self.ops.append((keyword, li, builder(arg), reuse))
+        self.keys = self.binders.union(arg for _, li, arg, _ in self.ops if li is None)
+
+    def __reduce__(self):
+        # builders are closures, which do not pickle: a pickled strategy compiles again
+        return type(None), ()
+
+    def held(self, binding: Mapping[str, Term]) -> list:
+        """The instances a match under binding holds."""
+        return [build(binding) for build in self.builders]
 
     def witnessed(self, bindings: Mapping[str, Term], existentials) -> bool:
         """Whether every `exists` binder is bound to one of existentials."""
         return all(type(t := bindings[b]) is Var and t.name in existentials for b in self.exists)
 
 
-def unready(plan: Plan, binding: Mapping[str, Term], e: Entailment) -> str | None:
+def plan_of(s: Strategy) -> Plan:
+    """s's plan, compiled the first time it is asked for and kept on s."""
+    if s.compiled is None:
+        object.__setattr__(s, "compiled", Plan(s))
+    return s.compiled
+
+
+def unready(plan: Plan, binding: Mapping[str, Term], e: Entailment, held: list | None = None) -> str | None:
     """None when the binding is a ready match of plan's strategy at e, as a
-    store at e yields; else the first condition it fails, by name."""
+    store at e yields; else the first condition it fails, by name.  held is
+    `plan.held(binding)`, when the caller has it."""
     if not plan.binders <= binding.keys():
         return "patterns"
+    held = plan.held(binding) if held is None else held
     lists = conjunct_lists(e)
-    need = [(li, substitute(f, binding)) for li, _, f, _ in plan.pats]
+    need = [(p[0], f) for p, f in zip(plan.pats, held)]
     if any(lists[li].count(f) < need.count((li, f)) for li, f in need):
         return "patterns"
     if not plan.witnessed(binding, e.existentials):
         return "exists"
-    if any(substitute(f, binding) in lists[li] for li, f in plan.absent):
+    if any(f in lists[li] for (li, _), f in zip(plan.absent, held[len(need) :])):
         return "absent"
     return None
 
 
 class _Match:
-    __slots__ = ("key", "bindings", "absent", "blocks")
+    __slots__ = ("key", "bindings", "held", "absent", "blocks")
 
-    def __init__(self, key: tuple, bindings: dict[str, Term], absent: tuple, blocks: int) -> None:
+    def __init__(self, key: tuple, bindings: dict[str, Term], held: list, absent: tuple, blocks: int) -> None:
         self.key = key
         self.bindings = bindings
+        self.held = held  # as `Plan.held` gives them
         self.absent = absent  # distinct (list number, formula) pairs
         self.blocks = blocks  # how many of them are present, plus one while parked
 
@@ -297,8 +338,8 @@ class MatchStore:
     # -- the join
 
     def _activate(self, si: int) -> Plan:
-        """Compile strategy si, find its matches and keep them from now on."""
-        plan = self._plans[si] = Plan(self.strategies[si])
+        """Find strategy si's matches, from its plan, and keep them from now on."""
+        plan = self._plans[si] = plan_of(self.strategies[si])
         for i, (li, head, _, _) in enumerate(plan.pats):
             self._listeners.setdefault((li, head), []).append((si, i))
         li, head = plan.pats[0][:2]
@@ -348,11 +389,14 @@ class MatchStore:
         bindings = {b: m[b] for b in plan.order if b in m}
         if plan.exists and not plan.witnessed(bindings, self.entailment.existentials):
             return
+        held = [self._occ[c][1] for c in key]
         absent, blocks = (), 0
         if plan.absent:
-            absent = tuple(dict.fromkeys((li, substitute(f, bindings)) for li, f in plan.absent))
+            fs = [build(bindings) for _, build in plan.absent]
+            held += fs
+            absent = tuple(dict.fromkeys(zip([li for li, _ in plan.absent], fs)))
             blocks = sum(self._present[a] > 0 for a in absent)
-        self._matches[si][key] = _Match(key, bindings, absent, blocks)
+        self._matches[si][key] = _Match(key, bindings, held, absent, blocks)
         if not blocks:
             self._set_ready(si, key, True)
         for s in key:

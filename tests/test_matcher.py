@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
 import helpers
 from conftest import CORPUS
-from sepstrat.core import IntLit, Var, occurring_vars, substitute
-from sepstrat.frontend import parse_entailment, parse_strategies
-from sepstrat.matcher import _match, match_strategy
+from sepstrat.core import Apply, Arith, IntLit, Var, builder, occurring_vars, substitute
+from sepstrat.frontend import MAX_DEPTH, MAX_NESTING, Item, Program, Strategy, parse_entailment, parse_strategies
+from sepstrat.matcher import Plan, _match, match_strategy, plan_of
 
 SIG = gen.test_signature()
 
@@ -176,3 +180,77 @@ def test_pattern_of_every_variable_recovers_the_substitution(f, sigma):
     vs = occurring_vars(f)
     got = _match(f, substitute(f, sigma), {}, frozenset(vs))
     assert got == {v: sigma[v] for v in vs}
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans: every template's builder gives the instance `substitute`
+# gives, the very node, and each strategy object compiles its own plan.
+
+
+def compiled_templates(s: Strategy) -> list:
+    """(template, builder) for every template s's plan compiles, read off
+    the strategy and the plan side by side."""
+    plan = Plan(s)
+    absent = [c.arg for c in s.checks if c.keyword in ("left_absent", "right_absent")]
+    pairs = list(zip([p.atom.formula for p in s.patterns] + absent, plan.builders, strict=True))
+    pairs += zip(absent, [build for _, build in plan.absent], strict=True)
+    pairs += zip([c.arg for c in s.checks if c.keyword == "infer"], plan.infer, strict=True)
+    for item, (_, li, arg, _) in zip([i for i in s.action if i.keyword != "instantiate"], plan.ops, strict=True):
+        if li is not None:
+            pairs.append((item.arg, arg))
+    if plan.instantiate:
+        pairs.append((s.action[0].arg[1], plan.instantiate[1]))
+    return pairs
+
+
+# a binding may leave a template variable out, as `zz` is in
+# test_engine.py::TestDelta::test_named_actions, or bind extra names
+bindings = st.dictionaries(st.sampled_from(gen.VAR_NAMES + ("zz", "stray")), gen.terms(max_depth=2), max_size=8)
+
+
+@given(bindings)
+@settings(max_examples=60)
+def test_corpus_builders_give_the_substituted_node(binding):
+    for s in LIBRARY:
+        for template, build in compiled_templates(s):
+            assert build(binding) is substitute(template, binding)
+
+
+@given(gen.strategy_defs(), bindings)
+@settings(max_examples=150)
+def test_generated_builders_give_the_substituted_node(s, binding):
+    for template, build in compiled_templates(s):
+        assert build(binding) is substitute(template, binding)
+
+
+def test_builder_reaches_the_parser_depth():
+    chain = Var("x")
+    for _ in range(MAX_DEPTH):
+        chain = Arith("+", chain, Var("y"))
+    call = Var("x")
+    for _ in range(MAX_NESTING):
+        call = Apply("nth", (call, Var("y")))
+    binding = {"x": IntLit(0)}
+    for t in (chain, call):
+        assert builder(t)(binding) is substitute(t, binding)
+
+
+def test_each_strategy_object_compiles_its_own_plan():
+    s = next(s for s in LIBRARY if s.name == "com_ptr_neq")
+    plan = plan_of(s)
+    assert plan_of(s) is plan and s.compiled is plan  # compiled once, kept on s
+    erase = dataclasses.replace(s, action=(Item("left_erase", s.patterns[0].atom.formula),))
+    assert erase == dataclasses.replace(erase) and erase.compiled is None
+    assert plan_of(erase) is not plan and [op[0] for op in plan_of(erase).ops] == ["left_erase"]
+    direct = Strategy(s.name, s.priority, s.patterns, (), s.action)
+    assert direct.compiled is None and plan_of(direct).absent == () and plan.absent != ()
+    copied = pickle.loads(pickle.dumps(s))
+    assert copied == s and copied.compiled is None and copy.deepcopy(s).compiled is None
+
+
+def test_program_index_takes_the_first_definition():
+    first, other = LIBRARY[0], dataclasses.replace(LIBRARY[1], name=LIBRARY[0].name)
+    prog = Program((first, other))
+    assert prog.by_name(first.name) is first and prog.by_name("nowhere") is None
+    assert prog.by_name(["a list"]) is None
+    assert dataclasses.replace(prog, strategies=(other,)).by_name(first.name) is other
