@@ -27,12 +27,15 @@ One family times the parser alone:
 
     parse         each perfbench workload's seed-1 batch at 25, 50, 100 and
                   200 goals: `parse_entailments` of the batch text (source
-                  "batch") and `parse_entailment` of each goal's printed
+                  "batch"), `parse_entailment` of each goal's printed
                   text, which is what a trace records as its input and
-                  replay parses (source "trace_inputs").  Rows give the
-                  workload, goals, source, chars, the best `parse_ms` and
-                  `chars_per_ms`, which stays flat while the parse cost is
-                  linear in the text
+                  replay parses (source "trace_inputs"), and
+                  `parse_entailments` of the batch with every name of goal
+                  g suffixed by `_g`, so that no atom is repeated and the
+                  parse's table of atoms is never read (source
+                  "batch_unique").  Rows give the workload, goals, source,
+                  chars, the best `parse_ms` and `chars_per_ms`, which
+                  stays flat while the parse cost is linear in the text
 
 Three more families time `smt.infer` alone: 2k queries against one
 hypothesis set, asked through one solver context as a run asks them.  Each
@@ -56,6 +59,7 @@ import importlib.util
 import json
 import platform
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -65,7 +69,7 @@ REPEAT = 5  # timed runs per goal; the best is kept
 sys.path.insert(0, str(ROOT / "src"))
 
 from sepstrat import engine, frontend, smt  # noqa: E402
-from sepstrat.core import Apply, Arith, Eq, IntLit, Rel, Var  # noqa: E402
+from sepstrat.core import RESERVED, Apply, Arith, Eq, IntLit, Rel, Var  # noqa: E402
 
 
 def _load_workloads():
@@ -175,15 +179,29 @@ def _best_ms(fn, repeat: int) -> float:
     return best * 1000
 
 
+def _unique_text(batch, sig) -> str:
+    """The batch's text with every name of goal g but the declared symbols
+    and the keywords suffixed by `_g`, so that no two goals share an atom."""
+
+    def suffixed(m: re.Match, g: int) -> str:
+        name = m.group()
+        return name if name in RESERVED or sig.kind_of(name) else f"{name}_{g}"
+
+    goals = (re.sub(r"\b[^\W\d][\w']*", lambda m: suffixed(m, g), goal.text) for g, goal in enumerate(batch.goals))
+    return "\n\n".join(goals) + "\n"
+
+
 def _parse_rows(wl, n: int, repeat: int) -> list[dict]:
     rows = []
     for workload in PARSE[0]:
         batch = wl.WORKLOADS[workload](1, n)
         sig, _ = _library(batch.library)
         inputs = [frontend.print_entailment(e) for e in frontend.parse_entailments(batch.text, sig)]
+        unique = _unique_text(batch, sig)
         timed = {
             "batch": (len(batch.text), lambda: frontend.parse_entailments(batch.text, sig)),
             "trace_inputs": (sum(map(len, inputs)), lambda: [frontend.parse_entailment(t, sig) for t in inputs]),
+            "batch_unique": (len(unique), lambda: frontend.parse_entailments(unique, sig)),
         }
         for source, (chars, fn) in timed.items():
             ms = _best_ms(fn, repeat)
@@ -227,8 +245,8 @@ def _library(name: str):
 def _later_layers(text: str, sig, prog, repeat: int) -> tuple[float, float]:
     """Best serialise and replay times of the goal, in seconds.  Each repeat
     parses and runs the goal afresh, so no node has printed text cached from
-    an earlier repeat; replay starts from the JSON alone, as `sepstrat replay`
-    does."""
+    an earlier repeat; replay starts from the JSON text alone, as a checker
+    of a trace file written by `--trace` does."""
     serialise = replay = float("inf")
     for _ in range(repeat):
         trace = engine.run(prog, frontend.parse_entailment(text, sig))

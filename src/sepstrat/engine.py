@@ -12,7 +12,8 @@ antecedent pures change, since until then they would fail again; one whose
 action fails stays ready.
 Applied steps are never undone.  Traces serialize to a versioned JSON
 document and can be replayed against it; replay checks each recorded match
-directly, without a store, by `matcher.unready`, through the same plans.
+directly, without a store, by `matcher.unready`, through the same plans,
+with one solver table and one atom table for the whole document.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def run_checks(
     checks belong to the match, which the matcher decides.
 
     `contexts` is the solver's cache of one `smt.Context` per antecedent
-    pures tuple, kept for one run or one trace, and each context keeps its
-    answers by goal; without it each query gets a one-shot context."""
+    pures tuple, kept for one run or one replayed document, and each context
+    keeps its answers by goal; without it each query gets a one-shot context."""
     conditions: list[SideCondition] = []
     for build in plan_of(s).infer:
         f = build(binding)
@@ -371,22 +372,25 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
     divergence from the recorded entailments, substitutions or verdicts, and
     on a document of the wrong shape.
 
-    Each trace's input is parsed once and each distinct substitution text
-    once per call; each strategy is compiled once (`matcher.plan_of`), for
-    runs and replays alike.  A step is checked directly: the recorded
-    substitution must be a ready match at the current entailment
+    Each trace's input is parsed once, and each distinct substitution text
+    once per call, both through tables kept for the call; each strategy is
+    compiled once (`matcher.plan_of`).  A step is checked directly: the
+    recorded substitution must be a ready match at the current entailment
     (`matcher.unready`), and the action, seeded with it and reusing the
     instances that check built, must return it unchanged, with no key added
     or left over.  Every recorded entailment, side condition goal and frame
     must equal the printer's text for what replay computes.  Every side
-    condition is solved again, per trace, through one context per
-    hypothesis set.  Only a trace whose last entailment keeps a spatial
-    conjunct builds a match store, to ask whether a step still applies."""
+    condition is solved again, through one context per hypothesis set for
+    the whole call, whose kept answers are those a fresh context gives.
+    Only a trace whose last entailment keeps a spatial conjunct builds a
+    match store, to ask whether a step still applies."""
     _object(doc, "document: ")
     version = doc.get("schema_version")
     if type(version) is not int or version != TRACE_SCHEMA_VERSION:
         raise ReplayError(f"unsupported schema_version {version!r}")
     terms: dict[str, Term] = {}  # each distinct recorded substitution text, parsed once
+    atoms: dict = {}  # the inputs' parsed call atoms (see `parse_entailment`)
+    contexts: dict = {}  # the solver's contexts, shared by every trace and verdict check
 
     def term(x: str, text) -> Term:
         if not isinstance(text, str):
@@ -404,10 +408,9 @@ def replay_document(doc: dict, sig: Signature, prog: Program) -> None:
         tr = _object(tr, where)
         source = _field(tr, "input", str, where=where)
         try:
-            cur = parse_entailment(source, sig)
+            cur = parse_entailment(source, sig, atoms=atoms)
         except FrontendError as exc:
             raise ReplayError(f"{where}cannot parse input: {exc}") from exc
-        contexts: dict = {}  # the solver's contexts for this trace
         for s_idx, st in enumerate(_field(tr, "steps", list, [], where)):
             try:
                 st = _object(st)

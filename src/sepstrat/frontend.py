@@ -179,7 +179,7 @@ _TOKEN = re.compile(r"//[^\n]*|[0-9]+|\w[\w']*|\|--|<->|->|-\*|==|!=|<=|>=|&&|\|
 _PUNCTS = frozenset("|-- <-> -> -* == != <= >= && || ( ) , ; : * + - / ! ? < >".split())
 
 
-def _lex(text: str, path: str, start_line: int = 1) -> list[str]:
+def _lex(text: str, path: str, start_line: int = 1) -> tuple[str, ...]:
     """The token texts of text, comments dropped, then "" twice for the end,
     so that looking one token past the end still reads it.  Positions are
     left to `_position`, which only a diagnostic needs."""
@@ -190,8 +190,7 @@ def _lex(text: str, path: str, start_line: int = 1) -> list[str]:
     if bad:
         i = min(map(toks.index, bad))
         raise ParseError(f"unexpected character {toks[i][0]!r}", path, *_position(text, start_line, i))
-    toks += ("", "")
-    return toks
+    return (*toks, "", "")
 
 
 def _position(text: str, start_line: int, index: int) -> tuple[int, int]:
@@ -230,10 +229,11 @@ class _Parser:
     error it builds, and `_parse_all` turns it into a position only when the
     error leaves the parser, so an error that `attempt` catches costs none."""
 
-    def __init__(self, text: str, sig: Signature, path: str, start_line: int = 1) -> None:
+    def __init__(self, text: str, sig: Signature, path: str, start_line: int = 1, atoms: dict | None = None) -> None:
         self.sig = sig
         self.path = path
         self.toks = _lex(text, path, start_line)
+        self.atoms = atoms  # the call atoms parsed so far, by their tokens (`_tabled_call`)
         self.pos = 0
         # Pattern mode: `?x` term primaries are legal and get recorded here.
         self.pattern_mode = False
@@ -498,7 +498,7 @@ class _Parser:
             self.pos += 1
             return TrueF()
         if t == "data_at" or self.sig.kind_of(t) in ("spatial", "pure"):
-            return self._call()
+            return self._call() if self.atoms is None or self.depth or self.scope is not None else self._tabled_call()
         if t == "!":
             self.next()
             return Not(self._parenthesised("pure"))
@@ -506,6 +506,26 @@ class _Parser:
             f = self.attempt(self._relational)
             return self._parenthesised("pure") if f is None else f
         return self._relational()
+
+    def _tabled_call(self) -> PureFormula | SpatialAtom:
+        """`_call` through self.atoms, keyed by the tokens from the name to the
+        `)` that closes its `(`.  An atom is entered once it parses in full; at
+        depth 0 outside strategies its parse depends on those tokens alone."""
+        toks, i = self.toks, self.pos
+        try:
+            j = toks.index(")", i) + 1
+            key = toks[i:j]
+            while key.count("(") > key.count(")"):  # a call nested in it
+                j = toks.index(")", j) + 1
+                key = toks[i:j]
+        except ValueError:  # unclosed: `_call` reports it
+            return self._call()
+        atom = self.atoms.get(key)
+        if atom is None:  # a parse in full consumes exactly the tokens of key
+            atom = self.atoms[key] = self._call()
+        else:
+            self.pos = j
+        return atom
 
     def _relational(self) -> PureFormula:
         left = self.parse_term()
@@ -741,10 +761,10 @@ def _chunks(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_all(rule, text: str, sig: Signature, path: str, start_line: int = 1):
+def _parse_all(rule, text: str, sig: Signature, path: str, start_line: int = 1, atoms: dict | None = None):
     """rule applied to the start of text, which it must consume in full; an
     error leaves with the position of the token it names."""
-    p = _Parser(text, sig, path, start_line)
+    p = _Parser(text, sig, path, start_line, atoms)
     try:
         x = rule(p)
         p.expect_eof()
@@ -755,7 +775,9 @@ def _parse_all(rule, text: str, sig: Signature, path: str, start_line: int = 1):
 
 
 def parse_entailments(text: str, sig: Signature, path: str = "<input>") -> list[Entailment]:
-    return [_parse_all(_Parser.parse_entailment, chunk, sig, path, line) for line, chunk in _chunks(text)]
+    """text's blank-line separated entailments, through one table of call atoms."""
+    atoms: dict = {}
+    return [_parse_all(_Parser.parse_entailment, chunk, sig, path, line, atoms) for line, chunk in _chunks(text)]
 
 
 def parse_strategies(text: str, sig: Signature, path: str = "<input>", prior: Program | None = None) -> Program:
@@ -764,8 +786,11 @@ def parse_strategies(text: str, sig: Signature, path: str = "<input>", prior: Pr
     return _parse_all(lambda p: p.parse_program(prior), text, sig, path)
 
 
-def parse_entailment(text: str, sig: Signature, path: str = "<input>") -> Entailment:
-    return _parse_all(_Parser.parse_entailment, text, sig, path)
+def parse_entailment(text: str, sig: Signature, path: str = "<input>", atoms: dict | None = None) -> Entailment:
+    """atoms, when given, is the table of call atoms (`_tabled_call`) of
+    one document's parses, which gives the nodes and the diagnostics of a
+    parse without it."""
+    return _parse_all(_Parser.parse_entailment, text, sig, path, 1, atoms)
 
 
 def parse_heap(text: str, sig: Signature, path: str = "<input>") -> SymbolicHeap:

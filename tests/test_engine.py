@@ -616,7 +616,7 @@ class TestInferMemo:
         assert all(rows.count(lr) == 1 for lr in hyp_rows)
         assert len(rows) <= len(hyp_rows) + len(infer_calls)
 
-    def test_contexts_live_for_one_run_or_one_trace(self, array, monkeypatch):
+    def test_contexts_live_for_one_run_or_one_replay(self, array, monkeypatch):
         sig, prog = array
         caches = []
         real = smt.infer
@@ -628,9 +628,15 @@ class TestInferMemo:
         monkeypatch.setattr(smt, "infer", recording)
         traces = [run(prog, arrays_goal(sig, 3, 3)), run(prog, arrays_goal(sig, 3, 1))]
         assert None not in caches and len({id(c) for c in caches}) == 2
+        doc = traces_to_document(traces)
         caches.clear()
-        replay_document(traces_to_document(traces), sig, prog)
-        assert None not in caches and len({id(c) for c in caches}) == 2
+        replay_document(doc, sig, prog)
+        first = len(caches)
+        replay_document(doc, sig, prog)
+        # one table for every trace of a document, and a new one per call
+        assert None not in caches and first < len(caches)
+        assert len({id(c) for c in caches[:first]}) == len({id(c) for c in caches[first:]}) == 1
+        assert caches[0] is not caches[-1]
 
     @pytest.mark.parametrize(
         "lib,name,max_steps",
@@ -875,6 +881,17 @@ class TestReplay:
                     return
         pytest.fail("no side conditions found")
 
+    def test_repeated_trace_with_a_flipped_status_rejected(self, array):
+        # the first copy leaves its answers in the document's solver table,
+        # and an answer found there is compared as a fresh one is
+        sig, prog = array
+        doc = traces_to_document([run(prog, arrays_goal(sig, 3, 3))] * 2)
+        replay_document(doc, sig, prog)
+        s_idx = next(i for i, st in enumerate(doc["traces"][1]["steps"]) if st["side_conditions"])
+        doc["traces"][1]["steps"][s_idx]["side_conditions"][0]["status"] = "unknown"
+        with pytest.raises(ReplayError, match=f"^trace 1 step {s_idx}: side condition diverges"):
+            replay_document(doc, sig, prog)
+
     def test_tampered_verdict(self, sll):
         doc, sig, prog = self.replayable(sll, "sll_cycle_guard")
         doc["traces"][0]["verdict"] = "purified"
@@ -939,9 +956,9 @@ class TestReplay:
         assert sum(len(tr["steps"]) for tr in doc["traces"]) > len(doc["traces"]) > 1
         calls = []
 
-        def spy(text, sig):
+        def spy(text, sig, atoms=None):
             calls.append(text)
-            return parse_entailment(text, sig)
+            return parse_entailment(text, sig, atoms=atoms)
 
         monkeypatch.setattr(engine, "parse_entailment", spy)
         replay_document(doc, sig, prog)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
+from conftest import CORPUS, load_perfbench
 from sepstrat.core import (
     Arith,
     Assertion,
@@ -540,6 +541,53 @@ def test_heap_round_trip(h):
 @settings(max_examples=80)
 def test_entailment_round_trip(e):
     assert parse_entailment(print_entailment(e), SIG) == e
+
+
+# ---------------------------------------------------------------------------
+# One table of call atoms per parse
+
+
+def _documents():
+    """(id, library, text, whether it repeats an atom by design) of the
+    perfbench seed 1 and 7 batches and of every corpus goal file."""
+    wl = load_perfbench("workloads")
+    for workload, make in wl.WORKLOADS.items():
+        for seed in (1, 7):
+            batch = make(seed)
+            yield f"{workload}-{seed}", batch.library, batch.text, True
+    for path in sorted(CORPUS.glob("*.sle")):
+        yield path.name, path.name.split("_")[0], path.read_text(), False
+
+
+@pytest.mark.parametrize("lib,text,repeats", [d[1:] for d in _documents()], ids=[d[0] for d in _documents()])
+def test_atom_table_gives_the_nodes_of_separate_parses(lib, text, repeats, request, monkeypatch):
+    sig, _ = request.getfixturevalue(lib)
+    calls = []
+    real = frontend._Parser._call
+
+    def counting(p):
+        calls.append(p.pos)
+        return real(p)
+
+    monkeypatch.setattr(frontend._Parser, "_call", counting)
+    tabled = parse_entailments(text, sig)
+    read = len(calls)
+    # nodes compare by identity, so each conjunct is the very node a
+    # separate parse of its chunk builds
+    assert tabled == [parse_entailment(chunk, sig) for _, chunk in frontend._chunks(text)]
+    # the table is read for a repeated atom, which a separate parse parses again
+    assert read < len(calls) - read if repeats else read <= len(calls) - read
+
+
+def test_atom_table_is_read_at_depth_0_only():
+    # the second goal holds the first one's atom so deep that the atom's own
+    # `(` passes the nesting bound, which a read of the table would skip
+    deep = "(" * MAX_NESTING + "neg(x, x, x)" + ")" * MAX_NESTING
+    text = f"forall x, neg(x, x, x) |-- emp\n\nforall x, {deep} |-- emp\n"
+    col = len("forall x, ") + MAX_NESTING + len("neg") + 1
+    with pytest.raises(FrontendError) as info:
+        parse_entailments(text, SIG, "deep.sle")
+    assert str(info.value) == f"deep.sle:3:{col}: nesting deeper than {MAX_NESTING} levels"
 
 
 # ---------------------------------------------------------------------------

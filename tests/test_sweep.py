@@ -1,6 +1,6 @@
 """Smoke test of scripts/sweep.py on the smallest size of each family,
 the solver and parse families included, and on two paddings of
-library_size."""
+library_size; the parse family's renamed batch repeats no atom."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
+from sepstrat.frontend import parse_entailments
 
 SWEEP = CORPUS.parent / "scripts" / "sweep.py"
 
@@ -31,7 +32,7 @@ def test_sweep_reports_each_family():
     assert sorted(result) == sorted([*sweep.FAMILIES, "library_size", "parse", *sweep.SOLVER_FAMILIES])
     parse = result.pop("parse")
     assert [(r["workload"], r["source"]) for r in parse] == [
-        (w, source) for w in sweep.PARSE[0] for source in ("batch", "trace_inputs")
+        (w, source) for w in sweep.PARSE[0] for source in ("batch", "trace_inputs", "batch_unique")
     ]
     for row in parse:
         assert row["goals"] == 25 and row["chars"] > 0 and row["parse_ms"] > 0
@@ -54,3 +55,16 @@ def test_sweep_reports_each_family():
         assert row["steps"] > 0 and row["ms"] > 0
         assert row["ms_per_step"] == pytest.approx(row["ms"] / row["steps"], abs=1e-3)
         assert row["serialise_ms"] > 0 and row["replay_ms"] > 0
+
+
+def test_unique_batch_repeats_no_atom():
+    sweep = _load_sweep()
+    wl = sweep._load_workloads()
+    for workload in sweep.PARSE[0]:
+        batch = wl.WORKLOADS[workload](1, 25)
+        sig, _ = sweep._library(batch.library)
+        ents = parse_entailments(sweep._unique_text(batch, sig), sig)
+        atoms = [a for e in ents for h in (e.lhs, e.rhs) for a in h.spatials]
+        assert len(ents) == 25 and len(set(atoms)) == len(atoms)
+        # the same goals, renamed
+        assert [len(e.lhs.spatials) for e in ents] == [len(e.lhs.spatials) for e in parse_entailments(batch.text, sig)]
