@@ -10,6 +10,8 @@ The artefacts, one file each:
     run_corpus.out                  `scripts/run_corpus.py --show-final`
     perfbench_<wl>_<seed>.out       `sepstrat frame --trace` on the perfbench
     perfbench_<wl>_<seed>.trace.json  cells/sll/arrays batches at seeds 1 and 7
+    deep.out                        the trace, stdout and exit code of
+                                    `sepstrat frame --trace` on each of DEEP
     smt_answers.out                 the answer to every `smt.infer` call the
                                     runs above make, then to a fixed-seed
                                     stream of generated solver queries
@@ -49,6 +51,16 @@ from sepstrat.core import Apply, Arith, Bin, Eq, IntLit, Not, Rel, Var  # noqa: 
 from sepstrat.frontend import print_node  # noqa: E402
 
 SEEDS = (1, 7)
+
+# Inputs at the depth the parser admits, each (library, entailment): an
+# antecedent term and a consequent term 840 operators deep, the consequent
+# one instantiated, and a 200-operand `&&` chain.
+DEEP = (
+    ("array", f"forall a l n i, 0 <= i && i < n{' + 0' * 840} && store_array(a, 0, n, l)"
+     " |-- exists v, data_at(a + 4 * i, v)"),
+    ("common", f"forall y n, emp |-- exists x, x == y && x{' + n' * 840} == y"),
+    ("common", f"forall x, ({' && '.join(['0 < x'] * 200)}) && data_at(x, x) |-- emp"),
+)
 STREAM_SEED = 25
 STREAM_SIZE = 400
 
@@ -271,6 +283,16 @@ def _runs(outdir: Path) -> list[tuple[Path, str]]:
             sle.unlink()
             if seed == 1:
                 documents.append((Path(f"{stem}.trace.json"), batch.library))
+
+    sle, trace, out = (outdir / f"deep{suffix}" for suffix in (".sle", ".trace.json", ".out"))
+    deep = []
+    for lib, text in DEEP:
+        sle.write_text(f"{text}\n")
+        _capture(out, cli.main, ["frame", *_library(lib), "--input", str(sle), "--trace", str(trace)])
+        deep.append(f"{trace.read_text()}\n{out.read_text()}")
+    out.write_text("".join(deep))
+    sle.unlink()
+    trace.unlink()
     return documents
 
 

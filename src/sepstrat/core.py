@@ -450,49 +450,30 @@ def fresh_name(base: str, avoid: AbstractSet[str]) -> str:
 
 
 def substitute(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
-    """Capture-avoiding simultaneous substitution of terms for free variables.
-
-    Binders that would capture a substituted variable are alpha-renamed.  A
-    subtree with no free variable in the mapping is returned as it is.
-    """
-    return _subst(x, mapping) if mapping else x
-
-
-def _subst(x: Syntax, mapping: Mapping[str, Term]) -> Syntax:
-    cls = type(x)
-    if cls is not SymbolicHeap and x._fv.isdisjoint(mapping):
-        return x
-    if cls is Var:
-        return mapping.get(x.name, x)
-    if cls is ForallA or cls is ExistsA:
-        vs, body, live = _under_binders(x.vars, x.body, mapping)
-        return cls(vs, _subst(body, live) if live else body)
-    kids = []
-    for name in _KIDS[cls]:
-        c = getattr(x, name)
-        if type(c) is tuple:
-            new = []
-            for y in c:
-                new.append(_subst(y, mapping))
-            kids.append(tuple(new))
-        else:
-            kids.append(_subst(c, mapping))
-    return rebuild(x, kids) if kids else x
+    """Simultaneous substitution of terms for free variables in a term, pure
+    formula, spatial atom or heap (conjunct by conjunct): `builder(x)` run on
+    the mapping.  A node with no free variable in the mapping is returned as
+    it is; an assertion raises TypeError."""
+    if type(x) is SymbolicHeap:
+        return SymbolicHeap([substitute(f, mapping) for f in x.pures], [substitute(a, mapping) for a in x.spatials])
+    if isinstance(x, Assertion):
+        raise TypeError(f"substitute: unsupported assertion {x!r}")
+    return x if x._fv.isdisjoint(mapping) else builder(x)(mapping)
 
 
 def builder(x: Syntax) -> Callable[[Mapping[str, Term]], Syntax]:
-    """x compiled into a function of a binding that returns `substitute(x,
-    binding)`, made directly through the interning constructors: a variable
-    the binding lacks stays, and a closed subtree is x's own.  An operator
-    chain is built and run with one frame per level, as `_subst` runs; a
-    quantifier or a conjunction of assertions falls back to `substitute`."""
+    """A term, pure formula or spatial atom compiled into a function of a
+    binding that substitutes it, made directly through the interning
+    constructors: a variable the binding lacks stays, and a closed subtree is
+    x's own.  Variables are looked up in printing order.  An operator chain
+    is built and run with one frame per level."""
     cls = type(x)
+    if isinstance(x, Assertion):
+        raise TypeError(f"builder: unsupported assertion {x!r}")
     if not x._fv:
         return lambda b: x
     if cls is Var:
         return lambda b: b.get(x.name, x)
-    if cls._tuple_fields and cls not in (Apply, PredP, PredS):
-        return lambda b: substitute(x, b)
     parts = []  # per field: a builder of its value
     for name, kid in _FIELDS[cls]:
         v = getattr(x, name)
@@ -508,36 +489,6 @@ def builder(x: Syntax) -> Callable[[Mapping[str, Term]], Syntax]:
         return lambda b: cls(p(b), q(b))
     (p,) = parts
     return lambda b: cls(p(b))
-
-
-def _under_binders(
-    vs: tuple[str, ...],
-    body: Assertion,
-    mapping: Mapping[str, Term],
-) -> tuple[tuple[str, ...], Assertion, dict[str, Term]]:
-    body_free = free_vars(body)
-    live = {k: t for k, t in mapping.items() if k not in vs and k in body_free}
-    if not live:
-        return vs, body, {}
-    range_free: set[str] = set()
-    for t in live.values():
-        range_free |= free_vars(t)
-    captured = [v for v in vs if v in range_free]
-    if not captured:
-        return vs, body, live
-    avoid = {*body_free, *range_free, *vs, *live}
-    renaming: dict[str, Term] = {}
-    vs2: list[str] = []
-    for v in vs:
-        if v in captured:
-            nv = fresh_name(v, avoid)
-            avoid.add(nv)
-            renaming[v] = Var(nv)
-            vs2.append(nv)
-        else:
-            vs2.append(v)
-    body2 = substitute(body, renaming)
-    return tuple(vs2), body2, live
 
 
 # ---------------------------------------------------------------------------

@@ -722,13 +722,10 @@ class _Parser:
             self.expect("punct", "/", "expected '/' before the arity")
             arity = self.expect("int", message="expected a numeric arity")
             self.expect("punct", ";", "expected ';' after the declaration")
-            name = self.toks[name_tok]
-            if name in RESERVED:
-                raise self.err(FrontendError, f"{name!r} is reserved and cannot be declared", name_tok)
-            n = self.integer(arity)
-            if name in self.sig.entries:
-                raise self.err(FrontendError, f"{name} is already declared", name_tok)
-            self.sig.declare(name, kind, n)
+            try:  # a reserved or already declared name
+                self.sig.declare(self.toks[name_tok], kind, self.integer(arity))
+            except ValueError as exc:
+                raise self.err(FrontendError, str(exc), name_tok) from None
         return self.sig
 
 
@@ -913,7 +910,7 @@ def print_entailment(e: Entailment) -> str:
 
 
 class _FirstOccurrence(dict):
-    """A substitution that applies each of its entries once: `substitute`
+    """A substitution that applies each of its entries once: `core.builder`
     looks variables up with `get` in printing order, and this `get` pops."""
 
     def get(self, name, default=None):

@@ -140,6 +140,8 @@ def assertions(draw, max_depth: int = 3):
 
 # Every kind of node the traversals in core take.
 syntax = st.one_of(terms(), pure_formulas(), spatial_atoms(), heaps(), assertions())
+# the syntax `core.substitute` accepts: every kind but assertions
+substitutable = st.one_of(terms(), pure_formulas(), spatial_atoms(), heaps())
 
 
 @st.composite

@@ -8,6 +8,7 @@ from typing import Iterator, Mapping
 
 from sepstrat import smt
 from sepstrat.core import (
+    _KIDS,
     Apply,
     Arith,
     Bin,
@@ -28,6 +29,7 @@ from sepstrat.core import (
     Var,
     free_vars,
     fresh_name,
+    rebuild,
     substitute,
     well_formed,
 )
@@ -62,6 +64,29 @@ def entailments_match(a: Entailment, b: Entailment) -> bool:
         if _heap_counters(_rename_heap(a.rhs, ren)) == _heap_counters(b.rhs):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference substitution: a plain walk that rebuilds every node of a term,
+# pure formula, spatial atom or heap through `core.rebuild`, independent of
+# `core.builder`.  It loops over children rather than use comprehensions, so
+# it takes one frame per tree level on every Python version.
+
+
+def reference_substitute(x, mapping: Mapping[str, Term]):
+    if type(x) is Var:
+        return mapping.get(x.name, x)
+    kids = []
+    for name in _KIDS[type(x)]:
+        c = getattr(x, name)
+        if type(c) is tuple:
+            new = []
+            for y in c:
+                new.append(reference_substitute(y, mapping))
+            kids.append(tuple(new))
+        else:
+            kids.append(reference_substitute(c, mapping))
+    return rebuild(x, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +205,14 @@ def reference_apply_action(
         v = sigma.get(var)
         if not isinstance(v, Var) or v.name not in e.existentials:
             return None
-        t = substitute(term, sigma)
+        t = reference_substitute(term, sigma)
         fv = free_vars(t)
         if v.name in fv:
             return None
         remaining = tuple(x for x in e.existentials if x != v.name)
         if not fv <= set(e.universals) | set(remaining):
             return None
-        e2 = Entailment(e.universals, e.lhs, remaining, substitute(e.rhs, {v.name: t}))
+        e2 = Entailment(e.universals, e.lhs, remaining, reference_substitute(e.rhs, {v.name: t}))
         return (e2, sigma) if well_formed(e2) else None
 
     # each list holds (conjunct, appended by this action)
@@ -200,7 +225,7 @@ def reference_apply_action(
     for op in s.action:
         side, _, verb = op.keyword.partition("_")
         if side in ("left", "right"):
-            g = substitute(op.arg, sigma)
+            g = reference_substitute(op.arg, sigma)
             pure = isinstance(g, PureFormula)
             target = (lp if pure else ls) if side == "left" else (rp if pure else rs)
             if verb == "add":

@@ -231,6 +231,23 @@ class TestFrame:
         assert out.startswith(f"frame: 0 <= i && i < {bound} && ") and out.endswith("framed 1/1\n")
         replay_document(json.loads(trace.read_text()), *load_library("array"))
 
+    @pytest.mark.parametrize("ns", [500, 840])
+    def test_deep_consequent_term_instantiates_and_replays(self, ns, tmp_path, capsys):
+        src, trace = tmp_path / "deep.sle", tmp_path / "trace.json"
+        src.write_text(f"forall y n, emp |-- exists x, x == y && x{' + n' * ns} == y\n")
+        rc = run_cli(
+            "purify",
+            "--sig", corpus("common.sig"),
+            "--strategies", corpus("common.stg"),
+            "--input", str(src),
+            "--trace", str(trace),
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == f"purified: forall y n, emp |-- y == y && y{' + n' * ns} == y\npurified 1/1\n"
+        doc = json.loads(trace.read_text())
+        assert [st["strategy"] for st in doc["traces"][0]["steps"]] == ["com_inst_eq"]
+        replay_document(doc, *load_library("common"))
+
     def test_frame_inference(self, capsys):
         rc = run_cli(
             "frame",

@@ -131,7 +131,7 @@ def test_free_vars_are_the_occurring_vars(x):
     assert free_vars(x) == set(occurring_vars(x))
 
 
-@given(gen.syntax)
+@given(gen.substitutable)
 @settings(max_examples=150)
 def test_identity_substitution(x):
     assert substitute(x, {v: Var(v) for v in free_vars(x)}) == x
@@ -168,17 +168,13 @@ class TestSubstitute:
         f = PredS("listrep", (Var("p"), Var("l")))
         assert substitute(f, {"q": IntLit(0)}) == f
 
-    def test_binder_shadows(self):
-        a = ExistsA(("x",), PureA(Eq(Var("x"), Var("y"))))
-        got = substitute(a, {"x": IntLit(1)})
-        assert got == a
-
-    def test_capture_renames_binder(self):
-        a = ForallA(("v",), PureA(Eq(Var("v"), Var("y"))))
-        got = substitute(a, {"y": Var("v")})
-        assert isinstance(got, ForallA)
-        assert got.vars == ("v'1",)
-        assert got.body == PureA(Eq(Var("v'1"), Var("v")))
+    def test_assertions_are_rejected(self):
+        # also under a mapping disjoint from their free variables
+        eq = PureA(Eq(Var("v"), Var("y")))
+        for a in (ForallA(("v",), eq), SepConj((eq, SpatialA(Emp()))), eq):
+            for mapping in ({"y": Var("v")}, {"q": IntLit(0)}, {}):
+                with pytest.raises(TypeError):
+                    substitute(a, mapping)
 
 
 class TestWellFormed:
@@ -341,11 +337,15 @@ class TestInterning:
         assert (Var, name) not in _NODES
         assert not [k for k in list(_NODES.keys()) if k[0] is Apply and k[1] == name]
 
-    @given(nodes, st.dictionaries(st.sampled_from(gen.VAR_NAMES), gen.terms(), max_size=4))
+    @given(gen.substitutable, st.dictionaries(st.sampled_from(gen.VAR_NAMES), gen.terms(), max_size=4))
     @settings(max_examples=150)
     def test_substitution_disjoint_from_the_free_variables_returns_the_node(self, x, m):
         m = {v: t for v, t in m.items() if v not in free_vars(x)}
-        assert substitute(x, m) is x
+        got = substitute(x, m)
+        if type(x) is SymbolicHeap:  # a value rebuilt over the very conjuncts
+            assert got == x and all(a is b for a, b in zip(got.pures + got.spatials, x.pures + x.spatials))
+        else:
+            assert got is x
 
     def test_deep_terms_hash_and_compare_without_recursion(self):
         def chain(depth):

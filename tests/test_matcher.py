@@ -183,8 +183,9 @@ def test_pattern_of_every_variable_recovers_the_substitution(f, sigma):
 
 
 # ---------------------------------------------------------------------------
-# Compiled plans: every template's builder gives the instance `substitute`
-# gives, the very node, and each strategy object compiles its own plan.
+# Compiled plans: every template's builder gives the instance the reference
+# walk `helpers.reference_substitute` gives, the very node, and each strategy
+# object compiles its own plan.
 
 
 def compiled_templates(s: Strategy) -> list:
@@ -213,14 +214,14 @@ bindings = st.dictionaries(st.sampled_from(gen.VAR_NAMES + ("zz", "stray")), gen
 def test_corpus_builders_give_the_substituted_node(binding):
     for s in LIBRARY:
         for template, build in compiled_templates(s):
-            assert build(binding) is substitute(template, binding)
+            assert build(binding) is helpers.reference_substitute(template, binding)
 
 
 @given(gen.strategy_defs(), bindings)
 @settings(max_examples=150)
 def test_generated_builders_give_the_substituted_node(s, binding):
     for template, build in compiled_templates(s):
-        assert build(binding) is substitute(template, binding)
+        assert build(binding) is helpers.reference_substitute(template, binding)
 
 
 def test_builder_reaches_the_parser_depth():
@@ -232,7 +233,7 @@ def test_builder_reaches_the_parser_depth():
         call = Apply("nth", (call, Var("y")))
     binding = {"x": IntLit(0)}
     for t in (chain, call):
-        assert builder(t)(binding) is substitute(t, binding)
+        assert builder(t)(binding) is helpers.reference_substitute(t, binding)
 
 
 def test_each_strategy_object_compiles_its_own_plan():
