@@ -168,6 +168,18 @@ class TestSubstitute:
         f = PredS("listrep", (Var("p"), Var("l")))
         assert substitute(f, {"q": IntLit(0)}) == f
 
+    def test_binder_shadows(self):
+        # substituting only for a bound name is no longer a no-op on an assertion
+        a = ExistsA(("x",), PureA(Eq(Var("x"), Var("y"))))
+        with pytest.raises(TypeError):
+            substitute(a, {"x": IntLit(1)})
+
+    def test_capture_renames_binder(self):
+        # a capturing range is rejected with the assertion, not renamed around
+        a = ForallA(("v",), PureA(Eq(Var("v"), Var("y"))))
+        with pytest.raises(TypeError):
+            substitute(a, {"y": Var("v")})
+
     def test_assertions_are_rejected(self):
         # also under a mapping disjoint from their free variables
         eq = PureA(Eq(Var("v"), Var("y")))
